@@ -29,13 +29,6 @@ from .systems import (
     q_encode,
 )
 
-_FLOAT_SLACK = 1e-9
-
-
-def _slack(values) -> float:
-    return _FLOAT_SLACK if any(isinstance(v, float) for v in values) else 0
-
-
 # ---------------------------------------------------------------------------
 # states and effects
 # ---------------------------------------------------------------------------
@@ -55,19 +48,16 @@ class State:
                 f"state on {self.shape} needs {self.shape.global_dim} weights, "
                 f"got {len(self.weights)}"
             )
-        tol = _slack(self.weights)
-        if any(w < -tol for w in self.weights):
+        if any(w < 0 for w in self.weights):
             raise ValueError("state weights must be nonnegative")
-        if sum(self.weights, 0) > 1 + tol:
+        if sum(self.weights, 0) > 1:
             raise ValueError("state weights must sum to at most 1")
 
     @property
     def total(self):
         return sum(self.weights, 0)
 
-    def is_deterministic(self, tol=0) -> bool:
-        if tol:
-            return abs(self.total - 1) <= tol
+    def is_deterministic(self) -> bool:
         return self.total == 1
 
     def scale(self, p) -> "State":
@@ -93,8 +83,7 @@ class Effect:
                 f"effect on {self.shape} needs {self.shape.global_dim} weights, "
                 f"got {len(self.weights)}"
             )
-        tol = _slack(self.weights)
-        if any(w < -tol or w > 1 + tol for w in self.weights):
+        if any(w < 0 or w > 1 for w in self.weights):
             raise ValueError("effect weights must lie in [0, 1]")
 
     def scale(self, p) -> "Effect":
@@ -196,7 +185,6 @@ class Transformation:
         n_in, n_out = in_shape.global_dim, out_shape.global_dim
         pruned: dict = {}
         row: dict = {}
-        tol = _slack(coeffs.values())
         for (src, dst, flip), w in coeffs.items():
             if not 1 <= src <= n_in:
                 raise ValueError(f"input label {src} out of range [1..{n_in}]")
@@ -204,13 +192,13 @@ class Transformation:
                 raise ValueError(f"output label {dst} out of range [1..{n_out}]")
             if flip not in (0, 1):
                 raise ValueError("section-bit shift must be 0 or 1")
-            if w < -tol:
+            if w < 0:
                 raise ValueError("conical coefficients must be nonnegative")
             if w != 0:
                 pruned[(src, dst, flip)] = w
                 row[src] = row.get(src, 0) + w
         for src, total in row.items():
-            if total > 1 + tol:
+            if total > 1:
                 raise ValueError(
                     f"coefficients for input {src} sum to {total} > 1 (not substochastic)"
                 )
@@ -244,15 +232,13 @@ class Transformation:
     def row_sum(self, src: int):
         return self._row_sums.get(src, 0)
 
-    def is_valid(self, tol=0) -> bool:
-        return all(total <= 1 + tol for total in self._row_sums.values())
+    def is_valid(self) -> bool:
+        return all(total <= 1 for total in self._row_sums.values())
 
-    def is_channel(self, tol=0) -> bool:
+    def is_channel(self) -> bool:
         """Deterministic iff every input's coefficients sum to exactly one."""
         if len(self._row_sums) != self.in_shape.global_dim:
             return False
-        if tol:
-            return all(abs(s - 1) <= tol for s in self._row_sums.values())
         return all(s == 1 for s in self._row_sums.values())
 
     def scale(self, p) -> "Transformation":
@@ -555,8 +541,8 @@ class Instrument:
             raise ValueError("one outcome label per member required")
         object.__setattr__(self, "outcomes", outcomes)
 
-    def is_valid(self, tol=0) -> bool:
-        return coarse_grain(self, self.outcomes).is_channel(tol)
+    def is_valid(self) -> bool:
+        return coarse_grain(self, self.outcomes).is_channel()
 
 
 def coarse_grain(instr: Instrument, subset) -> Transformation:

@@ -1,10 +1,11 @@
 """Finite classical probability theory as a process theory.
 
 Systems are positive integers, maps are nonnegative matrices with exact
-(or float) entries, states are column vectors (``in_dim == 1``), effects
-are row vectors (``out_dim == 1``) and scalars are 1x1 maps.  Sequential
-composition is matrix product, parallel composition is the Kronecker
-product with the left factor as the outer (row-major) index.
+``Fraction``/``int`` entries (there is no float path and no tolerance),
+states are column vectors (``in_dim == 1``), effects are row vectors
+(``out_dim == 1``) and scalars are 1x1 maps.  Sequential composition is
+matrix product, parallel composition is the Kronecker product with the left
+factor as the outer (row-major) index.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ class ClassicalMap:
     def uniform_state(cls, dim: int) -> "ClassicalMap":
         return cls.state([Fraction(1, dim)] * dim)
 
-    @classmethod
-    def ones_effect(cls, dim: int) -> "ClassicalMap":
-        """The unique deterministic effect (discard)."""
-        return cls.effect([1] * dim)
-
     # -- basic structure ----------------------------------------------
 
     @property
@@ -126,21 +122,17 @@ class ClassicalMap:
 
     # -- predicates ----------------------------------------------------
 
-    def is_nonnegative(self, tol=0) -> bool:
-        return all(v >= -tol for v in self.entries.flat)
+    def is_nonnegative(self) -> bool:
+        return all(v >= 0 for v in self.entries.flat)
 
     def column_sums(self):
         return [sum(self.entries[:, c], 0) for c in range(self.in_dim)]
 
-    def is_substochastic(self, tol=0) -> bool:
-        return self.is_nonnegative(tol) and all(s <= 1 + tol for s in self.column_sums())
+    def is_substochastic(self) -> bool:
+        return self.is_nonnegative() and all(s <= 1 for s in self.column_sums())
 
-    def is_stochastic(self, tol=0) -> bool:
-        if not self.is_nonnegative(tol):
-            return False
-        if tol:
-            return all(abs(s - 1) <= tol for s in self.column_sums())
-        return all(s == 1 for s in self.column_sums())
+    def is_stochastic(self) -> bool:
+        return self.is_nonnegative() and all(s == 1 for s in self.column_sums())
 
     def is_permutation(self) -> bool:
         if self.in_dim != self.out_dim:
@@ -224,15 +216,9 @@ def choi_close(m: ClassicalMap):
     return sum((m.entries[i, i] for i in range(m.in_dim)), 0)
 
 
-def snake_check(dim: int, tol=0) -> bool:
+def snake_check(dim: int) -> bool:
     """Verify ``(id (x) g) . (gamma (x) id) == id`` on a ``dim`` wire."""
     gamma, g = choi_pair(dim)
     ident = ClassicalMap.identity(dim)
     bent = compose_seq(compose_par(gamma, ident), compose_par(ident, g))
-    if tol:
-        return all(
-            abs(bent.entries[r, c] - ident.entries[r, c]) <= tol
-            for r in range(dim)
-            for c in range(dim)
-        )
     return bent == ident

@@ -1,16 +1,18 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 parse/type/IO error, 2 backend disagreement in
-``eval``, 3 verification failures, 4 a falsifier run found a candidate with
-no violation (which would contradict the no-go theorem and flags a fatal
-inconsistency).  All structured output goes to stdout as JSON; diagnostics
-go to stderr.
+Exit codes: 0 success, 1 bad input (a usage error, a flag out of range, or
+a parse, type or IO error), 2 backend disagreement in ``eval``, 3
+verification failures, 4 a falsifier run found a candidate with no violation
+(which would contradict the no-go theorem and flags a fatal inconsistency).  All structured output goes to stdout as JSON; diagnostics
+go to stderr, one line each.  Every number is exact: flags and JSON are read
+through :mod:`bctk.scalars`, so a JSON float ``0.25`` means ``1/4``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +20,7 @@ from pathlib import Path
 from . import dsl, lct, ontic, verify
 from .bct import Effect, State, Transformation
 from .classical import ClassicalMap
-from .scalars import FLOAT, RATIONAL, number_json, parse_number
+from .scalars import number_json, parse_number
 from .verify import RunConfig
 
 EXIT_OK = 0
@@ -52,7 +54,7 @@ def _load_ast(path: str):
 
 def _difference(value_bct, value_ontic):
     """Maximum absolute deviation between the two backends' results."""
-    if isinstance(value_bct, (int, float, Fraction)):
+    if isinstance(value_bct, (int, Fraction)):
         return abs(value_bct - value_ontic)
     if isinstance(value_bct, State):
         image = ontic.ontic_state(value_bct)
@@ -107,9 +109,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         trials=args.trials,
         max_dim=args.max_dim,
-        backend=args.backend,
-        tol=args.tol,
-        report_path=args.report,
         corrupt=args.corrupt,
     )
     try:
@@ -193,30 +192,20 @@ def cmd_lct(args) -> int:
         return EXIT_OK
 
     candidates: list[tuple[str, lct.CandidateModel]] = []
-    if args.random:
-        import random as _random
-
+    spec = args.model or args.candidate or "builtin:bct-style"
+    if args.random is not None:
         for idx in range(args.random):
-            rng = _random.Random(verify.derive_seed(args.seed, "lct", idx))
+            rng = random.Random(verify.derive_seed(args.seed, "lct", idx))
             candidates.append((f"random-{idx}", lct.random_candidate(rng, inst)))
-    elif args.model:
-        try:
-            data = json.loads(Path(args.model).read_text())
-            candidates.append((args.model, lct.CandidateModel.from_json(data)))
-        except (OSError, ValueError, KeyError) as exc:
-            _err(f"cannot load candidate: {exc}")
-            return EXIT_INPUT
+    elif spec == "builtin:bct-style":
+        candidates.append((spec, lct.bct_style_candidate(inst)))
     else:
-        spec = args.candidate or "builtin:bct-style"
-        if spec == "builtin:bct-style":
-            candidates.append((spec, lct.bct_style_candidate(inst)))
-        else:
-            try:
-                data = json.loads(Path(spec).read_text())
-                candidates.append((spec, lct.CandidateModel.from_json(data)))
-            except (OSError, ValueError, KeyError) as exc:
-                _err(f"cannot load candidate: {exc}")
-                return EXIT_INPUT
+        try:
+            data = json.loads(Path(spec).read_text())
+            candidates.append((spec, lct.CandidateModel.from_json(data)))
+        except (OSError, ValueError) as exc:
+            _err(f"cannot load candidate {spec}: {exc}")
+            return EXIT_INPUT
 
     certificates = []
     fatal = 0
@@ -247,8 +236,29 @@ def cmd_lct(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line and exits 1: it is bad input, and
+    argparse's own exit code 2 means backend disagreement here."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bctk",
         description="Evaluate process diagrams, verify the ontological model, "
         "and run the latent-classical falsifier.",
@@ -265,10 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", default="all", choices=list(verify.SUITE_NAMES) + ["all"]
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--max-dim", type=int, default=4, dest="max_dim")
-    p_verify.add_argument("--backend", choices=[RATIONAL, FLOAT], default=RATIONAL)
-    p_verify.add_argument("--tol", type=float, default=1e-12)
+    p_verify.add_argument("--trials", type=_int_at_least(0), default=200)
+    p_verify.add_argument("--max-dim", type=_int_at_least(2), default=4, dest="max_dim")
     p_verify.add_argument("--report", help="also write the JSON report to this path")
     p_verify.add_argument(
         "--corrupt", choices=["swap"], help="inject a corrupted fixture (testing only)"
@@ -290,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--candidate", help="builtin:bct-style or a path to a candidate JSON file"
     )
     p_lct.add_argument("--model", help="path to a candidate JSON file")
-    p_lct.add_argument("--random", type=int, help="refute N seeded random candidates")
+    p_lct.add_argument(
+        "--random", type=_int_at_least(1), help="refute N seeded random candidates"
+    )
     p_lct.add_argument("--seed", type=int, default=0)
     p_lct.set_defaults(func=cmd_lct)
     return parser

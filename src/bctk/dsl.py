@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import bct, classical, ontic
 from .bct import Effect, State, Transformation
-from .scalars import number_json
+from .scalars import number_json, number_text, parse_number
 from .systems import PureLabel, SystemShape, flatten_label
 
 
@@ -243,16 +243,17 @@ class _LineParser:
         tok = self.take("number")
         if "/" in tok.text or "." in tok.text:
             self.fail(f"expected an integer, got {tok.text!r}")
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError as exc:  # more digits than int() accepts
+            raise DslError([Diagnostic(tok.span, str(exc))]) from None
 
     def take_number(self):
         tok = self.take("number")
-        if "/" in tok.text:
-            num, den = tok.text.split("/")
-            return Fraction(int(num), int(den))
-        if "." in tok.text:
-            return Fraction(tok.text)
-        return Fraction(int(tok.text))
+        try:
+            return parse_number(tok.text)
+        except ValueError as exc:
+            raise DslError([Diagnostic(tok.span, str(exc))]) from None
 
     def done(self) -> None:
         tok = self.peek()
@@ -485,12 +486,8 @@ def _build_gate(decl: GateDecl, shapes: dict, diags) -> Transformation | None:
         return None
 
 
-_KINDS = {"state": "state", "gate": "gate", "effect": "effect"}
-
-
 def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> bool:
     current: SystemShape | None = None
-    ok = True
     for stage_no, stage in enumerate(decl.stages, start=1):
         kinds = set()
         in_shape = SystemShape(())
@@ -527,11 +524,8 @@ def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> bool:
                 )
             )
             return False
-        if current is None and not in_shape.is_trivial:
-            # open input wire: the circuit value is a transformation or effect
-            pass
         current = out_shape
-    return ok
+    return True
 
 
 def parse(text: str) -> CircuitAst:
@@ -696,7 +690,7 @@ def eval_bct(ast: CircuitAst, name: str):
 
 
 def _bct_absorb_scalar(value, row):
-    if isinstance(value, (int, Fraction, float)):
+    if isinstance(value, (int, Fraction)):
         return row.scale(value)
     raise ValueError("state stages must open a circuit")
 
@@ -735,14 +729,8 @@ def eval_ontic(ast: CircuitAst, name: str):
 # ---------------------------------------------------------------------------
 
 
-def _number_str(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _label_str(label: PureLabel) -> str:
+def label_text(label: PureLabel) -> str:
+    """DSL syntax of a pure label, e.g. ``((1,2);0)``."""
     core = str(label.indices[0])
     for idx, bit in zip(label.indices[1:], label.sections):
         core = f"({core},{idx});{bit}"
@@ -752,8 +740,8 @@ def _label_str(label: PureLabel) -> str:
 def _terms_str(terms) -> str:
     parts = []
     for term in terms:
-        prefix = "" if term.weight == 1 else _number_str(term.weight) + " "
-        parts.append(prefix + _label_str(term.label))
+        prefix = "" if term.weight == 1 else number_text(term.weight) + " "
+        parts.append(prefix + label_text(term.label))
     return " + ".join(parts)
 
 
@@ -790,7 +778,7 @@ def pretty(ast: CircuitAst) -> str:
                 )
             else:
                 rhs = " + ".join(
-                    f"atomic {t.src} -> {t.dst} tau {t.flip} w {_number_str(t.weight)}"
+                    f"atomic {t.src} -> {t.dst} tau {t.flip} w {number_text(t.weight)}"
                     for t in body.terms
                 )
             lines.append(
@@ -808,7 +796,7 @@ def pretty(ast: CircuitAst) -> str:
 
 def eval_to_json(value) -> object:
     """JSON form of an evaluation result from either backend."""
-    if isinstance(value, (int, Fraction, float)):
+    if isinstance(value, (int, Fraction)):
         return number_json(value)
     if isinstance(value, State):
         return {"shape": list(value.shape.elems), "weights": [number_json(w) for w in value.weights]}

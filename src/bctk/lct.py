@@ -133,16 +133,17 @@ class CandidateModel:
     xi_tau: tuple | None = None
 
     def __post_init__(self):
+        if any(type(d) is not int or d < 1 for d in (self.L1, self.L2)):
+            raise ValueError("L1 and L2 must be positive integers")
         object.__setattr__(self, "xi_beta", tuple(self.xi_beta))
         object.__setattr__(self, "xi_b", tuple(self.xi_b))
         if len(self.xi_beta) != self.L1 * self.L2:
             raise ValueError("xi_beta must live on the product ontic space L1*L2")
         if len(self.xi_b) != self.L1 * self.L2:
             raise ValueError("xi_b must live on the product ontic space L1*L2")
-        tol = 1e-9 if any(isinstance(v, float) for v in self.xi_beta + self.xi_b) else 0
-        if any(v < -tol for v in self.xi_beta) or sum(self.xi_beta, 0) > 1 + tol:
+        if any(v < 0 for v in self.xi_beta) or sum(self.xi_beta, 0) > 1:
             raise ValueError("xi_beta must be a subnormalised distribution")
-        if any(v < -tol or v > 1 + tol for v in self.xi_b):
+        if any(v < 0 or v > 1 for v in self.xi_b):
             raise ValueError("xi_b entries must lie in [0, 1]")
         if self.xi_sigma is not None:
             object.__setattr__(self, "xi_sigma", tuple(self.xi_sigma))
@@ -165,7 +166,16 @@ class CandidateModel:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "CandidateModel":
+    def from_json(cls, data) -> "CandidateModel":
+        """Read a candidate exactly; malformed data raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("a candidate must be a JSON object")
+        for key in ("L1", "L2", "xi_beta", "xi_b"):
+            if key not in data:
+                raise ValueError(f"candidate lacks {key!r}")
+        for key in ("xi_beta", "xi_b"):
+            if not isinstance(data[key], list):
+                raise ValueError(f"{key} must be a list of numbers")
         return cls(
             L1=data["L1"],
             L2=data["L2"],

@@ -133,10 +133,6 @@ def merge_perm(n1: int, n2: int) -> ClassicalMap:
     return ClassicalMap(m)
 
 
-def merge_perm_inv(n1: int, n2: int) -> ClassicalMap:
-    return merge_perm(n1, n2).transpose()
-
-
 @lru_cache(maxsize=None)
 def merge_chain(shape: SystemShape) -> ClassicalMap:
     """Permutation from the composite ontic space onto the fused single one."""
@@ -221,8 +217,6 @@ class Report:
         room = _MAX_WITNESSES - len(self.failures)
         if room > 0:
             self.failures.extend(other.failures[:room])
-        elif other.failures and not self.failures:
-            self.failures.extend(other.failures[:_MAX_WITNESSES])
         if other.max_abs_dev > self.max_abs_dev:
             self.max_abs_dev = other.max_abs_dev
         return self
@@ -237,7 +231,7 @@ class Report:
         }
 
 
-def _compare_maps(report: Report, lhs: ClassicalMap, rhs: ClassicalMap, tol=0,
+def _compare_maps(report: Report, lhs: ClassicalMap, rhs: ClassicalMap,
                   context=None) -> None:
     report.trials += 1
     if lhs.entries.shape != rhs.entries.shape:
@@ -249,38 +243,29 @@ def _compare_maps(report: Report, lhs: ClassicalMap, rhs: ClassicalMap, tol=0,
     for r in range(lhs.out_dim):
         for c in range(lhs.in_dim):
             a, b = lhs.entries[r, c], rhs.entries[r, c]
-            if a == b:
-                continue
-            dev = abs(a - b)
-            if dev > report.max_abs_dev:
-                report.max_abs_dev = dev
-            if dev > tol:
-                witness = [context, r, c] if context is not None else [r, c]
-                if len(report.failures) < _MAX_WITNESSES:
-                    report.failures.append(
-                        {"witness": witness, "lhs": number_json(a), "rhs": number_json(b)}
-                    )
+            if a != b:
+                report.record([context, r, c] if context is not None else [r, c], a, b)
 
 
-def verify_diagram_seq(t1: Transformation, t2: Transformation, tol=0) -> Report:
+def verify_diagram_seq(t1: Transformation, t2: Transformation) -> Report:
     """Check that images compose sequentially: image(t1 then t2) == product."""
     report = Report(suite="diagram-seq")
     lhs = ontic_map(bct.compose_seq(t1, t2))
     rhs = classical.compose_seq(ontic_map(t1), ontic_map(t2))
-    _compare_maps(report, lhs, rhs, tol)
+    _compare_maps(report, lhs, rhs)
     return report
 
 
-def verify_diagram_par(t1: Transformation, t2: Transformation, tol=0) -> Report:
+def verify_diagram_par(t1: Transformation, t2: Transformation) -> Report:
     """Check that images compose in parallel: image(t1 (x) t2) == Kronecker."""
     report = Report(suite="diagram-par")
     lhs = ontic_map(bct.compose_par(t1, t2))
     rhs = classical.compose_par(ontic_map(t1), ontic_map(t2))
-    _compare_maps(report, lhs, rhs, tol)
+    _compare_maps(report, lhs, rhs)
     return report
 
 
-def verify_probability(e: Effect, t, rho: State, tol=0) -> Report:
+def verify_probability(e: Effect, t, rho: State) -> Report:
     """Compare a theory probability with the classical pairing of the images."""
     report = Report(suite="probability")
     report.trials = 1
@@ -291,22 +276,22 @@ def verify_probability(e: Effect, t, rho: State, tol=0) -> Report:
         theory = bct.pair(e, bct.apply(t, rho))
         chained = classical.compose_seq(ontic_state(rho), ontic_map(t))
         model = classical.compose_seq(chained, ontic_effect(e)).scalar_value()
-    if theory != model and abs(theory - model) > tol:
+    if theory != model:
         report.record("pairing", theory, model)
     return report
 
 
-def verify_determinacy(t: Transformation, tol=0) -> Report:
+def verify_determinacy(t: Transformation) -> Report:
     """Channels map to stochastic matrices, valid maps to substochastic ones."""
     report = Report(suite="determinacy")
     report.trials = 1
     image = ontic_map(t)
-    if not image.is_substochastic(tol):
+    if not image.is_substochastic():
         report.failures.append(
             {"witness": "substochasticity", "lhs": "image", "rhs": "substochastic"}
         )
-    channel = t.is_channel(tol)
-    stochastic = image.is_stochastic(tol)
+    channel = t.is_channel()
+    stochastic = image.is_stochastic()
     if channel != stochastic:
         report.failures.append(
             {"witness": "channel-iff-stochastic", "lhs": channel, "rhs": stochastic}
@@ -314,18 +299,18 @@ def verify_determinacy(t: Transformation, tol=0) -> Report:
     return report
 
 
-def verify_instrument(instr: Instrument, tol=0) -> Report:
+def verify_instrument(instr: Instrument) -> Report:
     """Images of instrument members must sum to a stochastic matrix."""
     report = Report(suite="instrument")
     report.trials = 1
     total = ontic_map(instr.members[0])
     for member in instr.members[1:]:
         total = total.add(ontic_map(member))
-    if not total.is_stochastic(tol):
+    if not total.is_stochastic():
         report.failures.append(
             {"witness": "coarse-grained-image", "lhs": "sum of images",
              "rhs": "stochastic"}
         )
     direct = ontic_map(coarse_grain(instr, instr.outcomes))
-    _compare_maps(report, total, direct, tol, context="sum-vs-coarse-grain")
+    _compare_maps(report, total, direct, context="sum-vs-coarse-grain")
     return report

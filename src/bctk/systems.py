@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 from math import prod
 from typing import Iterator
 
@@ -41,17 +40,9 @@ class SystemShape:
                 cleaned.append(n)
         object.__setattr__(self, "elems", tuple(cleaned))
 
-    @classmethod
-    def of(cls, *dims: int) -> "SystemShape":
-        return cls(tuple(dims))
-
     @property
     def is_trivial(self) -> bool:
         return not self.elems
-
-    @property
-    def is_single(self) -> bool:
-        return len(self.elems) == 1
 
     @property
     def num_factors(self) -> int:
@@ -257,10 +248,3 @@ def flatten_right_nested(n1: int, n2: int, n3: int, label: RightNestedLabel) -> 
     """Global index induced by the right-nested grouping ``(i (j k)_c)_a``."""
     inner = q_encode(n2, n3, label.j, label.k, label.inner)
     return q_encode(n1, 2 * n2 * n3, label.i, inner, label.outer)
-
-
-def all_right_nested(n1: int, n2: int, n3: int) -> Iterator[RightNestedLabel]:
-    for i, j, k, c, a in product(
-        range(1, n1 + 1), range(1, n2 + 1), range(1, n3 + 1), (0, 1), (0, 1)
-    ):
-        yield RightNestedLabel(i, j, k, inner=c, outer=a)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, JSON output, reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -172,3 +173,84 @@ def test_lct_custom_instance():
 def test_lct_rejects_full_rank_kappa():
     proc = run_cli("lct", "demo", "--kappa", "1/2,1/2")
     assert proc.returncode == 1
+
+
+def test_verify_report_bytes_are_pinned():
+    # Measured before the float backend was removed; guards byte-identical reports.
+    proc = run_cli("verify", "--suite", "all", "--trials", "20", "--max-dim", "3",
+                   "--seed", "20260809")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "5091044035997dad0eccc5a375fb28b044627d59eb54365f38c5f8c9992c4fe7"
+
+
+def _assert_clean_rejection(proc, needle):
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert needle in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (("verify", "--trials", "-3"), "--trials"),
+        (("verify", "--max-dim", "1"), "--max-dim"),
+        (("verify", "--suite", "bogus"), "bogus"),
+        (("verify", "--backend", "float"), "--backend"),
+        (("verify", "--tol", "1e-9"), "--tol"),
+        (("lct", "refute", "--random", "0"), "--random"),
+        (("lct", "refute", "--random", "-2"), "--random"),
+        (("lct", "demo", "--kappa", "1/0,1"), "1/0"),
+        (("lct", "demo", "--kappa", "1e9,0"), "1e9"),
+    ],
+)
+def test_bad_flags_exit_one(args, needle):
+    _assert_clean_rejection(run_cli(*args), needle)
+
+
+@pytest.mark.parametrize(
+    "source, needle",
+    [
+        ("system a = elem 2\nstate x : a = 1/0 (1)\n", "2:15"),
+        ("system a = elem " + "9" * 5000 + "\n", "1:17"),
+    ],
+)
+def test_dsl_bad_number_exits_one(tmp_path, source, needle):
+    path = tmp_path / "bad.bct"
+    path.write_text(source)
+    _assert_clean_rejection(run_cli("eval", str(path)), needle)
+
+
+@pytest.mark.parametrize("entry", [[1, 0], {}, "1/2", None])
+def test_lct_malformed_candidate_entry_exits_one(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "L1": 2, "L2": 2,
+        "xi_beta": [entry, [0, 1], [0, 1], [0, 1]],
+        "xi_b": [[1, 1]] * 4,
+    }))
+    _assert_clean_rejection(run_cli("lct", "refute", "--model", str(path)), "bad.json")
+
+
+@pytest.mark.parametrize("data", [[1, 2], {"L1": 2}, {"L1": "2", "L2": 2,
+                                                     "xi_beta": [], "xi_b": []}])
+def test_lct_malformed_candidate_exits_one(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    _assert_clean_rejection(run_cli("lct", "refute", "--candidate", str(path)), "bad.json")
+
+
+def test_lct_json_floats_are_read_as_exact_decimals(tmp_path):
+    outputs = []
+    for name, quarter in (("float.json", 0.25), ("exact.json", [1, 4])):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "L1": 2, "L2": 2, "xi_beta": [quarter] * 4, "xi_b": [[1, 1]] * 4,
+        }))
+        proc = run_cli("lct", "refute", "--model", str(path))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout)["certificates"][0]["certificate"])
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["lhs"] == [1, 2]
