@@ -35,8 +35,8 @@ from .systems import (
 
 
 @dataclass(frozen=True)
-class State:
-    """A subnormalised weight vector over the pure states of a shape."""
+class _Vector:
+    """A weight vector over the pure labels of a shape (state or effect)."""
 
     shape: SystemShape
     weights: tuple
@@ -45,9 +45,26 @@ class State:
         object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.weights) != self.shape.global_dim:
             raise ValueError(
-                f"state on {self.shape} needs {self.shape.global_dim} weights, "
+                f"{self._kind} on {self.shape} needs {self.shape.global_dim} weights, "
                 f"got {len(self.weights)}"
             )
+
+    def scale(self, p):
+        return type(self)(self.shape, tuple(p * w for w in self.weights))
+
+    def nonzero(self):
+        for q, w in enumerate(self.weights, start=1):
+            if w != 0:
+                yield q, w
+
+
+class State(_Vector):
+    """A subnormalised weight vector over the pure states of a shape."""
+
+    _kind = "state"
+
+    def __post_init__(self):
+        super().__post_init__()
         if any(w < 0 for w in self.weights):
             raise ValueError("state weights must be nonnegative")
         if sum(self.weights, 0) > 1:
@@ -60,49 +77,29 @@ class State:
     def is_deterministic(self) -> bool:
         return self.total == 1
 
-    def scale(self, p) -> "State":
-        return State(self.shape, tuple(p * w for w in self.weights))
 
-    def nonzero(self):
-        for q, w in enumerate(self.weights, start=1):
-            if w != 0:
-                yield q, w
-
-
-@dataclass(frozen=True)
-class Effect:
+class Effect(_Vector):
     """A response covector: entries in [0, 1] over the pure effects of a shape."""
 
-    shape: SystemShape
-    weights: tuple
+    _kind = "effect"
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.weights) != self.shape.global_dim:
-            raise ValueError(
-                f"effect on {self.shape} needs {self.shape.global_dim} weights, "
-                f"got {len(self.weights)}"
-            )
+        super().__post_init__()
         if any(w < 0 or w > 1 for w in self.weights):
             raise ValueError("effect weights must lie in [0, 1]")
 
-    def scale(self, p) -> "Effect":
-        return Effect(self.shape, tuple(p * w for w in self.weights))
 
-    def nonzero(self):
-        for q, w in enumerate(self.weights, start=1):
-            if w != 0:
-                yield q, w
+def _pure(cls, shape: SystemShape, label):
+    q = flatten_label(shape, as_label(label))
+    return cls(shape, tuple(1 if i == q else 0 for i in range(1, shape.global_dim + 1)))
 
 
 def pure_state(shape: SystemShape, label) -> State:
-    q = flatten_label(shape, as_label(label))
-    return State(shape, tuple(1 if i == q else 0 for i in range(1, shape.global_dim + 1)))
+    return _pure(State, shape, label)
 
 
 def pure_effect(shape: SystemShape, label) -> Effect:
-    q = flatten_label(shape, as_label(label))
-    return Effect(shape, tuple(1 if i == q else 0 for i in range(1, shape.global_dim + 1)))
+    return _pure(Effect, shape, label)
 
 
 def deterministic_effect(shape: SystemShape) -> Effect:
@@ -122,24 +119,9 @@ def pair(e: Effect, rho: State):
     return sum((a * b for a, b in zip(e.weights, rho.weights)), 0)
 
 
-def par_states(r1: State, r2: State) -> State:
-    """Parallel composition: pure x pure spreads over both section bits with 1/2."""
-    if r1.shape.is_trivial:
-        return r2.scale(r1.weights[0])
-    if r2.shape.is_trivial:
-        return r1.scale(r2.weights[0])
-    shape = r1.shape.compose(r2.shape)
-    out = [0] * shape.global_dim
-    for q1, w1 in r1.nonzero():
-        for q2, w2 in r2.nonzero():
-            w = HALF * w1 * w2
-            for s in (0, 1):
-                out[pair_label(r1.shape, r2.shape, q1, q2, s) - 1] += w
-    return State(shape, tuple(out))
-
-
-def par_effects(a: Effect, b: Effect) -> Effect:
-    """Parallel composition of effects: no 1/2, forced by pairing consistency."""
+def _par(a, b, factor):
+    """Parallel composition of two vectors of one kind: pure x pure spreads
+    over both section bits, each with ``factor`` times the product weight."""
     if a.shape.is_trivial:
         return b.scale(a.weights[0])
     if b.shape.is_trivial:
@@ -148,10 +130,20 @@ def par_effects(a: Effect, b: Effect) -> Effect:
     out = [0] * shape.global_dim
     for q1, w1 in a.nonzero():
         for q2, w2 in b.nonzero():
-            w = w1 * w2
+            w = factor * w1 * w2
             for s in (0, 1):
                 out[pair_label(a.shape, b.shape, q1, q2, s) - 1] += w
-    return Effect(shape, tuple(out))
+    return type(a)(shape, tuple(out))
+
+
+def par_states(r1: State, r2: State) -> State:
+    """Parallel composition: pure x pure spreads over both section bits with 1/2."""
+    return _par(r1, r2, HALF)
+
+
+def par_effects(a: Effect, b: Effect) -> Effect:
+    """Parallel composition of effects: no 1/2, forced by pairing consistency."""
+    return _par(a, b, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +314,9 @@ def compose_seq(t1: Transformation, t2: Transformation) -> Transformation:
 
 
 def par_with_identity(t: Transformation, right: SystemShape) -> Transformation:
-    """``t (x) id`` on a composite; the ancilla keeps its label, its pairing
-    bit picks up the term's section shift."""
-    if right.is_trivial:
-        return t
-    out: dict = {}
-    for (src, dst, flip), w in t.coeffs.items():
-        for q2 in range(1, right.global_dim + 1):
-            for s in (0, 1):
-                key = (
-                    pair_label(t.in_shape, right, src, q2, s),
-                    pair_label(t.out_shape, right, dst, q2, s ^ flip),
-                    flip,
-                )
-                out[key] = out.get(key, 0) + w
-    return Transformation(t.in_shape.compose(right), t.out_shape.compose(right), out)
+    """``t (x) id``: the ancilla keeps its label and its pairing bit picks up
+    the term's section shift (:func:`compose_par` with an identity)."""
+    return t if right.is_trivial else compose_par(t, identity(right))
 
 
 def swap(left: SystemShape, right: SystemShape) -> Transformation:
@@ -358,13 +338,22 @@ def swap(left: SystemShape, right: SystemShape) -> Transformation:
 
 
 def compose_par(t1: Transformation, t2: Transformation) -> Transformation:
-    """``t1 (x) t2``, interleaved as (t1 (x) id) after (id (x) t2)."""
-    left_then = par_with_identity(t1, t2.out_shape)
-    right_first = compose_seq(
-        compose_seq(swap(t1.in_shape, t2.in_shape), par_with_identity(t2, t1.in_shape)),
-        swap(t2.out_shape, t1.in_shape),
-    )
-    return compose_seq(right_first, left_then)
+    """``t1 (x) t2`` by label arithmetic: ``(q1 q2)_s -> (d1 d2)_{s^f1^f2}``
+    with section shift ``f1`` and weight ``w1*w2``.  The swap sandwich
+    (``t1 (x) id`` after ``swap . (t2 (x) id) . swap``) is its test oracle."""
+    in1, in2, out1, out2 = t1.in_shape, t2.in_shape, t1.out_shape, t2.out_shape
+    out: dict = {}
+    for (s1, d1, f1), w1 in t1.coeffs.items():
+        for (s2, d2, f2), w2 in t2.coeffs.items():
+            w = w1 * w2
+            for s in (0, 1):
+                key = (
+                    pair_label(in1, in2, s1, s2, s),
+                    pair_label(out1, out2, d1, d2, s ^ f1 ^ f2),
+                    f1,
+                )
+                out[key] = out.get(key, 0) + w
+    return Transformation(in1.compose(in2), out1.compose(out2), out)
 
 
 def apply(t: Transformation, rho: State) -> State:

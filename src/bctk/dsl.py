@@ -798,9 +798,7 @@ def eval_to_json(value) -> object:
     """JSON form of an evaluation result from either backend."""
     if isinstance(value, (int, Fraction)):
         return number_json(value)
-    if isinstance(value, State):
-        return {"shape": list(value.shape.elems), "weights": [number_json(w) for w in value.weights]}
-    if isinstance(value, Effect):
+    if isinstance(value, (State, Effect)):
         return {"shape": list(value.shape.elems), "weights": [number_json(w) for w in value.weights]}
     if isinstance(value, Transformation):
         return value.to_json()

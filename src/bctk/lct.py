@@ -24,6 +24,12 @@ from .classical import ClassicalMap, choi_close
 from .scalars import number_from_json, number_json
 
 
+# Input caps: the jellyfish matrix is dense ``L2 x L2`` and ``lct demo`` is
+# quadratic in ``dL*d1*d2``.  The builtin candidate's ``L2 = 2*d2`` fits both.
+MAX_L2 = 512
+MAX_COMPOSITE_DIM = 1024
+
+
 def _kron(*vectors):
     out = np.array([1], dtype=object)
     for v in vectors:
@@ -65,6 +71,8 @@ def make_instance(d1: int = 2, d2: int = 2, dL: int = 2, kappa=None) -> LctInsta
     """
     if min(d1, d2, dL) < 2:
         raise ValueError("all dimensions must be at least 2")
+    if dL * d1 * d2 > MAX_COMPOSITE_DIM:
+        raise ValueError(f"dL*d1*d2 = {dL * d1 * d2} exceeds {MAX_COMPOSITE_DIM}")
     if kappa is None:
         kappa = (1,) + (0,) * (dL - 1)
     kappa = tuple(kappa)
@@ -135,6 +143,8 @@ class CandidateModel:
     def __post_init__(self):
         if any(type(d) is not int or d < 1 for d in (self.L1, self.L2)):
             raise ValueError("L1 and L2 must be positive integers")
+        if self.L2 > MAX_L2:
+            raise ValueError(f"L2 = {self.L2} exceeds {MAX_L2}")
         object.__setattr__(self, "xi_beta", tuple(self.xi_beta))
         object.__setattr__(self, "xi_b", tuple(self.xi_b))
         if len(self.xi_beta) != self.L1 * self.L2:

@@ -5,11 +5,11 @@ dimension ``2n`` (one extra bit of ontic state); composites get the tensor
 product of their factors' ontic spaces, with wires ordered
 ``(n1, bit1, n2, bit2, ...)``.
 
-Images are computed through one code path: fuse the composite wires down to
-a single system with the merging permutation, apply the single-system atomic
-rule ``(i, b) -> (l, b ^ flip)``, and unfuse.  The closed forms used for
-states and effects (one free bit on the first wire, every later wire shifted
-by its section bit) are pinned to that rule by the consistency suites.
+Every image is read through one cached table, :func:`fused_index`, which
+places each fused point ``(q, b)`` of a shape on its composite wires; the
+atomic rule ``(i, b) -> (l, b ^ flip)`` is one scatter through it.  The merging
+permutations :func:`merge_perm`/:func:`merge_chain` and :func:`wire_swap_matrix`
+are the oracles the table and the images are pinned to.
 """
 
 from __future__ import annotations
@@ -75,41 +75,42 @@ def ontic_system(shape: SystemShape) -> OnticSpace:
     return OnticSpace(shape)
 
 
-def _bit_pattern(sections, b0: int) -> list[int]:
-    """Ontic bits of a pure label: wire ``k+1`` carries ``b0`` shifted by the
-    label's ``k``-th section bit (all shifts relative to the first wire)."""
-    return [b0] + [b0 ^ s for s in sections]
+@lru_cache(maxsize=None)
+def fused_index(shape: SystemShape) -> tuple[int, ...]:
+    """Entry ``2*(q-1) + b0`` is the composite ontic index of label ``q`` with
+    bit ``b0`` on wire 1 and ``b0 ^ sections[k-1]`` on wire ``k+1``."""
+    table = []
+    for q in range(1, shape.global_dim + 1):
+        lab = unflatten_label(shape, q)
+        for b0 in (0, 1):
+            idx = (lab.indices[0] - 1) * 2 + b0
+            for n, i, s in zip(shape.elems[1:], lab.indices[1:], lab.sections):
+                idx = (idx * n + i - 1) * 2 + (b0 ^ s)
+            table.append(idx)
+    return tuple(table)
+
+
+def _vector_image(v, factor, make) -> ClassicalMap:
+    """Each pure label spreads ``factor`` times its weight over both bits."""
+    if v.shape.is_trivial:
+        return ClassicalMap.scalar(v.weights[0])
+    index = fused_index(v.shape)
+    out = [0] * v.shape.ontic_dim
+    for q, w in v.nonzero():
+        fw = factor * w
+        out[index[2 * q - 2]] += fw
+        out[index[2 * q - 1]] += fw
+    return make(out)
 
 
 def ontic_state(rho: State) -> ClassicalMap:
     """Image of a state: each pure label spreads over its two bit patterns."""
-    if rho.shape.is_trivial:
-        return ClassicalMap.scalar(rho.weights[0])
-    space = OnticSpace(rho.shape)
-    col = [0] * space.dim
-    for q, w in rho.nonzero():
-        lab = unflatten_label(rho.shape, q)
-        half_w = HALF * w
-        for b0 in (0, 1):
-            bits = _bit_pattern(lab.sections, b0)
-            point = tuple(v for pair in zip(lab.indices, bits) for v in pair)
-            col[space.index(point)] += half_w
-    return ClassicalMap.state(col)
+    return _vector_image(rho, HALF, ClassicalMap.state)
 
 
 def ontic_effect(e: Effect) -> ClassicalMap:
     """Image of an effect: same bit patterns, summed without the 1/2."""
-    if e.shape.is_trivial:
-        return ClassicalMap.scalar(e.weights[0])
-    space = OnticSpace(e.shape)
-    row = [0] * space.dim
-    for q, w in e.nonzero():
-        lab = unflatten_label(e.shape, q)
-        for b0 in (0, 1):
-            bits = _bit_pattern(lab.sections, b0)
-            point = tuple(v for pair in zip(lab.indices, bits) for v in pair)
-            row[space.index(point)] += w
-    return ClassicalMap.effect(row)
+    return _vector_image(e, 1, ClassicalMap.effect)
 
 
 @lru_cache(maxsize=None)
@@ -150,23 +151,14 @@ def merge_chain(shape: SystemShape) -> ClassicalMap:
     return acc
 
 
-def _fused_matrix(t: Transformation) -> ClassicalMap:
-    n_in, n_out = t.in_shape.global_dim, t.out_shape.global_dim
-    m = np.full((2 * n_out, 2 * n_in), 0, dtype=object)
+def ontic_map(t: Transformation) -> ClassicalMap:
+    """Image of a transformation: the atomic rule, scattered through the table."""
+    rows, cols = fused_index(t.out_shape), fused_index(t.in_shape)
+    m = np.full((t.out_shape.ontic_dim, t.in_shape.ontic_dim), 0, dtype=object)
     for (src, dst, flip), w in t.coeffs.items():
         for b in (0, 1):
-            m[(dst - 1) * 2 + (b ^ flip), (src - 1) * 2 + b] += w
+            m[rows[2 * (dst - 1) + (b ^ flip)], cols[2 * (src - 1) + b]] += w
     return ClassicalMap(m)
-
-
-def ontic_map(t: Transformation) -> ClassicalMap:
-    """Image of a transformation: fuse wires, apply the atomic rule, unfuse."""
-    fused = _fused_matrix(t)
-    if t.in_shape.num_factors <= 1 and t.out_shape.num_factors <= 1:
-        return fused
-    p_in = merge_chain(t.in_shape)
-    p_out = merge_chain(t.out_shape)
-    return classical.compose_seq(classical.compose_seq(p_in, fused), p_out.transpose())
 
 
 @lru_cache(maxsize=None)

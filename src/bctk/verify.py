@@ -325,16 +325,13 @@ def suite_linearity(cfg: RunConfig) -> Report:
 def _coefficients_from_image(image: classical.ClassicalMap, in_shape: SystemShape,
                              out_shape: SystemShape) -> dict:
     """Invert the model on fused wires: ``C(i, l, tau) = M[(l, tau), (i, 0)]``."""
-    if in_shape.num_factors > 1 or out_shape.num_factors > 1:
-        image = classical.compose_seq(
-            classical.compose_seq(ontic.merge_chain(in_shape).transpose(), image),
-            ontic.merge_chain(out_shape),
-        )
+    rows, cols = ontic.fused_index(out_shape), ontic.fused_index(in_shape)
     coeffs: dict = {}
     for src in range(1, in_shape.global_dim + 1):
+        col = cols[2 * (src - 1)]
         for dst in range(1, out_shape.global_dim + 1):
             for flip in (0, 1):
-                v = image.entries[(dst - 1) * 2 + flip, (src - 1) * 2]
+                v = image.entries[rows[2 * (dst - 1) + flip], col]
                 if v != 0:
                     coeffs[(src, dst, flip)] = v
     return coeffs

@@ -548,3 +548,46 @@ def test_sequencing_is_associative(seed):
     t2 = _rand_tensor(rng, S3, S3)
     t3 = _rand_tensor(rng, S3, S2)
     assert compose_seq(compose_seq(t1, t2), t3) == compose_seq(t1, compose_seq(t2, t3))
+
+
+# -- closed forms against their categorical oracles ----------------------------
+
+
+def _explicit_lift(t, right):
+    """``t (x) id`` term by term: the ancilla keeps its label, its pairing bit
+    picks up the term's section shift."""
+    out = {}
+    for (src, dst, flip), w in t.coeffs.items():
+        for q2 in range(1, right.global_dim + 1):
+            for s in (0, 1):
+                key = (
+                    pair_label(t.in_shape, right, src, q2, s),
+                    pair_label(t.out_shape, right, dst, q2, s ^ flip),
+                    flip,
+                )
+                out[key] = out.get(key, 0) + w
+    return Transformation(t.in_shape.compose(right), t.out_shape.compose(right), out)
+
+
+def _swap_sandwich(t1, t2):
+    """``t1 (x) t2`` as ``(t1 (x) id)`` after ``swap . (t2 (x) id) . swap``."""
+    right_first = compose_seq(
+        compose_seq(swap(t1.in_shape, t2.in_shape), _explicit_lift(t2, t1.in_shape)),
+        swap(t2.out_shape, t1.in_shape),
+    )
+    return compose_seq(right_first, _explicit_lift(t1, t2.out_shape))
+
+
+def _rand_shape(rng):
+    return SystemShape(tuple(rng.choice((2, 3)) for _ in range(rng.randint(1, 2))))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_compose_par_matches_swap_sandwich(seed):
+    rng = random.Random(seed)
+    a, b, c, d, anc = (_rand_shape(rng) for _ in range(5))
+    t1 = _rand_tensor(rng, a, b, channel=rng.random() < 0.5)
+    t2 = _rand_tensor(rng, c, d, channel=rng.random() < 0.5)
+    assert compose_par(t1, t2) == _swap_sandwich(t1, t2)
+    assert par_with_identity(t1, anc) == _explicit_lift(t1, anc)

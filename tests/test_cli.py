@@ -254,3 +254,15 @@ def test_lct_json_floats_are_read_as_exact_decimals(tmp_path):
         outputs.append(json.loads(proc.stdout)["certificates"][0]["certificate"])
     assert outputs[0] == outputs[1]
     assert outputs[0]["lhs"] == [1, 2]
+
+
+def test_lct_oversized_candidate_exits_one(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "L1": 1, "L2": 513, "xi_beta": [1] + [0] * 512, "xi_b": [1] * 513,
+    }))
+    _assert_clean_rejection(run_cli("lct", "refute", "--model", str(path)), "L2 = 513")
+
+
+def test_lct_oversized_instance_exits_one():
+    _assert_clean_rejection(run_cli("lct", "demo", "--d1", "1000"), "4000")

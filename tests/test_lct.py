@@ -8,6 +8,8 @@ import pytest
 
 from bctk.classical import choi_close
 from bctk.lct import (
+    MAX_COMPOSITE_DIM,
+    MAX_L2,
     CandidateModel,
     LctInstance,
     annihilator,
@@ -179,3 +181,16 @@ def test_certificate_json():
     assert data["violation"] == "jellyfish-nullity"
     assert data["fatal"] is False
     assert data["trace_identity"] == [1, 1]
+
+
+def test_size_caps_admit_their_boundary_and_the_builtin_candidate():
+    with pytest.raises(ValueError, match="exceeds"):
+        make_instance(2, 2, MAX_COMPOSITE_DIM // 4 + 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        CandidateModel(L1=1, L2=MAX_L2 + 1, xi_beta=(0,) * (MAX_L2 + 1),
+                       xi_b=(0,) * (MAX_L2 + 1))
+    CandidateModel(L1=1, L2=MAX_L2, xi_beta=(0,) * MAX_L2, xi_b=(0,) * MAX_L2)
+    for d1 in (2, MAX_COMPOSITE_DIM // 4):
+        inst = make_instance(d1, MAX_COMPOSITE_DIM // (2 * d1), 2)
+        assert inst.composite_dim == MAX_COMPOSITE_DIM
+        assert bct_style_candidate(inst).L2 <= MAX_L2

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from bctk import bct, classical, ontic
@@ -28,6 +29,7 @@ from bctk.bct import (
 from bctk.classical import ClassicalMap
 from bctk.ontic import (
     OnticSpace,
+    fused_index,
     merge_chain,
     merge_perm,
     ontic_effect,
@@ -177,6 +179,42 @@ def test_merge_chain_on_three_factors():
         rho = pure_state(shape, lab)
         fused_state = State(shape.fused(), rho.weights)
         assert classical.compose_seq(ontic_state(rho), chain) == ontic_state(fused_state)
+
+
+def test_merge_chain_sends_fused_index_home():
+    for p in (1, 2, 3):
+        for elems in product((2, 3), repeat=p):
+            shape = SystemShape(elems)
+            chain = merge_chain(shape)
+            index = fused_index(shape)
+            assert chain.is_permutation()
+            assert len(index) == shape.ontic_dim
+            for k, col in enumerate(index):
+                assert chain.entries[k, col] == 1
+
+
+def _fused_matrix(t):
+    """The atomic rule ``(i, b) -> (l, b ^ flip)`` on the fused single system."""
+    n_in, n_out = t.in_shape.global_dim, t.out_shape.global_dim
+    m = np.full((2 * n_out, 2 * n_in), 0, dtype=object)
+    for (src, dst, flip), w in t.coeffs.items():
+        for b in (0, 1):
+            m[(dst - 1) * 2 + (b ^ flip), (src - 1) * 2 + b] += w
+    return ClassicalMap(m)
+
+
+def test_ontic_map_matches_merge_chain_sandwich():
+    rng = random.Random(22)
+    S222 = SystemShape((2, 2, 2))
+    pairs = ((S2, S3), (S22, S2), (S2, S23), (S23, S22), (S222, S2), (S3, S222))
+    for in_shape, out_shape in pairs:
+        for channel in (False, True):
+            t = _rand_tensor(rng, in_shape, out_shape, channel=channel)
+            oracle = classical.compose_seq(
+                classical.compose_seq(merge_chain(in_shape), _fused_matrix(t)),
+                merge_chain(out_shape).transpose(),
+            )
+            assert ontic_map(t) == oracle
 
 
 def test_sequential_functoriality_on_atomics():

@@ -1,0 +1,42 @@
+"""The benchmark tracer's view of ``bctk`` still resolves.
+
+``bench/tracer.py`` patches functions by ``(module, attribute)`` name, reads
+``cache_info()`` from the lru-cached ones and traces classes through their own
+``__init__``.  A rename or a dropped cache in the kernel would break a traced
+benchmark run, which tier-1 does not collect; this test reads the tracer's
+tables (and edits nothing under ``bench/``) so the break shows here first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attr(modname, attr):
+    return getattr(importlib.import_module(f"bctk.{modname}"), attr)
+
+
+def test_every_traced_target_resolves():
+    for name, modname, attr in _tracer().TARGETS:
+        assert callable(_attr(modname, attr)), name
+
+
+def test_every_cached_target_has_cache_info():
+    for modname, attr in _tracer().CACHED:
+        assert callable(getattr(_attr(modname, attr), "cache_info", None)), (modname, attr)
+
+
+def test_every_class_target_has_its_own_init():
+    for name, modname, attr in _tracer().TARGETS:
+        target = _attr(modname, attr)
+        if isinstance(target, type):
+            assert "__init__" in target.__dict__, name
