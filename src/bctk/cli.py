@@ -66,12 +66,9 @@ def _difference(value_bct, value_ontic):
         raise TypeError(f"cannot diff {type(value_bct).__name__}")
     if not isinstance(value_ontic, ClassicalMap):
         return 1
-    if image.entries.shape != value_ontic.entries.shape:
+    if image.shape != value_ontic.shape:
         return 1
-    return max(
-        (abs(a - b) for a, b in zip(image.entries.flat, value_ontic.entries.flat)),
-        default=0,
-    )
+    return max((abs(a - b) for _, _, a, b in image.differences(value_ontic)), default=0)
 
 
 def cmd_eval(args) -> int:
@@ -244,7 +241,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
+def _int_in_range(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -252,6 +249,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -275,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", default="all", choices=list(verify.SUITE_NAMES) + ["all"]
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=_int_at_least(0), default=200)
-    p_verify.add_argument("--max-dim", type=_int_at_least(2), default=4, dest="max_dim")
+    p_verify.add_argument("--trials", type=_int_in_range(0), default=200)
+    p_verify.add_argument("--max-dim", type=_int_in_range(2, verify.MAX_DIM), default=4,
+                          dest="max_dim")
     p_verify.add_argument("--report", help="also write the JSON report to this path")
     p_verify.add_argument(
         "--corrupt", choices=["swap"], help="inject a corrupted fixture (testing only)"
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lct.add_argument("--model", help="path to a candidate JSON file")
     p_lct.add_argument(
-        "--random", type=_int_at_least(1), help="refute N seeded random candidates"
+        "--random", type=_int_in_range(1), help="refute N seeded random candidates"
     )
     p_lct.add_argument("--seed", type=int, default=0)
     p_lct.set_defaults(func=cmd_lct)

@@ -21,6 +21,9 @@ Grammar (one construct per line, ``#`` comments)::
 
 Labels use 1-based indices with explicit section bits: ``(2)``,
 ``((1,2);0)``, ``(((1,2);0,3);1)``.
+
+A system or a circuit wire whose ontic dimension exceeds
+:data:`MAX_ONTIC_DIM` is refused with a diagnostic.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ from . import bct, classical, ontic
 from .bct import Effect, State, Transformation
 from .scalars import number_json, number_text, parse_number
 from .systems import PureLabel, SystemShape, flatten_label
+
+# Largest ontic dimension of a declared system or of a circuit wire.  Images
+# are sparse, but ``embed`` and ``eval`` print an open map as dense D x D JSON
+# and a state image has D entries.  ``random_circuit_source(max_dim=4)``
+# reaches 64.
+MAX_ONTIC_DIM = 512
 
 
 @dataclass(frozen=True)
@@ -486,6 +495,10 @@ def _build_gate(decl: GateDecl, shapes: dict, diags) -> Transformation | None:
         return None
 
 
+def _too_wide(where: str, shape: SystemShape) -> str:
+    return f"{where} has ontic dimension {shape.ontic_dim} > {MAX_ONTIC_DIM}"
+
+
 def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> bool:
     current: SystemShape | None = None
     for stage_no, stage in enumerate(decl.stages, start=1):
@@ -515,6 +528,11 @@ def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> bool:
                 )
             )
             return False
+        for shape in (in_shape, out_shape):
+            if shape.ontic_dim > MAX_ONTIC_DIM:
+                where = f"stage {stage_no} of circuit {decl.name!r}"
+                diags.append(Diagnostic(decl.span, _too_wide(where, shape)))
+                return False
         if current is not None and current != in_shape:
             diags.append(
                 Diagnostic(
@@ -563,14 +581,20 @@ def parse(text: str) -> CircuitAst:
                         Diagnostic(decl.span, "elementary systems need dimension >= 2")
                     )
                     continue
-                ast.shapes[decl.name] = SystemShape((decl.elem,))
+                shape = SystemShape((decl.elem,))
             else:
                 left, right = decl.parts
                 if left not in ast.shapes or right not in ast.shapes:
                     missing = left if left not in ast.shapes else right
                     diags.append(Diagnostic(decl.span, f"unknown system {missing!r}"))
                     continue
-                ast.shapes[decl.name] = ast.shapes[left].compose(ast.shapes[right])
+                shape = ast.shapes[left].compose(ast.shapes[right])
+            if shape.ontic_dim > MAX_ONTIC_DIM:
+                # Stop here: the declarations that use the system would each
+                # add an "unknown system" diagnostic.
+                diags.append(Diagnostic(decl.span, _too_wide(f"system {decl.name!r}", shape)))
+                raise DslError(diags)
+            ast.shapes[decl.name] = shape
         elif isinstance(decl, StateDecl):
             if decl.system not in ast.shapes:
                 diags.append(Diagnostic(decl.span, f"unknown system {decl.system!r}"))

@@ -18,23 +18,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .classical import ClassicalMap, choi_close
 from .scalars import number_from_json, number_json
 
 
-# Input caps: the jellyfish matrix is dense ``L2 x L2`` and ``lct demo`` is
-# quadratic in ``dL*d1*d2``.  The builtin candidate's ``L2 = 2*d2`` fits both.
+# Input caps: the jellyfish matrix can fill all ``L2 x L2`` cells and
+# ``lct demo`` is quadratic in ``dL*d1*d2``.  The builtin candidate's
+# ``L2 = 2*d2`` fits both.
 MAX_L2 = 512
 MAX_COMPOSITE_DIM = 1024
 
 
 def _kron(*vectors):
-    out = np.array([1], dtype=object)
+    out = [1]
     for v in vectors:
-        out = np.kron(out, np.array(list(v), dtype=object))
-    return tuple(out.tolist())
+        out = [a * b for a in out for b in v]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -206,18 +205,16 @@ def jellyfish_matrix(cand: CandidateModel) -> ClassicalMap:
     wire is the open input and the state's second wire the open output:
     ``M[y, x] = sum_a xi_beta[a, y] * xi_b[a, x]``.
     """
-    m = np.full((cand.L2, cand.L2), 0, dtype=object)
-    for a in range(cand.L1):
-        base = a * cand.L2
-        for y in range(cand.L2):
-            w = cand.xi_beta[base + y]
-            if w == 0:
-                continue
-            for x in range(cand.L2):
-                v = cand.xi_b[base + x]
-                if v != 0:
-                    m[y, x] += w * v
-    return ClassicalMap(m)
+    L2 = cand.L2
+    cells: dict = {}
+    for base in range(0, cand.L1 * L2, L2):
+        xs = [(x, v) for x, v in enumerate(cand.xi_b[base:base + L2]) if v != 0]
+        for y, w in enumerate(cand.xi_beta[base:base + L2]):
+            if w != 0:
+                for x, v in xs:
+                    cells[y, x] = cells.get((y, x), 0) + w * v
+    # Candidate data is nonnegative, so no sum of nonzero products cancels.
+    return ClassicalMap._from_cells(cand.L2, cand.L2, cells)
 
 
 def model_pairing(cand: CandidateModel):
@@ -284,9 +281,9 @@ def falsify(cand: CandidateModel, inst: LctInstance, beta=None) -> ViolationCert
                 trace_identity=trace,
             )
 
-    nonzero = [(r, c, v) for r, c, v in m.nonzero()]
-    if nonzero:
-        r, c, v = nonzero[0]
+    first = next(m.nonzero(), None)
+    if first is not None:
+        r, c, v = first
         return ViolationCertificate(
             violation="jellyfish-nullity",
             witness=[r, c],

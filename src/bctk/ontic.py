@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
-import numpy as np
-
 from . import classical
 from .classical import ClassicalMap
 from .bct import Effect, Instrument, State, Transformation, coarse_grain
@@ -123,15 +121,15 @@ def merge_perm(n1: int, n2: int) -> ClassicalMap:
     which the diagram suite checks exhaustively.
     """
     dim = 4 * n1 * n2
-    m = np.full((dim, dim), 0, dtype=object)
+    cells = {}
     for x in range(1, n1 + 1):
         for b1 in (0, 1):
             for y in range(1, n2 + 1):
                 for b2 in (0, 1):
                     col = (((x - 1) * 2 + b1) * n2 + (y - 1)) * 2 + b2
                     row = (q_encode(n1, n2, x, y, b1 ^ b2) - 1) * 2 + b1
-                    m[row, col] = 1
-    return ClassicalMap(m)
+                    cells[row, col] = 1
+    return ClassicalMap._from_cells(dim, dim, cells)
 
 
 @lru_cache(maxsize=None)
@@ -154,11 +152,11 @@ def merge_chain(shape: SystemShape) -> ClassicalMap:
 def ontic_map(t: Transformation) -> ClassicalMap:
     """Image of a transformation: the atomic rule, scattered through the table."""
     rows, cols = fused_index(t.out_shape), fused_index(t.in_shape)
-    m = np.full((t.out_shape.ontic_dim, t.in_shape.ontic_dim), 0, dtype=object)
-    for (src, dst, flip), w in t.coeffs.items():
-        for b in (0, 1):
-            m[rows[2 * (dst - 1) + (b ^ flip)], cols[2 * (src - 1) + b]] += w
-    return ClassicalMap(m)
+    # The table is injective and the weights are nonzero, so every term
+    # lands on two cells of its own.
+    cells = {(rows[2 * (dst - 1) + (b ^ flip)], cols[2 * (src - 1) + b]): w
+             for (src, dst, flip), w in t.coeffs.items() for b in (0, 1)}
+    return ClassicalMap._from_cells(t.out_shape.ontic_dim, t.in_shape.ontic_dim, cells)
 
 
 @lru_cache(maxsize=None)
@@ -167,11 +165,11 @@ def wire_swap_matrix(left: SystemShape, right: SystemShape) -> ClassicalMap:
     sp_in = OnticSpace(left.compose(right))
     sp_out = OnticSpace(right.compose(left))
     cut = 2 * left.num_factors
-    m = np.full((sp_out.dim, sp_in.dim), 0, dtype=object)
+    cells = {}
     for col in range(sp_in.dim):
         point = sp_in.point(col)
-        m[sp_out.index(point[cut:] + point[:cut]), col] = 1
-    return ClassicalMap(m)
+        cells[sp_out.index(point[cut:] + point[:cut]), col] = 1
+    return ClassicalMap._from_cells(sp_out.dim, sp_in.dim, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +224,13 @@ class Report:
 def _compare_maps(report: Report, lhs: ClassicalMap, rhs: ClassicalMap,
                   context=None) -> None:
     report.trials += 1
-    if lhs.entries.shape != rhs.entries.shape:
+    if lhs.shape != rhs.shape:
         report.failures.append(
-            {"witness": [context, "shape"], "lhs": list(lhs.entries.shape),
-             "rhs": list(rhs.entries.shape)}
+            {"witness": [context, "shape"], "lhs": list(lhs.shape), "rhs": list(rhs.shape)}
         )
         return
-    for r in range(lhs.out_dim):
-        for c in range(lhs.in_dim):
-            a, b = lhs.entries[r, c], rhs.entries[r, c]
-            if a != b:
-                report.record([context, r, c] if context is not None else [r, c], a, b)
+    for r, c, a, b in lhs.differences(rhs):
+        report.record([context, r, c] if context is not None else [r, c], a, b)
 
 
 def verify_diagram_seq(t1: Transformation, t2: Transformation) -> Report:

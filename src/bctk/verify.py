@@ -55,6 +55,12 @@ SUITE_NAMES = (
 )
 
 
+# Cap on ``--max-dim``: ``rand_shape`` keeps ontic dimensions <= 64, so an
+# elementary dimension above 32 only lengthens its rejection loop and the
+# suites that draw dimensions directly.
+MAX_DIM = 32
+
+
 @dataclass
 class RunConfig:
     """Reproducible run parameters."""
@@ -199,18 +205,14 @@ def _check_state(report: Report, witness, got: State, want: State) -> None:
 
 def _check_maps(report: Report, witness, lhs, rhs) -> None:
     report.trials += 1
-    if lhs.entries.shape != rhs.entries.shape:
+    if lhs.shape != rhs.shape:
         report.failures.append(
-            {"witness": [witness, "shape"], "lhs": list(lhs.entries.shape),
-             "rhs": list(rhs.entries.shape)}
+            {"witness": [witness, "shape"], "lhs": list(lhs.shape), "rhs": list(rhs.shape)}
         )
         return
-    for r in range(lhs.out_dim):
-        for c in range(lhs.in_dim):
-            a, b = lhs.entries[r, c], rhs.entries[r, c]
-            if a != b:
-                report.record([witness, r, c], a, b)
-                return
+    for r, c, a, b in lhs.differences(rhs):
+        report.record([witness, r, c], a, b)
+        return
 
 
 def _corrupt_swap(sw: Transformation) -> Transformation:
@@ -331,7 +333,7 @@ def _coefficients_from_image(image: classical.ClassicalMap, in_shape: SystemShap
         col = cols[2 * (src - 1)]
         for dst in range(1, out_shape.global_dim + 1):
             for flip in (0, 1):
-                v = image.entries[rows[2 * (dst - 1) + flip], col]
+                v = image[rows[2 * (dst - 1) + flip], col]
                 if v != 0:
                     coeffs[(src, dst, flip)] = v
     return coeffs
@@ -552,7 +554,7 @@ def suite_determinacy(cfg: RunConfig) -> Report:
             for bit in (0, 1):
                 row = (spec.perm[i - 1] - 1) * 2 + (bit ^ spec.bits[i - 1])
                 col = (i - 1) * 2 + bit
-                if image.entries[row, col] != 1:
+                if image[row, col] != 1:
                     ok = False
         _check_true(report, ["reversible-closed-form", idx], ok)
         instr = rand_instrument(rng, a, b, outcomes=3)

@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from bctk.classical import (
     ClassicalMap,
@@ -14,6 +15,7 @@ from bctk.classical import (
     permutation_map,
     snake_check,
 )
+from bctk.scalars import number_json
 
 
 def test_identity_composition():
@@ -34,7 +36,7 @@ def test_sequential_composition_hand_product():
     m = ClassicalMap([[Fraction(1, 2), 0], [0, 1]])
     n = ClassicalMap([[1, 1]])
     out = compose_seq(m, n)
-    assert out.entries.tolist() == [[Fraction(1, 2), 1]]
+    assert out == ClassicalMap([[Fraction(1, 2), 1]])
 
 
 def test_parallel_identities():
@@ -46,18 +48,18 @@ def test_parallel_point_states():
     right = ClassicalMap.point_state(2, 2)
     both = compose_par(left, right)
     # row-major, left factor outer: index (1, 2) -> 0*2 + 1
-    assert [v for v in both.entries.flat] == [0, 1, 0, 0]
+    assert both == ClassicalMap([[0], [1], [0], [0]])
 
 
 def test_parallel_uniform_states():
     u = ClassicalMap.uniform_state(2)
     both = compose_par(u, u)
-    assert all(v == Fraction(1, 4) for v in both.entries.flat)
+    assert both == ClassicalMap([[Fraction(1, 4)]] * 4)
 
 
 def test_permutation_map_identity_and_transposition():
     assert permutation_map((1, 2)) == ClassicalMap.identity(2)
-    assert permutation_map((2, 1)).entries.tolist() == [[0, 1], [1, 0]]
+    assert permutation_map((2, 1)) == ClassicalMap([[0, 1], [1, 0]])
 
 
 def test_permutation_three_cycle_moves_point_state():
@@ -97,8 +99,8 @@ def test_choi_close_requires_square():
 
 def test_choi_pair_entries():
     gamma, g = choi_pair(2)
-    assert [v for v in gamma.entries.flat] == [1, 0, 0, 1]
-    assert [v for v in g.entries.flat] == [1, 0, 0, 1]
+    assert gamma == ClassicalMap([[1], [0], [0], [1]])
+    assert g == ClassicalMap([[1, 0, 0, 1]])
 
 
 @pytest.mark.parametrize("dim", list(range(1, 17)))
@@ -121,15 +123,20 @@ def test_predicates():
     assert stoch.is_stochastic()
     assert permutation_map((2, 3, 1)).is_permutation()
     assert not stoch.is_permutation()
+    assert not ClassicalMap([[1, 0], [1, 0]]).is_permutation()
+    assert not ClassicalMap([[1, 1], [0, 0]]).is_permutation()
 
 
 # -- algebraic laws ---------------------------------------------------------
 
 
 @st.composite
-def substochastic(draw, max_dim=3, stochastic=False):
-    n = draw(st.integers(1, max_dim))
-    m = draw(st.integers(1, max_dim))
+def substochastic(draw, max_dim=3, stochastic=False, dims=None):
+    if dims is None:
+        n = draw(st.integers(1, max_dim))
+        m = draw(st.integers(1, max_dim))
+    else:
+        m, n = dims
     den = 12
     cols = []
     for _ in range(n):
@@ -154,7 +161,7 @@ def test_sequential_composition_preserves_substochasticity(data):
     g = data.draw(substochastic())
     # re-dimension g so the composition is defined
     if g.in_dim != f.out_dim:
-        entries = [[g.entries[r % g.out_dim, c % g.in_dim] for c in range(f.out_dim)]
+        entries = [[g[r % g.out_dim, c % g.in_dim] for c in range(f.out_dim)]
                    for r in range(g.out_dim)]
         g = ClassicalMap(entries)
         if not g.is_substochastic():
@@ -183,7 +190,7 @@ def test_bifunctoriality(f1, f2, g1, g2):
     def fit(second, first):
         if second.in_dim == first.out_dim:
             return second
-        entries = [[second.entries[r % second.out_dim, c % second.in_dim]
+        entries = [[second[r % second.out_dim, c % second.in_dim]
                     for c in range(first.out_dim)] for r in range(second.out_dim)]
         fitted = ClassicalMap(entries)
         return fitted if fitted.is_substochastic() else None
@@ -195,3 +202,140 @@ def test_bifunctoriality(f1, f2, g1, g2):
     lhs = compose_par(compose_seq(f1, f2), compose_seq(g1, g2))
     rhs = compose_seq(compose_par(f1, g1), compose_par(f2, g2))
     assert lhs == rhs
+
+
+# -- the sparse map against a dense object-array oracle ---------------------
+#
+# The reference is a plain numpy object array with exact entries: matrix
+# product, ``np.kron``, elementwise sum and scaling, and row-major
+# ``np.nonzero``, which is what the map stored before it went sparse.
+
+_VALUES = st.sampled_from(
+    [0, 0, 0, 0, 1, Fraction(1), 2, -1, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4)])
+
+
+@st.composite
+def _signed_rows(draw, out_dim, in_dim):
+    return [[draw(_VALUES) for _ in range(in_dim)] for _ in range(out_dim)]
+
+
+@st.composite
+def _binary_rows(draw, out_dim, in_dim):
+    return [[draw(st.sampled_from([0, 1])) for _ in range(in_dim)] for _ in range(out_dim)]
+
+
+@st.composite
+def _permutation_rows(draw, dim):
+    perm = draw(st.permutations(range(dim)))
+    return [[1 if perm[c] == r else 0 for c in range(dim)] for r in range(dim)]
+
+
+@st.composite
+def dense(draw, out_dim=None, in_dim=None, max_dim=4):
+    """A dense object array: signed or 0/1 entries, a stochastic map or a permutation."""
+    out_dim = out_dim or draw(st.integers(1, max_dim))
+    in_dim = in_dim or draw(st.integers(1, max_dim))
+    kinds = [_signed_rows(out_dim, in_dim), _binary_rows(out_dim, in_dim),
+             substochastic(stochastic=draw(st.booleans()), dims=(out_dim, in_dim))]
+    if out_dim == in_dim:
+        kinds.append(_permutation_rows(out_dim))
+    rows = draw(st.one_of(kinds))
+    if isinstance(rows, ClassicalMap):
+        rows = [[rows[r, c] for c in range(in_dim)] for r in range(out_dim)]
+    return np.array(rows, dtype=object).reshape(out_dim, in_dim)
+
+
+def _assert_matches(m: ClassicalMap, arr) -> None:
+    assert m.shape == arr.shape
+    assert [[m[r, c] for c in range(m.in_dim)] for r in range(m.out_dim)] == arr.tolist()
+    assert all(v != 0 for v in m.cells.values())
+
+
+def _dense_stochastic(arr, strict: bool) -> bool:
+    if not all(v >= 0 for v in arr.flat):
+        return False
+    sums = [sum(arr[:, c], 0) for c in range(arr.shape[1])]
+    return all(s == 1 if strict else s <= 1 for s in sums)
+
+
+def _dense_permutation(arr) -> bool:
+    n, m = arr.shape
+    return (n == m and all(v in (0, 1) for v in arr.flat)
+            and all(sum(arr[r, :], 0) == 1 for r in range(n))
+            and all(sum(arr[:, c], 0) == 1 for c in range(m)))
+
+
+@seed(20261018)
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_products_match_dense_oracle(data):
+    f = data.draw(dense())
+    g = data.draw(dense(in_dim=f.shape[0]))
+    h = data.draw(dense())
+    _assert_matches(compose_seq(ClassicalMap(f), ClassicalMap(g)), g.dot(f))
+    _assert_matches(compose_par(ClassicalMap(f), ClassicalMap(h)), np.kron(f, h))
+
+
+@seed(20261019)
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_linear_structure_matches_dense_oracle(data):
+    a = data.draw(dense())
+    b = data.draw(dense(*a.shape))
+    factor = data.draw(_VALUES)
+    m = ClassicalMap(a)
+    _assert_matches(m, a)
+    _assert_matches(m.add(ClassicalMap(b)), a + b)
+    _assert_matches(m.add(ClassicalMap(-a)), a - a)
+    _assert_matches(m.scale(factor), a * factor)
+    _assert_matches(m.transpose(), a.T)
+    assert m.column_sums() == [sum(a[:, c], 0) for c in range(a.shape[1])]
+    rows, cols = np.nonzero(a != b)
+    assert list(m.differences(ClassicalMap(b))) == [
+        (r, c, a[r, c], b[r, c]) for r, c in zip(rows.tolist(), cols.tolist())]
+
+
+@seed(20261020)
+@given(dense())
+@settings(max_examples=120, deadline=None)
+def test_predicates_match_dense_oracle(a):
+    m = ClassicalMap(a)
+    assert m.is_substochastic() == _dense_stochastic(a, strict=False)
+    assert m.is_stochastic() == _dense_stochastic(a, strict=True)
+    assert m.is_permutation() == _dense_permutation(a)
+
+
+@seed(20261021)
+@given(dense())
+@settings(max_examples=80, deadline=None)
+def test_nonzero_order_and_json_match_dense_oracle(a):
+    m = ClassicalMap(a)
+    for sparse, arr in ((m, a), (m.transpose(), a.T)):
+        rows, cols = np.nonzero(arr != 0)
+        assert list(sparse.nonzero()) == [
+            (r, c, arr[r, c]) for r, c in zip(rows.tolist(), cols.tolist())]
+    data = m.to_json()
+    assert data == {"in": a.shape[1], "out": a.shape[0],
+                    "entries": [number_json(v) for v in a.flat]}
+    assert ClassicalMap.from_json(data) == m
+
+
+def test_equal_maps_hash_alike_across_int_and_fraction():
+    ints = ClassicalMap([[1, 2], [3, 0]])
+    # built column by column, so its cells are stored in another order
+    fracs = ClassicalMap([[Fraction(1), Fraction(3)], [Fraction(2), 0]]).transpose()
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert len({ints, fracs}) == 1
+
+
+def test_cancelling_add_stores_no_zero():
+    m = ClassicalMap([[Fraction(1, 2), 1], [0, -1]])
+    total = m.add(m.scale(-1))
+    assert total.cells == {}
+    assert total == ClassicalMap.zero(2, 2)
+
+
+def test_constructor_rejects_non_2d_input():
+    for bad in ([], [1, 2], [[1, 2], [3]], [[[1]]], np.array([1, 2], dtype=object), 3):
+        with pytest.raises(ValueError, match="2-d"):
+            ClassicalMap(bad)

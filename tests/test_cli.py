@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from bctk import dsl, verify
+
 PRODUCT_CIRCUIT = """\
 system a = elem 2
 system b = elem 2
@@ -204,6 +206,7 @@ def _assert_clean_rejection(proc, needle):
         (("lct", "refute", "--random", "-2"), "--random"),
         (("lct", "demo", "--kappa", "1/0,1"), "1/0"),
         (("lct", "demo", "--kappa", "1e9,0"), "1e9"),
+        (("verify", "--max-dim", str(verify.MAX_DIM + 1)), "--max-dim"),
     ],
 )
 def test_bad_flags_exit_one(args, needle):
@@ -266,3 +269,29 @@ def test_lct_oversized_candidate_exits_one(tmp_path):
 
 def test_lct_oversized_instance_exits_one():
     _assert_clean_rejection(run_cli("lct", "demo", "--d1", "1000"), "4000")
+
+
+def test_verify_max_dim_cap_is_admitted():
+    proc = run_cli("verify", "--suite", "codec", "--trials", "1",
+                   "--max-dim", str(verify.MAX_DIM))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("source", [
+    f"system a = elem {dsl.MAX_ONTIC_DIM // 2 + 1}\ngate g : a -> a = id\n",
+    "system a = elem 8\nsystem b = elem 17\nsystem ab = a * b\ngate g : ab -> ab = id\n",
+])
+def test_dsl_oversized_system_exits_one(tmp_path, source):
+    path = tmp_path / "wide.bct"
+    path.write_text(source)
+    for args in (("embed", str(path), "--gate", "g"), ("eval", str(path))):
+        _assert_clean_rejection(run_cli(*args), f"> {dsl.MAX_ONTIC_DIM}")
+
+
+def test_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bctk, bctk.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -8,6 +8,7 @@ import pytest
 
 from bctk import dsl, verify
 from bctk.bct import Transformation
+from bctk.classical import ClassicalMap
 from bctk.systems import PureLabel, SystemShape
 
 GOLDEN = """\
@@ -161,7 +162,7 @@ def test_eval_open_circuit_yields_state():
     out = dsl.eval_bct(ast, "p")
     assert out.weights == (0, 1)
     img = dsl.eval_ontic(ast, "p")
-    assert [v for v in img.entries.flat] == [0, 0, Fraction(1, 2), Fraction(1, 2)]
+    assert img == ClassicalMap.state([0, 0, Fraction(1, 2), Fraction(1, 2)])
 
 
 def test_eval_gate_only_circuit():
@@ -199,3 +200,21 @@ def test_swap_gate_evaluates_consistently():
     ast = dsl.parse(src)
     assert dsl.eval_bct(ast, "p") == Fraction(1, 2)
     assert dsl.eval_ontic(ast, "p") == Fraction(1, 2)
+
+
+def test_ontic_dimension_cap_admits_its_boundary_and_refuses_beyond():
+    top = dsl.MAX_ONTIC_DIM // 2
+    ast = dsl.parse(f"system a = elem {top}\ngate g : a -> a = id\n")
+    assert ast.shapes["a"].ontic_dim == dsl.MAX_ONTIC_DIM
+    for src in (
+        f"system a = elem {top + 1}\ngate g : a -> a = id\n",
+        "system a = elem 8\nsystem b = elem 17\nsystem ab = a * b\n",
+        "system a = elem 8\ngate g : a -> a = id\ncircuit c = g | g | g\n",
+    ):
+        with pytest.raises(dsl.DslError) as err:
+            dsl.parse(src)
+        assert f"> {dsl.MAX_ONTIC_DIM}" in str(err.value)
+    # the benchmark's circuits stay inside the cap
+    rng = random.Random(4)
+    for _ in range(20):
+        dsl.parse(verify.random_circuit_source(rng, max_dim=4))

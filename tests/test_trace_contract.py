@@ -1,8 +1,9 @@
 """The benchmark tracer's view of ``bctk`` still resolves.
 
 ``bench/tracer.py`` patches functions by ``(module, attribute)`` name, reads
-``cache_info()`` from the lru-cached ones and traces classes through their own
-``__init__``.  A rename or a dropped cache in the kernel would break a traced
+``cache_info()`` from the lru-cached ones, traces classes through their own
+``__init__`` and counts the cells of map results through their dense
+``entries`` view.  A rename or a dropped cache in the kernel would break a traced
 benchmark run, which tier-1 does not collect; this test reads the tracer's
 tables (and edits nothing under ``bench/``) so the break shows here first.
 """
@@ -10,6 +11,11 @@ tables (and edits nothing under ``bench/``) so the break shows here first.
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from bctk import bct, classical, ontic
+from bctk.systems import SystemShape
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -40,3 +46,20 @@ def test_every_class_target_has_its_own_init():
         target = _attr(modname, attr)
         if isinstance(target, type):
             assert "__init__" in target.__dict__, name
+
+
+def test_every_counted_map_result_has_a_dense_view():
+    # ``Tracer`` counts ``entries.size`` and ``np.count_nonzero(entries)``.
+    f = classical.ClassicalMap([[1, 0, 2], [0, 0, 3]])
+    g = classical.ClassicalMap([[0, 1], [4, 0]])
+    t = bct.atomic(SystemShape((2, 3)), SystemShape((2,)), 4, 2, 1)
+    calls = {
+        "classical.compose_seq": lambda: classical.compose_seq(f, g),
+        "classical.compose_par": lambda: classical.compose_par(f, g),
+        "ontic.ontic_map": lambda: ontic.ontic_map(t),
+    }
+    assert set(_tracer().MAP_RESULTS) == set(calls)
+    for name, call in calls.items():
+        result = call()
+        assert result.entries.size == result.out_dim * result.in_dim, name
+        assert np.count_nonzero(result.entries) == len(list(result.nonzero())), name
