@@ -8,6 +8,14 @@ coefficient map is stored sparsely; validity means nonnegative weights with
 per-input sums at most one (exactly one for channels), which is precisely
 substochasticity of the image under the ontological model.
 
+Validation happens once, at the edge.  The public constructors
+(``Transformation(...)``, ``Transformation.from_json``, ``State(...)``,
+``Effect(...)``) and the operations that take arbitrary weights (``scale``,
+``add``, ``atomic``, ``recompose``) check every weight.  Kernel operations
+build their results through ``Transformation._from_coeffs`` and
+``_Vector._from_weights``, which check nothing: each such result is valid by
+construction, for the reason given at its call site.
+
 Composite systems are handled through canonical left-nested labels; partial
 application, swaps and parallel composition are all label arithmetic via
 :func:`bctk.systems.pair_label`.
@@ -48,6 +56,14 @@ class _Vector:
                 f"{self._kind} on {self.shape} needs {self.shape.global_dim} weights, "
                 f"got {len(self.weights)}"
             )
+
+    @classmethod
+    def _from_weights(cls, shape: SystemShape, weights: tuple):
+        """Kernel constructor: ``weights`` is a valid tuple of the right length."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "shape", shape)
+        object.__setattr__(v, "weights", weights)
+        return v
 
     def scale(self, p):
         return type(self)(self.shape, tuple(p * w for w in self.weights))
@@ -91,7 +107,10 @@ class Effect(_Vector):
 
 def _pure(cls, shape: SystemShape, label):
     q = flatten_label(shape, as_label(label))
-    return cls(shape, tuple(1 if i == q else 0 for i in range(1, shape.global_dim + 1)))
+    out = [0] * shape.global_dim
+    out[q - 1] = 1
+    # One weight 1, the rest 0: a deterministic state and an effect in [0, 1].
+    return cls._from_weights(shape, tuple(out))
 
 
 def pure_state(shape: SystemShape, label) -> State:
@@ -104,12 +123,14 @@ def pure_effect(shape: SystemShape, label) -> Effect:
 
 def deterministic_effect(shape: SystemShape) -> Effect:
     """The unique deterministic effect: the all-ones covector."""
-    return Effect(shape, (1,) * shape.global_dim)
+    # Every entry 1 lies in [0, 1].
+    return Effect._from_weights(shape, (1,) * shape.global_dim)
 
 
 def uniform_state(shape: SystemShape) -> State:
     n = shape.global_dim
-    return State(shape, (Fraction(1, n),) * n)
+    # n entries 1/n: nonnegative, summing to 1.
+    return State._from_weights(shape, (Fraction(1, n),) * n)
 
 
 def pair(e: Effect, rho: State):
@@ -133,7 +154,9 @@ def _par(a, b, factor):
             w = factor * w1 * w2
             for s in (0, 1):
                 out[pair_label(a.shape, b.shape, q1, q2, s) - 1] += w
-    return type(a)(shape, tuple(out))
+    # pair_label is injective, so entry (q1 q2)_s is factor*w1*w2 <= w1*w2 <= 1
+    # and the entries sum to 2*factor*total1*total2, at most 1 for states.
+    return type(a)._from_weights(shape, tuple(out))
 
 
 def par_states(r1: State, r2: State) -> State:
@@ -172,8 +195,7 @@ class Transformation:
     __slots__ = ("in_shape", "out_shape", "coeffs", "_row_sums")
 
     def __init__(self, in_shape: SystemShape, out_shape: SystemShape, coeffs: dict):
-        if in_shape.is_trivial or out_shape.is_trivial:
-            raise ValueError("transformations need non-trivial input and output systems")
+        _require_nontrivial(in_shape, out_shape)
         n_in, n_out = in_shape.global_dim, out_shape.global_dim
         pruned: dict = {}
         row: dict = {}
@@ -199,6 +221,24 @@ class Transformation:
         self.coeffs = pruned
         self._row_sums = row
 
+    @classmethod
+    def _from_coeffs(cls, in_shape: SystemShape, out_shape: SystemShape,
+                     coeffs: dict) -> "Transformation":
+        """Kernel constructor: non-trivial shapes, ``coeffs`` holds only positive
+        weights with keys in range and per-input sums at most one."""
+        t = object.__new__(cls)
+        t.in_shape, t.out_shape, t.coeffs, t._row_sums = in_shape, out_shape, coeffs, None
+        return t
+
+    def _rows(self) -> dict:
+        """Per-input coefficient sums, computed on first use."""
+        if self._row_sums is None:
+            row: dict = {}
+            for (src, _, _), w in self.coeffs.items():
+                row[src] = row.get(src, 0) + w
+            self._row_sums = row
+        return self._row_sums
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transformation):
             return NotImplemented
@@ -222,16 +262,17 @@ class Transformation:
         return not self.coeffs
 
     def row_sum(self, src: int):
-        return self._row_sums.get(src, 0)
+        return self._rows().get(src, 0)
 
     def is_valid(self) -> bool:
-        return all(total <= 1 for total in self._row_sums.values())
+        return all(total <= 1 for total in self._rows().values())
 
     def is_channel(self) -> bool:
         """Deterministic iff every input's coefficients sum to exactly one."""
-        if len(self._row_sums) != self.in_shape.global_dim:
+        rows = self._rows()
+        if len(rows) != self.in_shape.global_dim:
             return False
-        return all(s == 1 for s in self._row_sums.values())
+        return all(s == 1 for s in rows.values())
 
     def scale(self, p) -> "Transformation":
         return Transformation(
@@ -264,8 +305,15 @@ class Transformation:
         return cls(SystemShape(tuple(data["in"])), SystemShape(tuple(data["out"])), coeffs)
 
 
+def _require_nontrivial(in_shape: SystemShape, out_shape: SystemShape) -> None:
+    if in_shape.is_trivial or out_shape.is_trivial:
+        raise ValueError("transformations need non-trivial input and output systems")
+
+
 def zero(in_shape: SystemShape, out_shape: SystemShape) -> Transformation:
-    return Transformation(in_shape, out_shape, {})
+    _require_nontrivial(in_shape, out_shape)
+    # No terms.
+    return Transformation._from_coeffs(in_shape, out_shape, {})
 
 
 def atomic(in_shape: SystemShape, out_shape: SystemShape, src, dst, flip: int,
@@ -277,7 +325,9 @@ def atomic(in_shape: SystemShape, out_shape: SystemShape, src, dst, flip: int,
 
 
 def identity(shape: SystemShape) -> Transformation:
-    return Transformation(
+    _require_nontrivial(shape, shape)
+    # One weight-1 term per input.
+    return Transformation._from_coeffs(
         shape, shape, {(q, q, 0): 1 for q in range(1, shape.global_dim + 1)}
     )
 
@@ -310,7 +360,9 @@ def compose_seq(t1: Transformation, t2: Transformation) -> Transformation:
         for dst, flip2, w2 in by_src.get(mid, ()):
             key = (src, dst, flip1 ^ flip2)
             out[key] = out.get(key, 0) + w1 * w2
-    return Transformation(t1.in_shape, t2.out_shape, out)
+    # Sums of products of positive weights; input src sums to
+    # sum_mid w1(src, mid) * row2(mid) <= row1(src) <= 1.
+    return Transformation._from_coeffs(t1.in_shape, t2.out_shape, out)
 
 
 def par_with_identity(t: Transformation, right: SystemShape) -> Transformation:
@@ -334,7 +386,8 @@ def swap(left: SystemShape, right: SystemShape) -> Transformation:
                         s,
                     )
                 ] = 1
-    return Transformation(left.compose(right), right.compose(left), coeffs)
+    # A relabelling: one weight-1 term per input.
+    return Transformation._from_coeffs(left.compose(right), right.compose(left), coeffs)
 
 
 def compose_par(t1: Transformation, t2: Transformation) -> Transformation:
@@ -347,13 +400,15 @@ def compose_par(t1: Transformation, t2: Transformation) -> Transformation:
         for (s2, d2, f2), w2 in t2.coeffs.items():
             w = w1 * w2
             for s in (0, 1):
-                key = (
+                # pair_label is injective in (s1, s2, s) and in (d1, d2, s^f1^f2),
+                # so each key is written once.
+                out[(
                     pair_label(in1, in2, s1, s2, s),
                     pair_label(out1, out2, d1, d2, s ^ f1 ^ f2),
                     f1,
-                )
-                out[key] = out.get(key, 0) + w
-    return Transformation(in1.compose(in2), out1.compose(out2), out)
+                )] = w
+    # Positive weights; input (s1 s2)_s sums to row1(s1) * row2(s2) <= 1.
+    return Transformation._from_coeffs(in1.compose(in2), out1.compose(out2), out)
 
 
 def apply(t: Transformation, rho: State) -> State:
@@ -364,7 +419,8 @@ def apply(t: Transformation, rho: State) -> State:
         v = rho.weights[src - 1]
         if v != 0:
             out[dst - 1] += w * v
-    return State(t.out_shape, tuple(out))
+    # A substochastic map on a substate: nonnegative, total <= rho's total <= 1.
+    return State._from_weights(t.out_shape, tuple(out))
 
 
 def pull(e: Effect, t: Transformation) -> Effect:
@@ -376,7 +432,8 @@ def pull(e: Effect, t: Transformation) -> Effect:
         v = e.weights[dst - 1]
         if v != 0:
             out[src - 1] += w * v
-    return Effect(t.in_shape, tuple(out))
+    # Nonnegative, and entry src <= row_sum(src) * max(e) <= 1.
+    return Effect._from_weights(t.in_shape, tuple(out))
 
 
 def fuse_map(left: SystemShape, right: SystemShape) -> Transformation:
@@ -389,7 +446,8 @@ def fuse_map(left: SystemShape, right: SystemShape) -> Transformation:
     if left.is_trivial or right.is_trivial:
         raise ValueError("fuse_map needs two non-trivial systems")
     composite = left.compose(right)
-    return Transformation(
+    # A relabelling: one weight-1 term per input.
+    return Transformation._from_coeffs(
         composite,
         composite.fused(),
         {(q, q, 0): 1 for q in range(1, composite.global_dim + 1)},
@@ -400,7 +458,8 @@ def unfuse_map(left: SystemShape, right: SystemShape) -> Transformation:
     if left.is_trivial or right.is_trivial:
         raise ValueError("unfuse_map needs two non-trivial systems")
     composite = left.compose(right)
-    return Transformation(
+    # A relabelling: one weight-1 term per input.
+    return Transformation._from_coeffs(
         composite.fused(),
         composite,
         {(q, q, 0): 1 for q in range(1, composite.global_dim + 1)},
@@ -417,7 +476,8 @@ def boxed_effect_left(e: Effect, right: SystemShape) -> Transformation:
             for s in (0, 1):
                 key = (pair_label(e.shape, right, q1, q2, s), q2, s)
                 out[key] = out.get(key, 0) + w
-    return Transformation(e.shape.compose(right), right, out)
+    # Input (q1 q2)_s has the one term e[q1], a nonzero weight in [0, 1].
+    return Transformation._from_coeffs(e.shape.compose(right), right, out)
 
 
 def boxed_state_left(rho: State, right: SystemShape) -> Transformation:
@@ -430,7 +490,8 @@ def boxed_state_left(rho: State, right: SystemShape) -> Transformation:
             for s in (0, 1):
                 key = (q2, pair_label(rho.shape, right, q1, q2, s), s)
                 out[key] = out.get(key, 0) + HALF * w
-    return Transformation(right, rho.shape.compose(right), out)
+    # Positive weights; input q2 sums to rho's total <= 1.
+    return Transformation._from_coeffs(right, rho.shape.compose(right), out)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +529,9 @@ def reversible(shape: SystemShape, spec: ReversibleSpec) -> Transformation:
     n = shape.global_dim
     if len(spec.perm) != n:
         raise ValueError(f"spec permutes {len(spec.perm)} labels, shape has {n}")
-    return Transformation(
+    _require_nontrivial(shape, shape)
+    # A relabelling: one weight-1 term per input.
+    return Transformation._from_coeffs(
         shape,
         shape,
         {(i, spec.perm[i - 1], spec.bits[i - 1]): 1 for i in range(1, n + 1)},

@@ -631,18 +631,22 @@ def parse(text: str) -> CircuitAst:
     if diags:
         raise DslError(diags)
 
+    refused: set[str] = set()  # already diagnosed; their evals add nothing
     for decl in decls:
         if isinstance(decl, CircuitDecl):
             if decl.name in ast.circuits:
                 continue
             if _check_circuit(decl, ast, diags):
                 ast.circuits[decl.name] = decl
+            else:
+                refused.add(decl.name)
         elif isinstance(decl, EvalDirective):
             ast.evals.append(decl)
     for directive in ast.evals:
-        if directive.name not in ast.circuits and directive.name not in ast.gates:
+        name = directive.name
+        if name not in ast.circuits and name not in ast.gates and name not in refused:
             diags.append(
-                Diagnostic(directive.span, f"eval of unknown name {directive.name!r}")
+                Diagnostic(directive.span, f"eval of unknown name {name!r}")
             )
     if diags:
         raise DslError(diags)

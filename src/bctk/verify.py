@@ -326,16 +326,18 @@ def suite_linearity(cfg: RunConfig) -> Report:
 
 def _coefficients_from_image(image: classical.ClassicalMap, in_shape: SystemShape,
                              out_shape: SystemShape) -> dict:
-    """Invert the model on fused wires: ``C(i, l, tau) = M[(l, tau), (i, 0)]``."""
-    rows, cols = ontic.fused_index(out_shape), ontic.fused_index(in_shape)
+    """Invert the model on fused wires: ``C(i, l, tau) = M[(l, tau), (i, 0)]``.
+
+    Only the image's nonzero cells are read; cells outside the ``b0 = 0``
+    columns carry no further coefficients and are ignored."""
+    # fused_index is a bijection onto the ontic indices, so every row inverts.
+    rows = {r: divmod(k, 2) for k, r in enumerate(ontic.fused_index(out_shape))}
+    cols = {c: k // 2 for k, c in enumerate(ontic.fused_index(in_shape)) if k % 2 == 0}
     coeffs: dict = {}
-    for src in range(1, in_shape.global_dim + 1):
-        col = cols[2 * (src - 1)]
-        for dst in range(1, out_shape.global_dim + 1):
-            for flip in (0, 1):
-                v = image[rows[2 * (dst - 1) + flip], col]
-                if v != 0:
-                    coeffs[(src, dst, flip)] = v
+    for (r, c), v in image.cells.items():
+        if c in cols:
+            dst, flip = rows[r]
+            coeffs[(cols[c] + 1, dst + 1, flip)] = v
     return coeffs
 
 

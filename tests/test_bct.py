@@ -38,7 +38,7 @@ from bctk.bct import (
     unfuse_map,
     zero,
 )
-from bctk.systems import PureLabel, SystemShape, all_labels, pair_label, q_encode
+from bctk.systems import TRIVIAL, PureLabel, SystemShape, all_labels, pair_label, q_encode
 
 S2 = SystemShape((2,))
 S3 = SystemShape((3,))
@@ -91,6 +91,12 @@ def test_state_validation():
         State(S2, (-1, 0))
     with pytest.raises(ValueError):
         bct.Effect(S2, (2, 0))
+    with pytest.raises(ValueError):
+        bct.Effect(S2, (-HALF, 0))
+    with pytest.raises(ValueError):
+        State(S2, (HALF,))
+    with pytest.raises(ValueError):
+        pure_state(S2, 1).scale(2)
 
 
 # -- parallel composition of states and effects -------------------------------
@@ -140,8 +146,6 @@ def test_par_states_is_associative():
 
 
 def test_par_with_trivial_state_scales():
-    from bctk.systems import TRIVIAL
-
     scalar = State(TRIVIAL, (HALF,))
     rho = pure_state(S2, 1)
     assert par_states(scalar, rho).weights == (HALF, 0)
@@ -203,7 +207,24 @@ def test_validity_rejects_bad_coefficients():
     with pytest.raises(ValueError):
         Transformation(S2, S2, {(1, 3, 0): 1})
     with pytest.raises(ValueError):
+        Transformation(S2, S2, {(0, 1, 0): 1})
+    with pytest.raises(ValueError):
+        Transformation(S2, S2, {(1, 1, 2): 1})
+    with pytest.raises(ValueError):
         Transformation(SystemShape(()), S2, {})
+    over = {"in": [2], "out": [2], "terms": [{"i0": 1, "l": 1, "tau": 0, "w": [3, 4]},
+                                              {"i0": 1, "l": 2, "tau": 1, "w": [1, 2]}]}
+    with pytest.raises(ValueError):
+        Transformation.from_json(over)
+    with pytest.raises(ValueError):
+        identity(S2).scale(2)
+    with pytest.raises(ValueError):
+        atomic(S2, S2, 1, 1, 0, HALF).add(atomic(S2, S2, 1, 2, 0, Fraction(3, 4)))
+    for build in (lambda: identity(TRIVIAL), lambda: zero(TRIVIAL, S2),
+                  lambda: zero(S2, TRIVIAL),
+                  lambda: reversible(TRIVIAL, ReversibleSpec((1,), (0,)))):
+        with pytest.raises(ValueError, match="non-trivial"):
+            build()
 
 
 def test_lifted_atomic_four_terms():
@@ -591,3 +612,82 @@ def test_compose_par_matches_swap_sandwich(seed):
     t2 = _rand_tensor(rng, c, d, channel=rng.random() < 0.5)
     assert compose_par(t1, t2) == _swap_sandwich(t1, t2)
     assert par_with_identity(t1, anc) == _explicit_lift(t1, anc)
+
+
+# -- kernel results built without re-validation --------------------------------
+
+
+def _rand_substate(rng, shape):
+    return State(shape, tuple(w * Fraction(rng.randint(0, 4), 4)
+                              for w in _dist(rng, shape.global_dim)))
+
+
+def _rand_effect(rng, shape):
+    return bct.Effect(shape, tuple(Fraction(rng.randint(0, 4), 4)
+                                   for _ in range(shape.global_dim)))
+
+
+def _rand_map(rng, in_shape, out_shape):
+    return _rand_tensor(rng, in_shape, out_shape, channel=rng.random() < 0.5)
+
+
+def _rand_label(rng, shape):
+    return rng.choice(list(all_labels(shape)))
+
+
+TRUSTED_PATHS = {
+    "compose_seq": lambda rng, a, b, c: compose_seq(_rand_map(rng, a, b), _rand_map(rng, b, c)),
+    "compose_par": lambda rng, a, b, c: compose_par(_rand_map(rng, a, b), _rand_map(rng, c, a)),
+    "par_with_identity": lambda rng, a, b, c: par_with_identity(_rand_map(rng, a, b), c),
+    "swap": lambda rng, a, b, c: swap(a, b),
+    "identity": lambda rng, a, b, c: identity(a),
+    "zero": lambda rng, a, b, c: zero(a, b),
+    "reversible": lambda rng, a, b, c: reversible(
+        a, ReversibleSpec(tuple(rng.sample(range(1, a.global_dim + 1), a.global_dim)),
+                          tuple(rng.randint(0, 1) for _ in range(a.global_dim)))),
+    "fuse_map": lambda rng, a, b, c: fuse_map(a, b),
+    "unfuse_map": lambda rng, a, b, c: unfuse_map(a, b),
+    "boxed_effect_left": lambda rng, a, b, c: boxed_effect_left(_rand_effect(rng, a), b),
+    "boxed_state_left": lambda rng, a, b, c: boxed_state_left(_rand_substate(rng, a), b),
+    "apply": lambda rng, a, b, c: apply(_rand_map(rng, a, b), _rand_substate(rng, a)),
+    "pull": lambda rng, a, b, c: pull(_rand_effect(rng, b), _rand_map(rng, a, b)),
+    "par_states": lambda rng, a, b, c: par_states(_rand_substate(rng, a), _rand_substate(rng, b)),
+    "par_effects": lambda rng, a, b, c: par_effects(_rand_effect(rng, a), _rand_effect(rng, b)),
+    "pure_state": lambda rng, a, b, c: pure_state(a, _rand_label(rng, a)),
+    "pure_effect": lambda rng, a, b, c: pure_effect(a, _rand_label(rng, a)),
+    "deterministic_effect": lambda rng, a, b, c: deterministic_effect(a),
+    "uniform_state": lambda rng, a, b, c: bct.uniform_state(a),
+}
+
+
+@pytest.mark.parametrize("path", sorted(TRUSTED_PATHS))
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_trusted_results_equal_their_validated_rebuild(path, seed):
+    rng = random.Random(seed)
+    a, b, c = (_rand_shape(rng) for _ in range(3))
+    built = TRUSTED_PATHS[path](rng, a, b, c)
+    if isinstance(built, Transformation):
+        rows = {}
+        for (src, _, _), w in built.coeffs.items():
+            rows[src] = rows.get(src, 0) + w
+        n_in = built.in_shape.global_dim
+        # lazy row sums first, before anything else fills the cache
+        assert [built.row_sum(q) for q in range(1, n_in + 1)] == [
+            rows.get(q, 0) for q in range(1, n_in + 1)]
+        assert built.is_channel() == all(rows.get(q, 0) == 1 for q in range(1, n_in + 1))
+        assert built.is_valid()
+        rebuilt = Transformation(built.in_shape, built.out_shape, built.coeffs)
+    else:
+        assert type(built.weights) is tuple
+        rebuilt = type(built)(built.shape, built.weights)
+    assert rebuilt == built
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_pull_is_adjoint_to_apply(seed):
+    rng = random.Random(seed)
+    a, b = _rand_shape(rng), _rand_shape(rng)
+    t, rho, e = _rand_map(rng, a, b), _rand_substate(rng, a), _rand_effect(rng, b)
+    assert pair(pull(e, t), rho) == pair(e, apply(t, rho))

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from bctk import dsl, verify
+from bctk import cli, dsl, verify
 
 PRODUCT_CIRCUIT = """\
 system a = elem 2
@@ -186,6 +187,20 @@ def test_verify_report_bytes_are_pinned():
     assert digest == "5091044035997dad0eccc5a375fb28b044627d59eb54365f38c5f8c9992c4fe7"
 
 
+def test_eval_and_embed_bytes_are_pinned(tmp_path, capsys):
+    # Measured before kernel results stopped being re-validated; pins the
+    # apply/pull/compose_seq paths that eval takes and the gate images embed prints.
+    digest = hashlib.sha256()
+    for i in range(20):
+        rng = random.Random(verify.derive_seed(7, "dsl", i))
+        path = tmp_path / f"c{i}.bct"
+        path.write_text(verify.random_circuit_source(rng, max_dim=4))
+        for args in (["eval", str(path)], ["embed", str(path), "--gate", "g0"]):
+            code = cli.main(args)
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "128f04812d65f1c63b73be6929adfb496741e9a0271ba906e7da713c072945cf"
+
+
 def _assert_clean_rejection(proc, needle):
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -286,6 +301,20 @@ def test_dsl_oversized_system_exits_one(tmp_path, source):
     path.write_text(source)
     for args in (("embed", str(path), "--gate", "g"), ("eval", str(path))):
         _assert_clean_rejection(run_cli(*args), f"> {dsl.MAX_ONTIC_DIM}")
+
+
+def test_dsl_overfull_atomic_gate_exits_one(tmp_path):
+    path = tmp_path / "over.bct"
+    path.write_text("system a = elem 2\n"
+                    "gate g : a -> a = atomic 1 -> 1 tau 0 w 1 + atomic 1 -> 2 tau 1 w 1/2\n")
+    _assert_clean_rejection(run_cli("embed", str(path), "--gate", "g"), "3/2 > 1")
+
+
+def test_refused_circuit_exits_one_with_one_diagnostic(tmp_path):
+    path = tmp_path / "wide.bct"
+    path.write_text("system a = elem 8\ngate g : a -> a = id\ncircuit c = g | g | g\neval c\n")
+    for args in (("embed", str(path), "--gate", "g"), ("eval", str(path))):
+        _assert_clean_rejection(run_cli(*args), "ontic dimension 4096")
 
 
 def test_import_does_not_load_numpy():

@@ -89,6 +89,23 @@ def test_mixed_stage_kinds_rejected():
     assert "mixes" in str(err.value)
 
 
+@pytest.mark.parametrize("circuit, needle", [
+    ("circuit c = g | g | g", "ontic dimension 4096"),
+    ("circuit c = g ; h", "shape error"),
+    ("circuit c = s | g", "mixes"),
+    ("circuit c = g ; nope", "unknown box"),
+])
+def test_refused_circuit_eval_adds_no_second_diagnostic(circuit, needle):
+    src = (
+        "system a = elem 8\nsystem b = elem 2\nstate s : a = (1)\n"
+        f"gate g : a -> a = id\ngate h : b -> b = id\n{circuit}\neval c\n"
+    )
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(src)
+    assert len(err.value.diagnostics) == 1
+    assert needle in str(err.value)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(dsl.DslError) as err:
         dsl.parse("system a = elem 2\nsystem a = elem 3\n")

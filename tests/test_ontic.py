@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from bctk import bct, classical, ontic
+from bctk import bct, classical, ontic, verify
 from bctk.bct import (
     State,
     apply,
@@ -214,6 +214,37 @@ def test_ontic_map_matches_merge_chain_sandwich():
                 merge_chain(out_shape).transpose(),
             )
             assert ontic_map(t) == oracle
+
+
+def _dense_coefficient_probe(image, in_shape, out_shape):
+    """Read ``C(i, l, tau) = M[(l, tau), (i, 0)]`` by probing every cell."""
+    rows, cols = fused_index(out_shape), fused_index(in_shape)
+    coeffs = {}
+    for src in range(1, in_shape.global_dim + 1):
+        for dst in range(1, out_shape.global_dim + 1):
+            for flip in (0, 1):
+                v = image[rows[2 * (dst - 1) + flip], cols[2 * (src - 1)]]
+                if v != 0:
+                    coeffs[(src, dst, flip)] = v
+    return coeffs
+
+
+def test_coefficient_gather_matches_dense_probe():
+    rng = random.Random(23)
+    S222 = SystemShape((2, 2, 2))
+    shapes = (S2, S3, S22, S23, S222)
+    for _ in range(40):
+        in_shape, out_shape = rng.choice(shapes), rng.choice(shapes)
+        t = _rand_tensor(rng, in_shape, out_shape, channel=rng.random() < 0.5)
+        image = ontic_map(t)
+        gathered = verify._coefficients_from_image(image, in_shape, out_shape)
+        assert gathered == _dense_coefficient_probe(image, in_shape, out_shape) == t.coeffs
+        # an arbitrary map: cells outside the b0 = 0 columns stay ignored
+        rows, cols = out_shape.ontic_dim, in_shape.ontic_dim
+        noise = ClassicalMap([[Fraction(rng.randint(0, 3), 4) if rng.random() < 0.2 else 0
+                               for _ in range(cols)] for _ in range(rows)])
+        assert (verify._coefficients_from_image(noise, in_shape, out_shape)
+                == _dense_coefficient_probe(noise, in_shape, out_shape))
 
 
 def test_sequential_functoriality_on_atomics():
