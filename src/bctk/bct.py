@@ -33,8 +33,6 @@ from .systems import (
     as_label,
     flatten_label,
     pair_label,
-    q_decode,
-    q_encode,
 )
 
 # ---------------------------------------------------------------------------
@@ -536,36 +534,6 @@ def reversible(shape: SystemShape, spec: ReversibleSpec) -> Transformation:
         shape,
         {(i, spec.perm[i - 1], spec.bits[i - 1]): 1 for i in range(1, n + 1)},
     )
-
-
-@dataclass(frozen=True)
-class BipartiteView:
-    """A reversible map on a fused pair, decoded into per-wire functions."""
-
-    pi_left: dict
-    pi_right: dict
-    pi_bit: dict
-    sigma: dict
-
-
-def reversible_bipartite_view(spec: ReversibleSpec, n: int, m: int) -> BipartiteView:
-    """Decode a permutation of ``[1..2nm]`` through the pair codec."""
-    if len(spec.perm) != 2 * n * m:
-        raise ValueError(f"spec acts on {len(spec.perm)} labels, expected {2 * n * m}")
-    pi_left: dict = {}
-    pi_right: dict = {}
-    pi_bit: dict = {}
-    sigma: dict = {}
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            for s in (0, 1):
-                q = q_encode(n, m, i, j, s)
-                i2, j2, s2 = q_decode(n, m, spec.perm[q - 1])
-                pi_left[(i, j, s)] = i2
-                pi_right[(i, j, s)] = j2
-                pi_bit[(i, j, s)] = s2
-                sigma[(i, j, s)] = spec.bits[q - 1]
-    return BipartiteView(pi_left, pi_right, pi_bit, sigma)
 
 
 # ---------------------------------------------------------------------------

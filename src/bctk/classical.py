@@ -12,8 +12,9 @@ a zero is never stored, so equality is dict equality.  The images of the
 ontological model are relabellings, almost all zeros, and every product here
 runs over the nonzero cells only.  :meth:`ClassicalMap.nonzero` yields cells in
 row-major order; :meth:`ClassicalMap.to_json` still writes the dense
-row-major entry list; :attr:`ClassicalMap.entries` builds a dense numpy
-object array on demand, and is the only place numpy is imported.
+row-major entry list, converting only the nonzero cells;
+:attr:`ClassicalMap.entries` builds a dense numpy object array on demand, and
+is the only place numpy is imported.
 """
 
 from __future__ import annotations
@@ -202,13 +203,14 @@ class ClassicalMap:
     # -- serialisation --------------------------------------------------
 
     def to_json(self) -> dict:
-        get = self.cells.get
-        return {
-            "in": self.in_dim,
-            "out": self.out_dim,
-            "entries": [number_json(get((r, c), 0)) for r in range(self.out_dim)
-                        for c in range(self.in_dim)],
-        }
+        """``{"in", "out", "entries"}`` with the dense row-major entry list:
+        ``[0, 1]`` for every absent cell, ``number_json`` of the nonzero ones.
+        Each entry is a list of its own."""
+        in_dim = self.in_dim
+        entries = [[0, 1] for _ in range(self.out_dim * in_dim)]
+        for (r, c), v in self.cells.items():
+            entries[r * in_dim + c] = number_json(v)
+        return {"in": in_dim, "out": self.out_dim, "entries": entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "ClassicalMap":
@@ -247,33 +249,8 @@ def compose_par(f: ClassicalMap, g: ClassicalMap) -> ClassicalMap:
          for (r1, c1), v1 in f.cells.items() for (r2, c2), v2 in g_cells})
 
 
-def permutation_map(perm) -> ClassicalMap:
-    """The stochastic 0/1 map sending ``|i)`` to ``|perm[i-1])`` (1-based)."""
-    targets = tuple(perm)
-    n = len(targets)
-    if sorted(targets) != list(range(1, n + 1)):
-        raise ValueError(f"{targets} is not a bijection on [1..{n}]")
-    return ClassicalMap._from_cells(n, n, {(t - 1, i): 1 for i, t in enumerate(targets)})
-
-
-def choi_pair(dim: int) -> tuple[ClassicalMap, ClassicalMap]:
-    """The Choi vector ``sum_i |ii)`` and covector ``sum_j (jj|`` on ``dim**2``."""
-    vec = [0] * dim * dim
-    for i in range(dim):
-        vec[i * dim + i] = 1
-    return ClassicalMap.state(vec), ClassicalMap.effect(vec)
-
-
 def choi_close(m: ClassicalMap):
     """Close both wires of a square map with the Choi pair: the trace."""
     if m.in_dim != m.out_dim:
         raise ValueError("choi_close needs a square map")
     return sum((v for (r, c), v in m.cells.items() if r == c), 0)
-
-
-def snake_check(dim: int) -> bool:
-    """Verify ``(id (x) g) . (gamma (x) id) == id`` on a ``dim`` wire."""
-    gamma, g = choi_pair(dim)
-    ident = ClassicalMap.identity(dim)
-    bent = compose_seq(compose_par(gamma, ident), compose_par(ident, g))
-    return bent == ident

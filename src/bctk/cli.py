@@ -40,8 +40,8 @@ def _err(message: str) -> None:
 
 def _load_ast(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         _err(f"cannot read {path}: {exc}")
         return None
     try:

@@ -22,6 +22,13 @@ Grammar (one construct per line, ``#`` comments)::
 Labels use 1-based indices with explicit section bits: ``(2)``,
 ``((1,2);0)``, ``(((1,2);0,3);1)``.
 
+Each line is tokenized in one ``finditer`` pass into plain
+``(kind, text, col, end_col)`` tuples with 1-based columns; a
+:class:`SourceSpan` is built only where an AST node keeps one or a
+diagnostic needs one.  A character that starts no token is refused at its
+own column, e.g. ``1:19: unexpected character '$'`` for
+``system a = elem 2 $``.
+
 A system or a circuit wire whose ontic dimension exceeds
 :data:`MAX_ONTIC_DIM` is refused with a diagnostic.
 """
@@ -79,39 +86,29 @@ class DslError(Exception):
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<comment>#.*)|(?P<arrow>->)|(?P<number>\d+/\d+|\d+\.\d+|\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\],;:=+*|]))"
+    r"(?P<comment>#.*)|(?P<arrow>->)|(?P<number>\d+/\d+|\d+\.\d+|\d+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\],;:=+*|])|(?P<bad>\S)"
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
+def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int, int]]:
+    """The ``(kind, text, col, end_col)`` tokens of one line, 1-based columns.
 
-
-def _tokenize_line(line: str, lineno: int) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            stripped = line[pos:].strip()
-            if not stripped:
-                break
-            raise DslError(
-                [Diagnostic(SourceSpan(lineno, pos + 1, pos + 2),
-                            f"unexpected character {line[pos]!r}")]
-            )
-        pos = m.end()
-        if m.lastgroup == "comment":
+    ``finditer`` skips only whitespace, since ``bad`` matches any other
+    character that no token starts with.
+    """
+    tokens = []
+    for m in _TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        if kind == "comment":
             break
-        if m.lastgroup is None:
-            continue
-        text = m.group(m.lastgroup)
-        span = SourceSpan(lineno, m.start(m.lastgroup) + 1, m.end(m.lastgroup) + 1)
-        tokens.append(Token(m.lastgroup, text, span))
+        col = m.start() + 1
+        if kind == "bad":
+            raise DslError(
+                [Diagnostic(SourceSpan(lineno, col, col + 1),
+                            f"unexpected character {m.group()!r}")]
+            )
+        tokens.append((kind, m.group(), col, m.end() + 1))
     return tokens
 
 
@@ -216,74 +213,86 @@ class CircuitAst:
 
 
 class _LineParser:
-    def __init__(self, tokens: list[Token], lineno: int):
+    """Recursive descent over the ``(kind, text, col, end_col)`` tokens of one
+    line.  A token's text fixes its kind, so keywords and punctuation are
+    tested by text alone."""
+
+    def __init__(self, tokens: list[tuple[str, str, int, int]], lineno: int):
         self.tokens = tokens
         self.lineno = lineno
         self.pos = 0
 
+    def span(self, tok) -> SourceSpan:
+        return SourceSpan(self.lineno, tok[2], tok[3])
+
     def _here(self) -> SourceSpan:
         if self.pos < len(self.tokens):
-            return self.tokens[self.pos].span
+            return self.span(self.tokens[self.pos])
         if self.tokens:
-            last = self.tokens[-1].span
-            return SourceSpan(self.lineno, last.end_col, last.end_col + 1)
+            end_col = self.tokens[-1][3]
+            return SourceSpan(self.lineno, end_col, end_col + 1)
         return SourceSpan(self.lineno, 1, 2)
 
     def fail(self, message: str):
         raise DslError([Diagnostic(self._here(), message)])
 
-    def peek(self) -> Token | None:
+    def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.text == text
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``."""
+        if self.pos < len(self.tokens) and self.tokens[self.pos][1] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def take(self, kind: str, text: str | None = None) -> Token:
+    def take(self, kind: str, text: str | None = None):
         tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
+        if tok is None or tok[0] != kind or (text is not None and tok[1] != text):
             want = text or kind
-            got = tok.text if tok else "end of line"
+            got = tok[1] if tok else "end of line"
             self.fail(f"expected {want!r}, got {got!r}")
         self.pos += 1
         return tok
 
+    def take_name(self) -> str:
+        return self.take("ident")[1]
+
     def take_int(self) -> int:
         tok = self.take("number")
-        if "/" in tok.text or "." in tok.text:
-            self.fail(f"expected an integer, got {tok.text!r}")
+        text = tok[1]
+        if "/" in text or "." in text:
+            self.fail(f"expected an integer, got {text!r}")
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError as exc:  # more digits than int() accepts
-            raise DslError([Diagnostic(tok.span, str(exc))]) from None
+            raise DslError([Diagnostic(self.span(tok), str(exc))]) from None
 
     def take_number(self):
         tok = self.take("number")
         try:
-            return parse_number(tok.text)
+            return parse_number(tok[1])
         except ValueError as exc:
-            raise DslError([Diagnostic(tok.span, str(exc))]) from None
+            raise DslError([Diagnostic(self.span(tok), str(exc))]) from None
 
     def done(self) -> None:
         tok = self.peek()
         if tok is not None:
-            self.fail(f"trailing input {tok.text!r}")
+            self.fail(f"trailing input {tok[1]!r}")
 
     # -- labels ------------------------------------------------------------
 
     def parse_label(self) -> tuple[PureLabel, SourceSpan]:
-        start = self.take("punct", "(").span
-        tree = self._parse_label_item()
-        end = self.take("punct", ")").span
-        indices, sections = tree
+        start = self.take("punct", "(")
+        indices, sections = self._parse_label_item()
+        end = self.take("punct", ")")
         return (
             PureLabel(tuple(indices), tuple(sections)),
-            SourceSpan(start.line, start.col, end.end_col),
+            SourceSpan(self.lineno, start[2], end[3]),
         )
 
     def _parse_label_item(self):
-        if self.at_punct("("):
-            self.take("punct", "(")
+        if self.accept("("):
             left = self._parse_label_item()
             self.take("punct", ",")
             idx = self.take_int()
@@ -305,22 +314,15 @@ class _LineParser:
             tok = self.peek()
             if tok is None:
                 self.fail("expected a weighted label")
-            if tok.kind == "number":
-                weight = self.take_number()
-            else:
-                weight = Fraction(1)
+            weight = self.take_number() if tok[0] == "number" else Fraction(1)
             label, span = self.parse_label()
             terms.append(VectorTerm(weight, label, span))
-            if self.at_punct("+"):
-                self.take("punct", "+")
-                continue
-            break
-        return tuple(terms)
+            if not self.accept("+"):
+                return tuple(terms)
 
     def parse_int_list(self) -> tuple[int, ...]:
         vals = [self.take_int()]
-        while self.at_punct(","):
-            self.take("punct", ",")
+        while self.accept(","):
             vals.append(self.take_int())
         return tuple(vals)
 
@@ -329,24 +331,20 @@ def _parse_gate_body(p: _LineParser) -> GateBody:
     tok = p.peek()
     if tok is None:
         p.fail("expected a gate body")
-    if tok.kind == "ident" and tok.text == "id":
-        p.take("ident", "id")
+    text = tok[1]
+    if p.accept("id"):
         return GateBody(kind="id")
-    if tok.kind == "ident" and tok.text in ("swap", "nu", "nu_inv"):
-        kind = p.take("ident").text
-        a = p.take("ident").text
-        b = p.take("ident").text
+    if text in ("swap", "nu", "nu_inv"):
+        kind, a, b = p.take_name(), p.take_name(), p.take_name()
         return GateBody(kind=kind, args=(a, b))
-    if tok.kind == "ident" and tok.text == "rev":
-        p.take("ident", "rev")
+    if p.accept("rev"):
         perm = p.parse_int_list()
         bits = p.parse_int_list()
         return GateBody(kind="rev", perm=perm, bits=bits)
-    if tok.kind == "ident" and tok.text == "atomic":
+    if text == "atomic":
         terms = []
         while True:
-            if p.peek() is not None and p.peek().kind == "ident" and p.peek().text == "atomic":
-                p.take("ident", "atomic")
+            p.accept("atomic")
             start = p._here()
             src = p.take_int()
             p.take("arrow")
@@ -356,85 +354,80 @@ def _parse_gate_body(p: _LineParser) -> GateBody:
             p.take("ident", "w")
             weight = p.take_number()
             terms.append(AtomicTermSyntax(src, dst, flip, weight, start))
-            if p.at_punct("+"):
-                p.take("punct", "+")
-                continue
-            break
-        return GateBody(kind="atomic", terms=tuple(terms))
-    p.fail(f"unknown gate body starting at {tok.text!r}")
+            if not p.accept("+"):
+                return GateBody(kind="atomic", terms=tuple(terms))
+    p.fail(f"unknown gate body starting at {text!r}")
 
 
-def _parse_line(tokens: list[Token], lineno: int):
+def _parse_line(tokens: list[tuple[str, str, int, int]], lineno: int):
     p = _LineParser(tokens, lineno)
     head = p.take("ident")
-    if head.text == "system":
-        name = p.take("ident").text
+    keyword = head[1]
+    span = p.span(head)
+    if keyword == "system":
+        name = p.take_name()
         p.take("punct", "=")
-        if p.peek() is not None and p.peek().kind == "ident" and p.peek().text == "elem":
-            p.take("ident", "elem")
+        if p.accept("elem"):
             dim = p.take_int()
             p.done()
-            return SystemDecl(name, elem=dim, parts=None, span=head.span)
-        left = p.take("ident").text
+            return SystemDecl(name, elem=dim, parts=None, span=span)
+        left = p.take_name()
         p.take("punct", "*")
-        right = p.take("ident").text
+        right = p.take_name()
         p.done()
-        return SystemDecl(name, elem=None, parts=(left, right), span=head.span)
-    if head.text == "state":
-        name = p.take("ident").text
+        return SystemDecl(name, elem=None, parts=(left, right), span=span)
+    if keyword == "state":
+        name = p.take_name()
         p.take("punct", ":")
-        system = p.take("ident").text
+        system = p.take_name()
         p.take("punct", "=")
         terms = p.parse_vector_terms()
         p.done()
-        return StateDecl(name, system, terms, head.span)
-    if head.text == "effect":
-        name = p.take("ident").text
+        return StateDecl(name, system, terms, span)
+    if keyword == "effect":
+        name = p.take_name()
         p.take("punct", ":")
-        system = p.take("ident").text
+        system = p.take_name()
         p.take("punct", "=")
-        tok = p.peek()
-        if tok is not None and tok.kind == "ident" and tok.text == "discard":
-            p.take("ident", "discard")
+        if p.accept("discard"):
             p.done()
-            return EffectDecl(name, system, terms=None, span=head.span)
+            return EffectDecl(name, system, terms=None, span=span)
         terms = p.parse_vector_terms()
         p.done()
-        return EffectDecl(name, system, terms, head.span)
-    if head.text == "gate":
-        name = p.take("ident").text
+        return EffectDecl(name, system, terms, span)
+    if keyword == "gate":
+        name = p.take_name()
         p.take("punct", ":")
-        in_system = p.take("ident").text
+        in_system = p.take_name()
         p.take("arrow")
-        out_system = p.take("ident").text
+        out_system = p.take_name()
         p.take("punct", "=")
         body = _parse_gate_body(p)
         p.done()
-        return GateDecl(name, in_system, out_system, body, head.span)
-    if head.text == "circuit":
-        name = p.take("ident").text
+        return GateDecl(name, in_system, out_system, body, span)
+    if keyword == "circuit":
+        name = p.take_name()
         p.take("punct", "=")
+
+        def box() -> BoxRef:
+            tok = p.take("ident")
+            return BoxRef(tok[1], p.span(tok))
+
         stages = []
         while True:
-            boxes = []
-            tok = p.take("ident")
-            boxes.append(BoxRef(tok.text, tok.span))
-            while p.at_punct("|"):
-                p.take("punct", "|")
-                tok = p.take("ident")
-                boxes.append(BoxRef(tok.text, tok.span))
+            boxes = [box()]
+            while p.accept("|"):
+                boxes.append(box())
             stages.append(tuple(boxes))
-            if p.at_punct(";"):
-                p.take("punct", ";")
-                continue
-            break
+            if not p.accept(";"):
+                break
         p.done()
-        return CircuitDecl(name, tuple(stages), head.span)
-    if head.text == "eval":
-        name = p.take("ident").text
+        return CircuitDecl(name, tuple(stages), span)
+    if keyword == "eval":
+        name = p.take_name()
         p.done()
-        return EvalDirective(name, head.span)
-    p.fail(f"unknown declaration {head.text!r}")
+        return EvalDirective(name, span)
+    p.fail(f"unknown declaration {keyword!r}")
 
 
 # ---------------------------------------------------------------------------

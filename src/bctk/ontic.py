@@ -69,10 +69,6 @@ class OnticSpace:
         return [self.point(i) for i in range(self.dim)]
 
 
-def ontic_system(shape: SystemShape) -> OnticSpace:
-    return OnticSpace(shape)
-
-
 @lru_cache(maxsize=None)
 def fused_index(shape: SystemShape) -> tuple[int, ...]:
     """Entry ``2*(q-1) + b0`` is the composite ontic index of label ``q`` with

@@ -40,6 +40,8 @@ def number_text(x) -> str:
 
 def number_json(x) -> list:
     """JSON form of an exact scalar: ``[num, den]``."""
+    if type(x) is int:
+        return [x, 1]
     f = Fraction(x)
     return [f.numerator, f.denominator]
 

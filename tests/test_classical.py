@@ -1,21 +1,39 @@
 """Classical process theory: composition, Choi pair, snake identity."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from bctk.classical import (
-    ClassicalMap,
-    choi_close,
-    choi_pair,
-    compose_par,
-    compose_seq,
-    permutation_map,
-    snake_check,
-)
+from bctk.classical import ClassicalMap, choi_close, compose_par, compose_seq
 from bctk.scalars import number_json
+
+
+def permutation_map(perm) -> ClassicalMap:
+    """The stochastic 0/1 map sending ``|i)`` to ``|perm[i-1])`` (1-based)."""
+    targets = tuple(perm)
+    n = len(targets)
+    if sorted(targets) != list(range(1, n + 1)):
+        raise ValueError(f"{targets} is not a bijection on [1..{n}]")
+    return ClassicalMap._from_cells(n, n, {(t - 1, i): 1 for i, t in enumerate(targets)})
+
+
+def choi_pair(dim: int) -> tuple[ClassicalMap, ClassicalMap]:
+    """The Choi vector ``sum_i |ii)`` and covector ``sum_j (jj|`` on ``dim**2``."""
+    vec = [0] * dim * dim
+    for i in range(dim):
+        vec[i * dim + i] = 1
+    return ClassicalMap.state(vec), ClassicalMap.effect(vec)
+
+
+def snake_check(dim: int) -> bool:
+    """Verify ``(id (x) g) . (gamma (x) id) == id`` on a ``dim`` wire."""
+    gamma, g = choi_pair(dim)
+    ident = ClassicalMap.identity(dim)
+    bent = compose_seq(compose_par(gamma, ident), compose_par(ident, g))
+    return bent == ident
 
 
 def test_identity_composition():
@@ -317,6 +335,49 @@ def test_nonzero_order_and_json_match_dense_oracle(a):
     data = m.to_json()
     assert data == {"in": a.shape[1], "out": a.shape[0],
                     "entries": [number_json(v) for v in a.flat]}
+    assert ClassicalMap.from_json(data) == m
+
+
+def _per_cell_number_json(x) -> list:
+    f = Fraction(x)
+    return [f.numerator, f.denominator]
+
+
+def _per_cell_to_json(m: ClassicalMap) -> dict:
+    """The writer that ``ClassicalMap.to_json`` replaced: one scalar
+    conversion for each of the ``out_dim * in_dim`` cells."""
+    get = m.cells.get
+    return {"in": m.in_dim, "out": m.out_dim,
+            "entries": [_per_cell_number_json(get((r, c), 0)) for r in range(m.out_dim)
+                        for c in range(m.in_dim)]}
+
+
+_CELL_VALUES = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.fractions(),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(4, 2), Fraction(1, 3)]),
+).filter(lambda v: v != 0)
+
+
+@st.composite
+def _sparse_maps(draw):
+    out_dim, in_dim = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    keys = st.tuples(st.integers(0, out_dim - 1), st.integers(0, in_dim - 1))
+    cells = draw(st.dictionaries(keys, _CELL_VALUES, max_size=out_dim * in_dim))
+    return ClassicalMap._from_cells(out_dim, in_dim, cells)
+
+
+@seed(20261022)
+@given(_sparse_maps())
+@settings(max_examples=150, deadline=None)
+def test_dense_json_writer_matches_per_cell_writer(m):
+    data = m.to_json()
+    assert data == _per_cell_to_json(m)
+    assert json.dumps(data, sort_keys=True) == json.dumps(_per_cell_to_json(m), sort_keys=True)
+    assert len({id(entry) for entry in data["entries"]}) == len(data["entries"])
+    for v in list(m.cells.values()) + [0, Fraction(0)]:
+        assert number_json(v) == _per_cell_number_json(v)
+        assert [type(part) for part in number_json(v)] == [int, int]
     assert ClassicalMap.from_json(data) == m
 
 

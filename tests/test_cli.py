@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -315,6 +316,24 @@ def test_refused_circuit_exits_one_with_one_diagnostic(tmp_path):
     path.write_text("system a = elem 8\ngate g : a -> a = id\ncircuit c = g | g | g\neval c\n")
     for args in (("embed", str(path), "--gate", "g"), ("eval", str(path))):
         _assert_clean_rejection(run_cli(*args), "ontic dimension 4096")
+
+
+@pytest.mark.parametrize("args", [("eval",), ("embed", "--gate", "g")])
+def test_dsl_file_that_is_not_utf8_exits_one(tmp_path, args):
+    path = tmp_path / "latin1.bct"
+    path.write_bytes("system a = elem 2\n# caf\u00e9\n".encode("latin-1"))
+    proc = run_cli(args[0], str(path), *args[1:])
+    _assert_clean_rejection(proc, f"cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_dsl_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "utf8.bct"
+    path.write_text(PRODUCT_CIRCUIT + "# caf\u00e9\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-m", "bctk", "eval", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["bct"] == [1, 2]
 
 
 def test_import_does_not_load_numpy():

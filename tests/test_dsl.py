@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from bctk import dsl, verify
 from bctk.bct import Transformation
@@ -235,3 +236,74 @@ def test_ontic_dimension_cap_admits_its_boundary_and_refuses_beyond():
     rng = random.Random(4)
     for _ in range(20):
         dsl.parse(verify.random_circuit_source(rng, max_dim=4))
+
+
+@pytest.mark.parametrize("line, diagnostic", [
+    ("system a = elem 2 $", "1:19: unexpected character '$'"),
+    ("system a = elem 2$", "1:18: unexpected character '$'"),
+    ("gate g : a - a = id", "1:12: unexpected character '-'"),
+    ("\t  @", "1:4: unexpected character '@'"),
+])
+def test_bad_character_is_reported_at_itself(line, diagnostic):
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(line + "\n")
+    assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+
+# The tokenizer that ``dsl._tokenize_line`` replaced: one anchored match per
+# token with a leading-whitespace prefix and frozen token objects.  Kept as an
+# oracle, with the one intended change: a bad character is reported at its
+# own column, not at the whitespace before it.
+_ORACLE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<comment>#.*)|(?P<arrow>->)|(?P<number>\d+/\d+|\d+\.\d+|\d+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\],;:=+*|]))"
+)
+
+
+def _oracle_tokenize_line(line: str, lineno: int) -> list:
+    tokens = []
+    pos = 0
+    while pos < len(line):
+        m = _ORACLE_TOKEN_RE.match(line, pos)
+        if m is None:
+            rest = line[pos:]
+            if not rest.strip():
+                break
+            pos += len(rest) - len(rest.lstrip())
+            raise dsl.DslError(
+                [dsl.Diagnostic(dsl.SourceSpan(lineno, pos + 1, pos + 2),
+                                f"unexpected character {line[pos]!r}")]
+            )
+        pos = m.end()
+        if m.lastgroup == "comment":
+            break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind) + 1, m.end(kind) + 1))
+    return tokens
+
+
+def _tokens_or_diagnostic(tokenize, line):
+    try:
+        return tokenize(line, 7)
+    except dsl.DslError as exc:
+        return [str(d) for d in exc.diagnostics]
+
+
+_FRAGMENTS = st.sampled_from([
+    "system", "gate", "atomic", "tau", "w", "x_1", "A9", "_", "12", "1/2", "0.25", "3.",
+    "/", ".", "->", "-", ">", "(", ")", "[", "]", ",", ";", ":", "=", "+", "*", "|",
+    "#", "# tail $", " ", "  ", "\t", "$", "!", "@", "~", "\u00e9", "\u0663", "\u00a0",
+])
+_LINES = st.one_of(
+    st.lists(_FRAGMENTS, max_size=24).map("".join),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r\x0b\x0c"
+                          "\x1c\x1d\x1e\x85\u2028\u2029"), max_size=40),
+)
+
+
+@seed(20261018)
+@given(_LINES)
+@settings(max_examples=400, deadline=None)
+def test_tokenizer_matches_the_anchored_oracle(line):
+    assert _tokens_or_diagnostic(dsl._tokenize_line, line) == _tokens_or_diagnostic(
+        _oracle_tokenize_line, line)

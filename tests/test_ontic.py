@@ -17,6 +17,7 @@ from bctk.bct import (
     fuse_map,
     identity,
     pair,
+    par_effects,
     par_states,
     par_with_identity,
     pure_effect,
@@ -34,7 +35,6 @@ from bctk.ontic import (
     ontic_effect,
     ontic_map,
     ontic_state,
-    ontic_system,
     verify_determinacy,
     verify_diagram_par,
     verify_diagram_seq,
@@ -56,10 +56,10 @@ def _points(column: ClassicalMap, space: OnticSpace):
 
 
 def test_ontic_space_dimensions():
-    assert ontic_system(S3).dim == 6
-    assert ontic_system(TRIVIAL).dim == 1
-    assert ontic_system(S23).dim == 24
-    assert ontic_system(S23).wires == (2, 2, 3, 2)
+    assert OnticSpace(S3).dim == 6
+    assert OnticSpace(TRIVIAL).dim == 1
+    assert OnticSpace(S23).dim == 24
+    assert OnticSpace(S23).wires == (2, 2, 3, 2)
 
 
 def test_ontic_dim_exceeds_bct_dim_on_composites():
@@ -105,6 +105,22 @@ def test_effect_image_pairings():
         e = ontic_effect(pure_effect(S22, PureLabel((1, 1), (s,))))
         r = ontic_state(pure_state(S22, PureLabel((1, 1), (s_prime,))))
         assert classical.compose_seq(r, e).scalar_value() == (1 if s == s_prime else 0)
+
+
+@pytest.mark.parametrize("n, m", list(product((2, 3), repeat=2)))
+def test_ontic_bit_carries_what_no_product_effect_sees(n, m):
+    # BCT is not locally tomographic, yet it has this model: two pure states
+    # of a composite agree on every product effect, a global effect tells
+    # them apart, and so do their ontic images.
+    left, right, shape = SystemShape((n,)), SystemShape((m,)), SystemShape((n, m))
+    even, odd = PureLabel((1, 1), (0,)), PureLabel((1, 1), (1,))
+    rho, sigma = pure_state(shape, even), pure_state(shape, odd)
+    for a, b in product(all_labels(left), all_labels(right)):
+        probe = par_effects(pure_effect(left, a), pure_effect(right, b))
+        assert pair(probe, rho) == pair(probe, sigma)
+    witness = pure_effect(shape, even)
+    assert (pair(witness, rho), pair(witness, sigma)) == (1, 0)
+    assert ontic_state(rho) != ontic_state(sigma)
 
 
 def test_deterministic_effect_image_is_discard():
