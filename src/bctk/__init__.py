@@ -4,7 +4,7 @@ its classical (ontological) model, and the latent-classical falsifier."""
 from .systems import PureLabel, SystemShape, TRIVIAL, bct_dim
 from .classical import ClassicalMap
 from .bct import AtomicTerm, Effect, Instrument, ReversibleSpec, State, Transformation
-from .ontic import OnticSpace, Report
+from .ontic import OnticSpace
 from .lct import CandidateModel, LctInstance, ViolationCertificate
 
 __version__ = "0.1.0"
@@ -28,3 +28,13 @@ __all__ = [
     "bct_dim",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # ``Report`` lives with the suites; importing them on first use keeps
+    # ``import bctk`` free of ``verify`` and ``dsl``.
+    if name == "Report":
+        from .verify import Report
+
+        return Report
+    raise AttributeError(f"module 'bctk' has no attribute {name!r}")

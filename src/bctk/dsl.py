@@ -543,7 +543,10 @@ def parse(text: str) -> CircuitAst:
     """Parse and check a program; raises :class:`DslError` with diagnostics."""
     diags: list[Diagnostic] = []
     decls = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only, as in editors; str.splitlines would also split
+    # at form feeds, vertical tabs and Unicode separators.
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         try:

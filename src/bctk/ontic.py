@@ -10,19 +10,21 @@ places each fused point ``(q, b)`` of a shape on its composite wires; the
 atomic rule ``(i, b) -> (l, b ^ flip)`` is one scatter through it.  The merging
 permutations :func:`merge_perm`/:func:`merge_chain` and :func:`wire_swap_matrix`
 are the oracles the table and the images are pinned to.
+
+This module is the model and its oracles only; the checks that the model
+preserves diagrams and probabilities are the suites of :mod:`bctk.verify`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
 from . import classical
 from .classical import ClassicalMap
-from .bct import Effect, Instrument, State, Transformation, coarse_grain
-from . import bct
-from .scalars import HALF, number_json
+from .bct import Effect, State, Transformation
+from .scalars import HALF
 from .systems import SystemShape, q_encode, unflatten_label
 
 
@@ -167,132 +169,3 @@ def wire_swap_matrix(left: SystemShape, right: SystemShape) -> ClassicalMap:
         cells[sp_out.index(point[cut:] + point[:cut]), col] = 1
     return ClassicalMap._from_cells(sp_out.dim, sp_in.dim, cells)
 
-
-# ---------------------------------------------------------------------------
-# verification reports
-# ---------------------------------------------------------------------------
-
-_MAX_WITNESSES = 10
-
-
-@dataclass
-class Report:
-    """Outcome of a verification run; failures carry explicit witnesses."""
-
-    suite: str
-    seed: int = 0
-    trials: int = 0
-    failures: list = field(default_factory=list)
-    max_abs_dev: object = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, witness, lhs, rhs) -> None:
-        dev = abs(lhs - rhs)
-        if dev > self.max_abs_dev:
-            self.max_abs_dev = dev
-        if len(self.failures) < _MAX_WITNESSES:
-            self.failures.append(
-                {"witness": witness, "lhs": number_json(lhs), "rhs": number_json(rhs)}
-            )
-
-    def absorb(self, other: "Report") -> "Report":
-        self.trials += other.trials
-        room = _MAX_WITNESSES - len(self.failures)
-        if room > 0:
-            self.failures.extend(other.failures[:room])
-        if other.max_abs_dev > self.max_abs_dev:
-            self.max_abs_dev = other.max_abs_dev
-        return self
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "failures": self.failures,
-            "max_abs_dev": float(self.max_abs_dev),
-        }
-
-
-def _compare_maps(report: Report, lhs: ClassicalMap, rhs: ClassicalMap,
-                  context=None) -> None:
-    report.trials += 1
-    if lhs.shape != rhs.shape:
-        report.failures.append(
-            {"witness": [context, "shape"], "lhs": list(lhs.shape), "rhs": list(rhs.shape)}
-        )
-        return
-    for r, c, a, b in lhs.differences(rhs):
-        report.record([context, r, c] if context is not None else [r, c], a, b)
-
-
-def verify_diagram_seq(t1: Transformation, t2: Transformation) -> Report:
-    """Check that images compose sequentially: image(t1 then t2) == product."""
-    report = Report(suite="diagram-seq")
-    lhs = ontic_map(bct.compose_seq(t1, t2))
-    rhs = classical.compose_seq(ontic_map(t1), ontic_map(t2))
-    _compare_maps(report, lhs, rhs)
-    return report
-
-
-def verify_diagram_par(t1: Transformation, t2: Transformation) -> Report:
-    """Check that images compose in parallel: image(t1 (x) t2) == Kronecker."""
-    report = Report(suite="diagram-par")
-    lhs = ontic_map(bct.compose_par(t1, t2))
-    rhs = classical.compose_par(ontic_map(t1), ontic_map(t2))
-    _compare_maps(report, lhs, rhs)
-    return report
-
-
-def verify_probability(e: Effect, t, rho: State) -> Report:
-    """Compare a theory probability with the classical pairing of the images."""
-    report = Report(suite="probability")
-    report.trials = 1
-    if t is None:
-        theory = bct.pair(e, rho)
-        model = classical.compose_seq(ontic_state(rho), ontic_effect(e)).scalar_value()
-    else:
-        theory = bct.pair(e, bct.apply(t, rho))
-        chained = classical.compose_seq(ontic_state(rho), ontic_map(t))
-        model = classical.compose_seq(chained, ontic_effect(e)).scalar_value()
-    if theory != model:
-        report.record("pairing", theory, model)
-    return report
-
-
-def verify_determinacy(t: Transformation) -> Report:
-    """Channels map to stochastic matrices, valid maps to substochastic ones."""
-    report = Report(suite="determinacy")
-    report.trials = 1
-    image = ontic_map(t)
-    if not image.is_substochastic():
-        report.failures.append(
-            {"witness": "substochasticity", "lhs": "image", "rhs": "substochastic"}
-        )
-    channel = t.is_channel()
-    stochastic = image.is_stochastic()
-    if channel != stochastic:
-        report.failures.append(
-            {"witness": "channel-iff-stochastic", "lhs": channel, "rhs": stochastic}
-        )
-    return report
-
-
-def verify_instrument(instr: Instrument) -> Report:
-    """Images of instrument members must sum to a stochastic matrix."""
-    report = Report(suite="instrument")
-    report.trials = 1
-    total = ontic_map(instr.members[0])
-    for member in instr.members[1:]:
-        total = total.add(ontic_map(member))
-    if not total.is_stochastic():
-        report.failures.append(
-            {"witness": "coarse-grained-image", "lhs": "sum of images",
-             "rhs": "stochastic"}
-        )
-    direct = ontic_map(coarse_grain(instr, instr.outcomes))
-    _compare_maps(report, total, direct, context="sum-vs-coarse-grain")
-    return report

@@ -38,7 +38,8 @@ from bctk.bct import (
     zero,
 )
 from bctk.systems import (
-    TRIVIAL, PureLabel, SystemShape, all_labels, pair_label, q_decode, q_encode)
+    TRIVIAL, PureLabel, SystemShape, all_labels, q_decode, q_encode)
+from bctk.verify import _explicit_lift
 
 S2 = SystemShape((2,))
 S3 = SystemShape((3,))
@@ -584,22 +585,6 @@ def test_sequencing_is_associative(seed):
 # -- closed forms against their categorical oracles ----------------------------
 
 
-def _explicit_lift(t, right):
-    """``t (x) id`` term by term: the ancilla keeps its label, its pairing bit
-    picks up the term's section shift."""
-    out = {}
-    for (src, dst, flip), w in t.coeffs.items():
-        for q2 in range(1, right.global_dim + 1):
-            for s in (0, 1):
-                key = (
-                    pair_label(t.in_shape, right, src, q2, s),
-                    pair_label(t.out_shape, right, dst, q2, s ^ flip),
-                    flip,
-                )
-                out[key] = out.get(key, 0) + w
-    return Transformation(t.in_shape.compose(right), t.out_shape.compose(right), out)
-
-
 def _swap_sandwich(t1, t2):
     """``t1 (x) t2`` as ``(t1 (x) id)`` after ``swap . (t2 (x) id) . swap``."""
     right_first = compose_seq(
@@ -621,7 +606,10 @@ def test_compose_par_matches_swap_sandwich(seed):
     t1 = _rand_tensor(rng, a, b, channel=rng.random() < 0.5)
     t2 = _rand_tensor(rng, c, d, channel=rng.random() < 0.5)
     assert compose_par(t1, t2) == _swap_sandwich(t1, t2)
-    assert par_with_identity(t1, anc) == _explicit_lift(t1, anc)
+    lift = _explicit_lift(t1, anc)
+    assert par_with_identity(t1, anc) == lift
+    # the oracle skips validation; its result must pass it
+    assert Transformation(lift.in_shape, lift.out_shape, lift.coeffs) == lift
 
 
 # -- kernel results built without re-validation --------------------------------

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from bctk import cli, dsl, verify
+from bctk import bct, cli, dsl, ontic, verify
+from bctk.systems import PureLabel, SystemShape, unflatten_label
 
 PRODUCT_CIRCUIT = """\
 system a = elem 2
@@ -90,15 +91,31 @@ def test_verify_reports_are_byte_identical_for_equal_configs():
     assert third.stdout != first.stdout
 
 
-def test_verify_corrupted_swap_exits_three():
-    proc = run_cli(
-        "verify", "--suite", "diagram", "--trials", "2", "--max-dim", "3",
-        "--corrupt", "swap",
-    )
+def _corrupted_swap_report(suite):
+    proc = run_cli("verify", "--suite", suite, "--trials", "2", "--max-dim", "3",
+                   "--corrupt", "swap")
     assert proc.returncode == 3
-    payload = json.loads(proc.stdout)
-    failures = payload["reports"][0]["failures"]
-    assert failures and "witness" in failures[0]
+    (report,) = json.loads(proc.stdout)["reports"]
+    return report
+
+
+def test_verify_corrupted_swap_exits_three():
+    diagram = _corrupted_swap_report("diagram")
+    swap = _corrupted_swap_report("swap")
+    # ``_corrupt_swap`` clears the section shift of the first flip-1 term
+    s2 = SystemShape((2,))
+    src, dst, flip = min(k for k in bct.swap(s2, s2).coeffs if k[2] == 1)
+    index = ontic.fused_index(s2.compose(s2))
+    moved = [(index[2 * (dst - 1) + (b ^ f)], index[2 * (src - 1) + b])
+             for f in (flip, 0) for b in (0, 1)]
+    r, c = min(moved)
+    assert diagram["failures"][0]["witness"] == ["swap-image", 2, 2, r, c]
+    # the swap suite names the first pure input, in its loop order, whose
+    # two-system part is that term's input label
+    lab = unflatten_label(s2.compose(s2), src)
+    (i, j), (s,) = lab.indices, lab.sections
+    first = dsl.label_text(PureLabel((i, j, 1), (s, 0)))
+    assert swap["failures"][0]["witness"][:5] == ["swap-defining-relation", 2, 2, 2, first]
 
 
 def test_embed_identity_gate(circuit_file):

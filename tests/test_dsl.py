@@ -250,6 +250,22 @@ def test_bad_character_is_reported_at_itself(line, diagnostic):
     assert [str(d) for d in err.value.diagnostics] == [diagnostic]
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_lines_end_at_newline_only(sep):
+    # Editors and ``wc -l`` start a line only at "\n"; every other separator
+    # str.splitlines knows is whitespace inside the line.
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(f"system a = elem 2{sep}$\n")
+    assert [str(d) for d in err.value.diagnostics] == ["1:19: unexpected character '$'"]
+
+
+def test_crlf_line_ends_keep_columns():
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse("system a = elem 2\r\nsystem b = elem 2 $\r\n")
+    assert [str(d) for d in err.value.diagnostics] == ["2:19: unexpected character '$'"]
+
+
 # The tokenizer that ``dsl._tokenize_line`` replaced: one anchored match per
 # token with a leading-whitespace prefix and frozen token objects.  Kept as an
 # oracle, with the one intended change: a bad character is reported at its

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bctk import bct, classical, ontic
+from bctk import bct, classical, ontic, verify
 from bctk.systems import SystemShape
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -34,6 +34,13 @@ def _attr(modname, attr):
 def test_every_traced_target_resolves():
     for name, modname, attr in _tracer().TARGETS:
         assert callable(_attr(modname, attr)), name
+
+
+def test_verify_reaches_the_kernel_through_traced_aliases():
+    # The bench harness's tracer test requires these two aliases; a rewrite of
+    # verify's imports must keep them for ``--trace 1`` to count the suites' calls.
+    assert verify.compose_seq is bct.compose_seq
+    assert verify.ontic_map is ontic.ontic_map
 
 
 def test_every_cached_target_has_cache_info():
