@@ -71,6 +71,10 @@ class _Vector:
             if w != 0:
                 yield q, w
 
+    def to_json(self) -> dict:
+        return {"shape": list(self.shape.elems),
+                "weights": [number_json(w) for w in self.weights]}
+
 
 class State(_Vector):
     """A subnormalised weight vector over the pure states of a shape."""
@@ -87,9 +91,6 @@ class State(_Vector):
     @property
     def total(self):
         return sum(self.weights, 0)
-
-    def is_deterministic(self) -> bool:
-        return self.total == 1
 
 
 class Effect(_Vector):

@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dsl, lct, ontic, verify
-from .bct import Effect, State, Transformation
 from .classical import ClassicalMap
 from .scalars import number_json, parse_number
 from .verify import RunConfig
@@ -56,17 +55,8 @@ def _difference(value_bct, value_ontic):
     """Maximum absolute deviation between the two backends' results."""
     if isinstance(value_bct, (int, Fraction)):
         return abs(value_bct - value_ontic)
-    if isinstance(value_bct, State):
-        image = ontic.ontic_state(value_bct)
-    elif isinstance(value_bct, Effect):
-        image = ontic.ontic_effect(value_bct)
-    elif isinstance(value_bct, Transformation):
-        image = ontic.ontic_map(value_bct)
-    else:
-        raise TypeError(f"cannot diff {type(value_bct).__name__}")
-    if not isinstance(value_ontic, ClassicalMap):
-        return 1
-    if image.shape != value_ontic.shape:
+    image = ontic.image(value_bct)
+    if not isinstance(value_ontic, ClassicalMap) or image.shape != value_ontic.shape:
         return 1
     return max((abs(a - b) for _, _, a, b in image.differences(value_ontic)), default=0)
 
@@ -294,11 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_lct.add_argument("--d2", type=int, default=2)
     p_lct.add_argument("--dl", type=int, default=2)
     p_lct.add_argument("--kappa", help="latent state as comma-separated rationals")
-    p_lct.add_argument(
+    source = p_lct.add_mutually_exclusive_group()
+    source.add_argument(
         "--candidate", help="builtin:bct-style or a path to a candidate JSON file"
     )
-    p_lct.add_argument("--model", help="path to a candidate JSON file")
-    p_lct.add_argument(
+    source.add_argument("--model", help="path to a candidate JSON file")
+    source.add_argument(
         "--random", type=_int_in_range(1), help="refute N seeded random candidates"
     )
     p_lct.add_argument("--seed", type=int, default=0)

@@ -2,10 +2,17 @@
 
 Declarations introduce systems, states, effects and gates; a circuit is a
 list of stages separated by ``;`` where each stage is a parallel row of
-boxes separated by ``|``.  Two evaluators share the AST: one folds the
-stages with the bilocal semantics, the other with the classical images of
-every box.  Closed circuits produce scalars in both, and the pair of values
-is the empirical-adequacy differ used throughout the test-suite.
+boxes separated by ``|``.  A row holds boxes of one kind, each stage takes
+the system the one before it ends on, and a state stage after the first
+follows only a circuit that opened with a state (and so has closed to a
+scalar): ``e ; rho`` is refused, since it would leave an open effect.
+
+Checking resolves each circuit once, into ``(kind, boxes)`` stages of the
+built :class:`State`/:class:`Effect`/:class:`Transformation` values kept in
+``CircuitAst.circuits``.  Two evaluators fold those stages, not the AST: one
+with the bilocal semantics, the other with the classical image of every box.
+Closed circuits produce scalars in both, and the pair of values is the
+empirical-adequacy differ used throughout the test-suite.
 
 Grammar (one construct per line, ``#`` comments)::
 
@@ -38,6 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from . import bct, classical, ontic
 from .bct import Effect, State, Transformation
@@ -203,7 +211,7 @@ class CircuitAst:
     states: dict = field(default_factory=dict)
     effects: dict = field(default_factory=dict)
     gates: dict = field(default_factory=dict)
-    circuits: dict = field(default_factory=dict)
+    circuits: dict = field(default_factory=dict)  # name -> ((kind, boxes), ...)
     evals: list = field(default_factory=list)
 
 
@@ -233,8 +241,10 @@ class _LineParser:
             return SourceSpan(self.lineno, end_col, end_col + 1)
         return SourceSpan(self.lineno, 1, 2)
 
-    def fail(self, message: str):
-        raise DslError([Diagnostic(self._here(), message)])
+    def fail(self, message: str, tok=None):
+        """Raise at ``tok``, or at the next token when none is given."""
+        span = self._here() if tok is None else self.span(tok)
+        raise DslError([Diagnostic(span, message)])
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -262,18 +272,18 @@ class _LineParser:
         tok = self.take("number")
         text = tok[1]
         if "/" in text or "." in text:
-            self.fail(f"expected an integer, got {text!r}")
+            self.fail(f"expected an integer, got {text!r}", tok)
         try:
             return int(text)
         except ValueError as exc:  # more digits than int() accepts
-            raise DslError([Diagnostic(self.span(tok), str(exc))]) from None
+            self.fail(str(exc), tok)
 
     def take_number(self):
         tok = self.take("number")
         try:
             return parse_number(tok[1])
         except ValueError as exc:
-            raise DslError([Diagnostic(self.span(tok), str(exc))]) from None
+            self.fail(str(exc), tok)
 
     def done(self) -> None:
         tok = self.peek()
@@ -298,9 +308,10 @@ class _LineParser:
             idx = self.take_int()
             self.take("punct", ")")
             self.take("punct", ";")
+            bit_tok = self.peek()
             bit = self.take_int()
             if bit not in (0, 1):
-                self.fail("section bit must be 0 or 1")
+                self.fail("section bit must be 0 or 1", bit_tok)
             indices, sections = left
             return indices + [idx], sections + [bit]
         idx = self.take_int()
@@ -478,11 +489,7 @@ def _build_gate(decl: GateDecl, shapes: dict, diags) -> Transformation | None:
                 raise ValueError("reversible gates need equal input and output systems")
             spec = bct.ReversibleSpec(body.perm, body.bits)
             return bct.reversible(in_shape, spec)
-        coeffs: dict = {}
-        for term in body.terms:
-            key = (term.src, term.dst, term.flip)
-            coeffs[key] = coeffs.get(key, 0) + term.weight
-        return Transformation(in_shape, out_shape, coeffs)
+        return bct.recompose(in_shape, out_shape, body.terms)
     except ValueError as exc:
         diags.append(Diagnostic(decl.span, f"gate {decl.name!r}: {exc}"))
         return None
@@ -492,26 +499,33 @@ def _too_wide(where: str, shape: SystemShape) -> str:
     return f"{where} has ontic dimension {shape.ontic_dim} > {MAX_ONTIC_DIM}"
 
 
-def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> bool:
+def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> tuple | None:
+    """The circuit's ``(kind, boxes)`` stages, or None after one diagnostic."""
+    stages: list = []
     current: SystemShape | None = None
     for stage_no, stage in enumerate(decl.stages, start=1):
         kinds = set()
+        boxes = []
         in_shape = SystemShape(())
         out_shape = SystemShape(())
         for box in stage:
             if box.name in ast.states:
                 kinds.add("state")
-                out_shape = out_shape.compose(ast.states[box.name].shape)
+                value = ast.states[box.name]
+                out_shape = out_shape.compose(value.shape)
             elif box.name in ast.effects:
                 kinds.add("effect")
-                in_shape = in_shape.compose(ast.effects[box.name].shape)
+                value = ast.effects[box.name]
+                in_shape = in_shape.compose(value.shape)
             elif box.name in ast.gates:
                 kinds.add("gate")
-                in_shape = in_shape.compose(ast.gates[box.name].in_shape)
-                out_shape = out_shape.compose(ast.gates[box.name].out_shape)
+                value = ast.gates[box.name]
+                in_shape = in_shape.compose(value.in_shape)
+                out_shape = out_shape.compose(value.out_shape)
             else:
                 diags.append(Diagnostic(box.span, f"unknown box {box.name!r}"))
-                return False
+                return None
+            boxes.append(value)
         if len(kinds) > 1:
             diags.append(
                 Diagnostic(
@@ -520,12 +534,12 @@ def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> bool:
                     f"{'/'.join(sorted(kinds))} boxes",
                 )
             )
-            return False
+            return None
         for shape in (in_shape, out_shape):
             if shape.ontic_dim > MAX_ONTIC_DIM:
                 where = f"stage {stage_no} of circuit {decl.name!r}"
                 diags.append(Diagnostic(decl.span, _too_wide(where, shape)))
-                return False
+                return None
         if current is not None and current != in_shape:
             diags.append(
                 Diagnostic(
@@ -534,9 +548,17 @@ def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> bool:
                     f"expected input {current}, stage takes {in_shape}",
                 )
             )
-            return False
+            return None
+        (kind,) = kinds
+        if kind == "state" and stages and stages[0][0] != "state":
+            # Only an effect stage ends on the trivial system a state stage
+            # takes, and without an opening state it leaves an open effect.
+            diags.append(Diagnostic(decl.span, f"stage {stage_no} of circuit {decl.name!r} "
+                                    "prepares a state after an open effect"))
+            return None
+        stages.append((kind, tuple(boxes)))
         current = out_shape
-    return True
+    return tuple(stages)
 
 
 def parse(text: str) -> CircuitAst:
@@ -630,12 +652,11 @@ def parse(text: str) -> CircuitAst:
     refused: set[str] = set()  # already diagnosed; their evals add nothing
     for decl in decls:
         if isinstance(decl, CircuitDecl):
-            if decl.name in ast.circuits:
-                continue
-            if _check_circuit(decl, ast, diags):
-                ast.circuits[decl.name] = decl
-            else:
+            stages = _check_circuit(decl, ast, diags)
+            if stages is None:
                 refused.add(decl.name)
+            else:
+                ast.circuits[decl.name] = stages
         elif isinstance(decl, EvalDirective):
             ast.evals.append(decl)
     for directive in ast.evals:
@@ -654,13 +675,12 @@ def parse(text: str) -> CircuitAst:
 # ---------------------------------------------------------------------------
 
 
-def _stage_kind(stage, ast: CircuitAst) -> str:
-    name = stage[0].name
-    if name in ast.states:
-        return "state"
-    if name in ast.effects:
-        return "effect"
-    return "gate"
+def _box(ast: CircuitAst, name: str):
+    """A declared state, effect or gate."""
+    for table in (ast.gates, ast.states, ast.effects):
+        if name in table:
+            return table[name]
+    raise KeyError(f"unknown circuit {name!r}")
 
 
 def eval_bct(ast: CircuitAst, name: str):
@@ -669,83 +689,42 @@ def eval_bct(ast: CircuitAst, name: str):
     Returns a scalar for closed circuits, a :class:`State`, an
     :class:`Effect`, or a :class:`Transformation` for open ones.
     """
-    if name in ast.gates:
-        return ast.gates[name]
-    if name in ast.states:
-        return ast.states[name]
-    if name in ast.effects:
-        return ast.effects[name]
     if name not in ast.circuits:
-        raise KeyError(f"unknown circuit {name!r}")
-    decl = ast.circuits[name]
+        return _box(ast, name)
     value = None
-    for stage in decl.stages:
-        kind = _stage_kind(stage, ast)
+    for kind, boxes in ast.circuits[name]:
         if kind == "state":
-            row: object = ast.states[stage[0].name]
-            for box in stage[1:]:
-                row = bct.par_states(row, ast.states[box.name])
-            value = row if value is None else _bct_absorb_scalar(value, row)
+            row = reduce(bct.par_states, boxes)
+            # Checked: a later state stage follows a closed circuit's scalar.
+            value = row if value is None else row.scale(value)
         elif kind == "gate":
-            gate = ast.gates[stage[0].name]
-            for box in stage[1:]:
-                gate = bct.compose_par(gate, ast.gates[box.name])
+            row = reduce(bct.compose_par, boxes)
             if value is None:
-                value = gate
+                value = row
             elif isinstance(value, State):
-                value = bct.apply(gate, value)
-            elif isinstance(value, Transformation):
-                value = bct.compose_seq(value, gate)
+                value = bct.apply(row, value)
             else:
-                raise ValueError(f"cannot feed a {type(value).__name__} into a gate stage")
+                value = bct.compose_seq(value, row)
         else:
-            eff: object = ast.effects[stage[0].name]
-            for box in stage[1:]:
-                eff = bct.par_effects(eff, ast.effects[box.name])
+            row = reduce(bct.par_effects, boxes)
             if value is None:
-                value = eff
+                value = row
             elif isinstance(value, State):
-                value = bct.pair(eff, value)
-            elif isinstance(value, Transformation):
-                value = bct.pull(eff, value)
+                value = bct.pair(row, value)
             else:
-                raise ValueError(f"cannot feed a {type(value).__name__} into an effect stage")
+                value = bct.pull(row, value)
     return value
-
-
-def _bct_absorb_scalar(value, row):
-    if isinstance(value, (int, Fraction)):
-        return row.scale(value)
-    raise ValueError("state stages must open a circuit")
 
 
 def eval_ontic(ast: CircuitAst, name: str):
     """Fold the same circuit entirely inside classical theory."""
-    if name in ast.gates:
-        return ontic.ontic_map(ast.gates[name])
-    if name in ast.states:
-        return ontic.ontic_state(ast.states[name])
-    if name in ast.effects:
-        return ontic.ontic_effect(ast.effects[name])
     if name not in ast.circuits:
-        raise KeyError(f"unknown circuit {name!r}")
-    decl = ast.circuits[name]
-    value: classical.ClassicalMap | None = None
-    for stage in decl.stages:
-        kind = _stage_kind(stage, ast)
-        if kind == "state":
-            images = [ontic.ontic_state(ast.states[b.name]) for b in stage]
-        elif kind == "gate":
-            images = [ontic.ontic_map(ast.gates[b.name]) for b in stage]
-        else:
-            images = [ontic.ontic_effect(ast.effects[b.name]) for b in stage]
-        block = images[0]
-        for img in images[1:]:
-            block = classical.compose_par(block, img)
+        return ontic.image(_box(ast, name))
+    value = None
+    for _, boxes in ast.circuits[name]:
+        block = reduce(classical.compose_par, map(ontic.image, boxes))
         value = block if value is None else classical.compose_seq(value, block)
-    if value is not None and value.is_scalar:
-        return value.scalar_value()
-    return value
+    return value.scalar_value() if value.is_scalar else value
 
 
 # ---------------------------------------------------------------------------
@@ -822,10 +801,4 @@ def eval_to_json(value) -> object:
     """JSON form of an evaluation result from either backend."""
     if isinstance(value, (int, Fraction)):
         return number_json(value)
-    if isinstance(value, (State, Effect)):
-        return {"shape": list(value.shape.elems), "weights": [number_json(w) for w in value.weights]}
-    if isinstance(value, Transformation):
-        return value.to_json()
-    if isinstance(value, classical.ClassicalMap):
-        return value.to_json()
-    raise TypeError(f"cannot serialise {type(value).__name__}")
+    return value.to_json()

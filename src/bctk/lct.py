@@ -333,14 +333,13 @@ def bct_style_candidate(inst: LctInstance) -> CandidateModel:
     )
 
 
-def random_candidate(rng: random.Random, inst: LctInstance, max_ontic: int = 6,
-                     denominator: int = 16) -> CandidateModel:
-    """A seeded random candidate with exact rational data."""
-    L1 = rng.randint(2, max_ontic)
-    L2 = rng.randint(2, max_ontic)
+def random_candidate(rng: random.Random, inst: LctInstance) -> CandidateModel:
+    """A seeded random candidate: ``L1, L2`` in 2..6, weights multiples of 1/16."""
+    L1 = rng.randint(2, 6)
+    L2 = rng.randint(2, 6)
     dim = L1 * L2
-    cuts = sorted(rng.randint(0, denominator) for _ in range(dim - 1))
-    counts = [b - a for a, b in zip([0] + cuts, cuts + [denominator])]
-    xi_beta = tuple(Fraction(c, denominator) for c in counts)
-    xi_b = tuple(Fraction(rng.randint(0, denominator), denominator) for _ in range(dim))
+    cuts = sorted(rng.randint(0, 16) for _ in range(dim - 1))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [16])]
+    xi_beta = tuple(Fraction(c, 16) for c in counts)
+    xi_b = tuple(Fraction(rng.randint(0, 16), 16) for _ in range(dim))
     return CandidateModel(L1=L1, L2=L2, xi_beta=xi_beta, xi_b=xi_b)

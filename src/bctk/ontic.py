@@ -7,9 +7,13 @@ product of their factors' ontic spaces, with wires ordered
 
 Every image is read through one cached table, :func:`fused_index`, which
 places each fused point ``(q, b)`` of a shape on its composite wires; the
-atomic rule ``(i, b) -> (l, b ^ flip)`` is one scatter through it.  The merging
-permutations :func:`merge_perm`/:func:`merge_chain` and :func:`wire_swap_matrix`
-are the oracles the table and the images are pinned to.
+atomic rule ``(i, b) -> (l, b ^ flip)`` is one scatter through it.
+:func:`image` sends a state to :func:`ontic_state`, an effect to
+:func:`ontic_effect` and a transformation to :func:`ontic_map`; the DSL's
+classical evaluator and ``bctk eval``'s differ take every image through it.
+The merging permutations :func:`merge_perm`/:func:`merge_chain` and
+:func:`wire_swap_matrix` are the oracles the table and the images are pinned
+to.
 
 This module is the model and its oracles only; the checks that the model
 preserves diagrams and probabilities are the suites of :mod:`bctk.verify`.
@@ -155,6 +159,15 @@ def ontic_map(t: Transformation) -> ClassicalMap:
     cells = {(rows[2 * (dst - 1) + (b ^ flip)], cols[2 * (src - 1) + b]): w
              for (src, dst, flip), w in t.coeffs.items() for b in (0, 1)}
     return ClassicalMap._from_cells(t.out_shape.ontic_dim, t.in_shape.ontic_dim, cells)
+
+
+def image(x: State | Effect | Transformation) -> ClassicalMap:
+    """The classical image of a state, an effect or a transformation."""
+    if isinstance(x, State):
+        return ontic_state(x)
+    if isinstance(x, Effect):
+        return ontic_effect(x)
+    return ontic_map(x)
 
 
 @lru_cache(maxsize=None)

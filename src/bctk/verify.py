@@ -66,6 +66,10 @@ SUITE_NAMES = (
 # suites that draw dimensions directly.
 MAX_DIM = 32
 
+# Every random weight is a multiple of 1/WEIGHT_GRID, so the suites' values
+# are dyadic with small denominators.
+WEIGHT_GRID = 16
+
 
 @dataclass
 class RunConfig:
@@ -104,13 +108,12 @@ def trial_rng(cfg: RunConfig, suite: str, index: int) -> random.Random:
 # ---------------------------------------------------------------------------
 
 
-def rand_distribution(rng: random.Random, n: int, normalised: bool = True,
-                      denominator: int = 16) -> tuple:
-    """An exact random distribution via integer cut points."""
-    total = denominator if normalised else rng.randint(0, denominator)
+def rand_distribution(rng: random.Random, n: int, normalised: bool = True) -> tuple:
+    """An exact random distribution on the weight grid via integer cut points."""
+    total = WEIGHT_GRID if normalised else rng.randint(0, WEIGHT_GRID)
     cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
     counts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    return tuple(Fraction(c, denominator) for c in counts)
+    return tuple(Fraction(c, WEIGHT_GRID) for c in counts)
 
 
 def rand_shape(rng: random.Random, max_dim: int, max_factors: int = 2,
@@ -128,19 +131,17 @@ def rand_state(rng: random.Random, shape: SystemShape,
 
 
 def rand_effect(rng: random.Random, shape: SystemShape) -> Effect:
-    den = 16
-    return Effect(
-        shape, tuple(Fraction(rng.randint(0, den), den) for _ in range(shape.global_dim))
-    )
+    return Effect(shape, tuple(Fraction(rng.randint(0, WEIGHT_GRID), WEIGHT_GRID)
+                               for _ in range(shape.global_dim)))
 
 
 def rand_tensor(rng: random.Random, in_shape: SystemShape, out_shape: SystemShape,
-                channel: bool = False, max_terms: int = 3) -> Transformation:
-    """A random valid transformation with a bounded number of terms per input."""
+                channel: bool = False) -> Transformation:
+    """A random valid transformation with at most three terms per input."""
     n_out = out_shape.global_dim
     coeffs: dict = {}
     for src in range(1, in_shape.global_dim + 1):
-        k = rng.randint(1, max_terms) if channel else rng.randint(0, max_terms)
+        k = rng.randint(1, 3) if channel else rng.randint(0, 3)
         if k == 0:
             continue
         targets = set()
@@ -647,7 +648,7 @@ def suite_atomicity(cfg: RunConfig) -> Report:
         k = rng.randint(2, 3)
         n_shape, m_shape, anc = SystemShape((n,)), SystemShape((m,)), SystemShape((k,))
         src, dst, flip = rng.randint(1, n), rng.randint(1, m), rng.randint(0, 1)
-        weight = Fraction(rng.randint(1, 16), 16)
+        weight = Fraction(rng.randint(1, WEIGHT_GRID), WEIGHT_GRID)
         lifted = par_with_identity(atomic(n_shape, m_shape, src, dst, flip, weight), anc)
         i, j, s = rng.randint(1, n), rng.randint(1, k), rng.randint(0, 1)
         rho = bct.pure_state(n_shape.compose(anc), PureLabel((i, j), (s,)))
@@ -783,7 +784,7 @@ def _effect_terms(rng: random.Random, shape: SystemShape) -> str:
         return "discard"
     parts = []
     for q in range(1, shape.global_dim + 1):
-        w = Fraction(rng.randint(0, 16), 16)
+        w = Fraction(rng.randint(0, WEIGHT_GRID), WEIGHT_GRID)
         if w != 0:
             parts.append(f"{number_text(w)} {label_text(unflatten_label(shape, q))}")
     return " + ".join(parts) if parts else "discard"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -219,6 +220,70 @@ def test_eval_and_embed_bytes_are_pinned(tmp_path, capsys):
     assert digest.hexdigest() == "128f04812d65f1c63b73be6929adfb496741e9a0271ba906e7da713c072945cf"
 
 
+# Every stage transition an open or closed circuit can make: state-, gate- and
+# effect-opened circuits, parallel rows of each kind, a state prepared after a
+# closed circuit, and every gate body.
+OPEN_CIRCUITS = """\
+system a = elem 2
+system b = elem 3
+system ab = a * b
+system ba = b * a
+system aa = a * a
+system fused = elem 12
+state x : a = 1/2 (1) + 1/4 (2)
+state y : b = 1/3 (2) + 2/3 (3)
+state xy : ab = 1/2 ((1,2);0) + 1/2 ((2,3);1)
+effect ea : a = 1/2 (1) + (2)
+effect eb : b = discard
+effect eab : ab = 1/3 ((1,1);0) + ((2,3);1)
+effect eba : ba = ((3,2);0) + 1/4 ((1,1);1)
+effect efused : fused = 1/2 (5) + (7)
+gate t : a -> a = atomic 1 -> 2 tau 1 w 1/2 + atomic 2 -> 1 tau 0 w 1/3 + atomic 2 -> 2 tau 1 w 2/3
+gate u : b -> b = rev 3,1,2 1,0,1
+gate ia : a -> a = id
+gate ib : b -> b = id
+gate flip : ab -> ba = swap a b
+gate back : ba -> ab = swap b a
+gate merge : ab -> fused = nu a b
+gate split : fused -> ab = nu_inv a b
+circuit closed = x | y ; t | u ; flip ; eba
+circuit prepared = x | y ; merge ; split
+circuit rearmed = xy ; eab ; x | x ; t | ia
+circuit twice = x ; ea ; y ; eb
+circuit pair = x | y
+circuit process = t | u ; flip ; back
+circuit tested = merge ; split ; eab
+circuit probe = ia | ib ; flip ; eba
+circuit measure = ea | eb
+circuit single = efused
+eval closed
+eval prepared
+eval rearmed
+eval twice
+eval pair
+eval process
+eval tested
+eval probe
+eval measure
+eval single
+"""
+
+
+def test_open_circuit_eval_and_embed_bytes_are_pinned(tmp_path, capsys):
+    # Measured before the evaluators folded checked stages instead of the AST.
+    path = tmp_path / "open.bct"
+    path.write_text(OPEN_CIRCUITS)
+    gates = re.findall(r"^gate (\w+)", OPEN_CIRCUITS, re.MULTILINE)
+    runs = [["eval", str(path)]]
+    runs += [["eval", str(path), "--name", name] for name in ("x", "eab", "t")]
+    runs += [["embed", str(path), "--gate", gate] for gate in gates]
+    digest = hashlib.sha256()
+    for args in runs:
+        code = cli.main(args)
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "dc172be06374a87556289056f40088ffd138985df8204a3de21fc26f898586b1"
+
+
 def _assert_clean_rejection(proc, needle):
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -240,6 +305,12 @@ def _assert_clean_rejection(proc, needle):
         (("lct", "demo", "--kappa", "1/0,1"), "1/0"),
         (("lct", "demo", "--kappa", "1e9,0"), "1e9"),
         (("verify", "--max-dim", str(verify.MAX_DIM + 1)), "--max-dim"),
+        (("lct", "refute", "--random", "2", "--model", "missing.json"),
+         "argument --model: not allowed with argument --random"),
+        (("lct", "refute", "--model", "x.json", "--candidate", "y.json"),
+         "argument --candidate: not allowed with argument --model"),
+        (("lct", "refute", "--candidate", "builtin:bct-style", "--random", "1"),
+         "argument --random: not allowed with argument --candidate"),
     ],
 )
 def test_bad_flags_exit_one(args, needle):
@@ -333,6 +404,15 @@ def test_refused_circuit_exits_one_with_one_diagnostic(tmp_path):
     path.write_text("system a = elem 8\ngate g : a -> a = id\ncircuit c = g | g | g\neval c\n")
     for args in (("embed", str(path), "--gate", "g"), ("eval", str(path))):
         _assert_clean_rejection(run_cli(*args), "ontic dimension 4096")
+
+
+def test_state_after_an_open_effect_exits_one(tmp_path):
+    path = tmp_path / "late.bct"
+    path.write_text("system a = elem 2\nstate rho : a = (1)\neffect e : a = discard\n"
+                    "circuit c = e ; rho\neval c\n")
+    _assert_clean_rejection(
+        run_cli("eval", str(path)),
+        "late.bct:4:1: stage 2 of circuit 'c' prepares a state after an open effect")
 
 
 @pytest.mark.parametrize("args", [("eval",), ("embed", "--gate", "g")])

@@ -1,13 +1,18 @@
 """Netlist parsing, type checking, dual evaluation, and pretty printing."""
 
+import contextlib
+import io
+import json
 import random
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from bctk import dsl, verify
+from bctk import cli, dsl, verify
 from bctk.bct import Transformation
 from bctk.classical import ClassicalMap
 from bctk.systems import PureLabel, SystemShape
@@ -95,11 +100,14 @@ def test_mixed_stage_kinds_rejected():
     ("circuit c = g ; h", "shape error"),
     ("circuit c = s | g", "mixes"),
     ("circuit c = g ; nope", "unknown box"),
+    ("circuit c = e ; s", "7:1: stage 2 of circuit 'c' prepares a state after an open effect"),
+    ("circuit c = g ; e ; s", "7:1: stage 3 of circuit 'c' prepares a state after an open effect"),
 ])
 def test_refused_circuit_eval_adds_no_second_diagnostic(circuit, needle):
     src = (
         "system a = elem 8\nsystem b = elem 2\nstate s : a = (1)\n"
-        f"gate g : a -> a = id\ngate h : b -> b = id\n{circuit}\neval c\n"
+        "gate g : a -> a = id\ngate h : b -> b = id\neffect e : a = discard\n"
+        f"{circuit}\neval c\n"
     )
     with pytest.raises(dsl.DslError) as err:
         dsl.parse(src)
@@ -250,6 +258,17 @@ def test_bad_character_is_reported_at_itself(line, diagnostic):
     assert [str(d) for d in err.value.diagnostics] == [diagnostic]
 
 
+@pytest.mark.parametrize("source, diagnostic", [
+    ("system a = elem 1/2", "1:17: expected an integer, got '1/2'"),
+    ("system a = elem 2\nsystem b = elem 2\nsystem ab = a * b\n"
+     "state s : ab = ((1,1);2)", "4:23: section bit must be 0 or 1"),
+])
+def test_integer_errors_are_reported_at_the_number(source, diagnostic):
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(source + "\n")
+    assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                  "\u2028", "\u2029"])
 def test_lines_end_at_newline_only(sep):
@@ -323,3 +342,45 @@ _LINES = st.one_of(
 def test_tokenizer_matches_the_anchored_oracle(line):
     assert _tokens_or_diagnostic(dsl._tokenize_line, line) == _tokens_or_diagnostic(
         _oracle_tokenize_line, line)
+
+
+# Declared boxes for random stage sequences: states, effects and gates on
+# ``a``, ``b`` and ``ab``, so rows mix kinds, shapes mismatch, wires grow past
+# the ontic cap, and states follow open or closed circuits.
+_BOXES_SOURCE = """\
+system a = elem 2
+system b = elem 3
+system ab = a * b
+state x : a = 1/2 (1) + 1/4 (2)
+state y : b = (3)
+state xy : ab = 1/3 ((1,2);0) + 2/3 ((2,3);1)
+effect ea : a = 1/2 (2)
+effect eb : b = discard
+effect eab : ab = ((1,1);0) + 1/4 ((2,1);1)
+gate t : a -> a = atomic 1 -> 2 tau 1 w 1/2 + atomic 2 -> 1 tau 0 w 1
+gate u : b -> b = rev 3,1,2 1,0,1
+gate w : ab -> ab = id
+"""
+_BOX_NAMES = ("x", "y", "xy", "ea", "eb", "eab", "t", "u", "w")
+
+
+@seed(20261018)
+@given(st.lists(st.lists(st.sampled_from(_BOX_NAMES), min_size=1, max_size=2),
+                min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_every_stage_sequence_is_refused_once_or_agrees(stages):
+    source = _BOXES_SOURCE + "circuit c = " + " ; ".join(
+        " | ".join(row) for row in stages) + "\neval c\n"
+    try:
+        dsl.parse(source)
+    except dsl.DslError as exc:
+        assert len(exc.diagnostics) == 1, source
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bct"
+        path.write_text(source)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["eval", str(path)])
+    assert code == 0, source
+    assert json.loads(out.getvalue())["diff"] == [0, 1], source

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bctk import bct, classical, ontic, verify
+from bctk import bct, classical, dsl, ontic, verify
 from bctk.systems import SystemShape
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -41,6 +41,27 @@ def test_verify_reaches_the_kernel_through_traced_aliases():
     # verify's imports must keep them for ``--trace 1`` to count the suites' calls.
     assert verify.compose_seq is bct.compose_seq
     assert verify.ontic_map is ontic.ontic_map
+
+
+def test_tracer_counts_the_row_combinators_of_both_evaluators():
+    # The tracer replaces module globals and module-level dict values only; a
+    # combinator the evaluators held in a tuple or a closure would escape it.
+    ast = dsl.parse(
+        "system a = elem 2\nsystem aa = a * a\nsystem aaa = aa * a\n"
+        "state x : a = (1)\ngate t : a -> a = atomic 1 -> 2 tau 1 w 1\n"
+        "gate i : a -> a = id\neffect e : aaa = discard\n"
+        "circuit c = x | x | x ; t | i | t ; e\n"
+    )
+    with _tracer().Tracer() as tracer:
+        dsl.eval_bct(ast, "c")
+        dsl.eval_ontic(ast, "c")
+    calls = {name: stats[0] for name, stats in tracer.stats.items()}
+    assert calls["dsl.eval_bct"] == calls["dsl.eval_ontic"] == 1
+    assert calls["bct.compose_par"] == 2
+    assert calls["ontic.ontic_map"] == 3
+    assert calls["ontic.ontic_state"] == 3
+    assert calls["ontic.ontic_effect"] == 1
+    assert calls["classical.compose_par"] == 4
 
 
 def test_every_cached_target_has_cache_info():
