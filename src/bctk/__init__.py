@@ -4,7 +4,6 @@ its classical (ontological) model, and the latent-classical falsifier."""
 from .systems import PureLabel, SystemShape, TRIVIAL, bct_dim
 from .classical import ClassicalMap
 from .bct import AtomicTerm, Effect, Instrument, ReversibleSpec, State, Transformation
-from .ontic import OnticSpace
 from .lct import CandidateModel, LctInstance, ViolationCertificate
 
 __version__ = "0.1.0"
@@ -16,7 +15,6 @@ __all__ = [
     "Effect",
     "Instrument",
     "LctInstance",
-    "OnticSpace",
     "PureLabel",
     "Report",
     "ReversibleSpec",

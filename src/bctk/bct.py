@@ -191,7 +191,7 @@ class Transformation:
     maps are (the uniqueness of the conical decomposition).
     """
 
-    __slots__ = ("in_shape", "out_shape", "coeffs", "_row_sums")
+    __slots__ = ("in_shape", "out_shape", "coeffs")
 
     def __init__(self, in_shape: SystemShape, out_shape: SystemShape, coeffs: dict):
         _require_nontrivial(in_shape, out_shape)
@@ -218,7 +218,6 @@ class Transformation:
         self.in_shape = in_shape
         self.out_shape = out_shape
         self.coeffs = pruned
-        self._row_sums = row
 
     @classmethod
     def _from_coeffs(cls, in_shape: SystemShape, out_shape: SystemShape,
@@ -226,17 +225,8 @@ class Transformation:
         """Kernel constructor: non-trivial shapes, ``coeffs`` holds only positive
         weights with keys in range and per-input sums at most one."""
         t = object.__new__(cls)
-        t.in_shape, t.out_shape, t.coeffs, t._row_sums = in_shape, out_shape, coeffs, None
+        t.in_shape, t.out_shape, t.coeffs = in_shape, out_shape, coeffs
         return t
-
-    def _rows(self) -> dict:
-        """Per-input coefficient sums, computed on first use."""
-        if self._row_sums is None:
-            row: dict = {}
-            for (src, _, _), w in self.coeffs.items():
-                row[src] = row.get(src, 0) + w
-            self._row_sums = row
-        return self._row_sums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transformation):
@@ -260,18 +250,12 @@ class Transformation:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def row_sum(self, src: int):
-        return self._rows().get(src, 0)
-
-    def is_valid(self) -> bool:
-        return all(total <= 1 for total in self._rows().values())
-
     def is_channel(self) -> bool:
         """Deterministic iff every input's coefficients sum to exactly one."""
-        rows = self._rows()
-        if len(rows) != self.in_shape.global_dim:
-            return False
-        return all(s == 1 for s in rows.values())
+        rows: dict = {}
+        for (src, _, _), w in self.coeffs.items():
+            rows[src] = rows.get(src, 0) + w
+        return len(rows) == self.in_shape.global_dim and all(s == 1 for s in rows.values())
 
     def scale(self, p) -> "Transformation":
         return Transformation(
@@ -431,7 +415,7 @@ def pull(e: Effect, t: Transformation) -> Effect:
         v = e.weights[dst - 1]
         if v != 0:
             out[src - 1] += w * v
-    # Nonnegative, and entry src <= row_sum(src) * max(e) <= 1.
+    # Nonnegative, and entry src <= (sum of src's weights) * max(e) <= 1.
     return Effect._from_weights(t.in_shape, tuple(out))
 
 

@@ -6,6 +6,12 @@ verification failures, 4 a falsifier run found a candidate with no violation
 (which would contradict the no-go theorem and flags a fatal inconsistency).  All structured output goes to stdout as JSON; diagnostics
 go to stderr, one line each.  Every number is exact: flags and JSON are read
 through :mod:`bctk.scalars`, so a JSON float ``0.25`` means ``1/4``.
+
+``bctk lct`` takes the instance flags ``--d1/--d2/--dl/--kappa`` with either
+action.  Only ``refute`` takes a candidate source, one of ``--candidate``,
+``--model`` or ``--random N``, and it takes ``--seed`` only with
+``--random`` (``--random N`` alone uses seed 0).  ``demo`` with any of these
+flags, or ``refute --seed`` without ``--random``, exits 1.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dsl, lct, ontic, verify
+from .bct import Transformation
 from .classical import ClassicalMap
 from .scalars import number_json, parse_number
 from .verify import RunConfig
@@ -126,19 +133,16 @@ def cmd_embed(args) -> int:
     ast = _load_ast(args.file)
     if ast is None:
         return EXIT_INPUT
-    if args.gate not in ast.gates:
+    gate = ast.boxes.get(args.gate)
+    if not isinstance(gate, Transformation):
         _err(f"unknown gate {args.gate!r}")
         return EXIT_INPUT
-    gate = ast.gates[args.gate]
-    image = ontic.ontic_map(gate)
-    in_space = ontic.OnticSpace(gate.in_shape)
-    out_space = ontic.OnticSpace(gate.out_shape)
     _dump(
         {
             "gate": args.gate,
-            "in_wires": [list(p) for p in in_space.points()],
-            "out_wires": [list(p) for p in out_space.points()],
-            "map": image.to_json(),
+            "in_wires": [list(p) for p in ontic.wire_points(gate.in_shape)],
+            "out_wires": [list(p) for p in ontic.wire_points(gate.out_shape)],
+            "map": ontic.ontic_map(gate).to_json(),
         }
     )
     return EXIT_OK
@@ -152,6 +156,17 @@ def _instance_from_args(args) -> lct.LctInstance:
 
 
 def cmd_lct(args) -> int:
+    if args.action == "demo":
+        given = [flag for flag, value in (("--candidate", args.candidate),
+                                          ("--model", args.model),
+                                          ("--random", args.random),
+                                          ("--seed", args.seed)) if value is not None]
+        if given:
+            _err(f"lct demo does not take {' or '.join(given)} (refute only)")
+            return EXIT_INPUT
+    elif args.seed is not None and args.random is None:
+        _err("lct refute: --seed needs --random")
+        return EXIT_INPUT
     try:
         inst = _instance_from_args(args)
     except ValueError as exc:
@@ -182,7 +197,7 @@ def cmd_lct(args) -> int:
     spec = args.model or args.candidate or "builtin:bct-style"
     if args.random is not None:
         for idx in range(args.random):
-            rng = random.Random(verify.derive_seed(args.seed, "lct", idx))
+            rng = random.Random(verify.derive_seed(args.seed or 0, "lct", idx))
             candidates.append((f"random-{idx}", lct.random_candidate(rng, inst)))
     elif spec == "builtin:bct-style":
         candidates.append((spec, lct.bct_style_candidate(inst)))
@@ -292,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--random", type=_int_in_range(1), help="refute N seeded random candidates"
     )
-    p_lct.add_argument("--seed", type=int, default=0)
+    p_lct.add_argument("--seed", type=int, help="seed of --random (default 0)")
     p_lct.set_defaults(func=cmd_lct)
     return parser
 

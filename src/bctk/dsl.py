@@ -7,6 +7,11 @@ the system the one before it ends on, and a state stage after the first
 follows only a circuit that opened with a state (and so has closed to a
 scalar): ``e ; rho`` is refused, since it would leave an open effect.
 
+Systems, states, effects, gates and circuits share one namespace.  States,
+effects and gates are built into one name table, ``CircuitAst.boxes``; an
+``eval NAME`` directive and ``bctk eval --name NAME`` accept the same names,
+a circuit or any box.
+
 Checking resolves each circuit once, into ``(kind, boxes)`` stages of the
 built :class:`State`/:class:`Effect`/:class:`Transformation` values kept in
 ``CircuitAst.circuits``.  Two evaluators fold those stages, not the AST: one
@@ -65,9 +70,6 @@ class SourceSpan:
     col: int
     end_col: int
 
-    def to_json(self) -> dict:
-        return {"line": self.line, "col": self.col, "end_col": self.end_col}
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -76,9 +78,6 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.span.line}:{self.span.col}: {self.message}"
-
-    def to_json(self) -> dict:
-        return {"span": self.span.to_json(), "message": self.message}
 
 
 class DslError(Exception):
@@ -157,15 +156,6 @@ class EffectDecl:
 
 
 @dataclass(frozen=True)
-class AtomicTermSyntax:
-    src: int
-    dst: int
-    flip: int
-    weight: object
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
 class GateBody:
     kind: str  # atomic | id | swap | nu | nu_inv | rev
     terms: tuple = ()
@@ -208,9 +198,7 @@ class CircuitAst:
 
     decls: list = field(default_factory=list)
     shapes: dict = field(default_factory=dict)
-    states: dict = field(default_factory=dict)
-    effects: dict = field(default_factory=dict)
-    gates: dict = field(default_factory=dict)
+    boxes: dict = field(default_factory=dict)  # name -> State | Effect | Transformation
     circuits: dict = field(default_factory=dict)  # name -> ((kind, boxes), ...)
     evals: list = field(default_factory=list)
 
@@ -356,7 +344,6 @@ def _parse_gate_body(p: _LineParser) -> GateBody:
         terms = []
         while True:
             p.accept("atomic")
-            start = p._here()
             src = p.take_int()
             p.take("arrow")
             dst = p.take_int()
@@ -364,7 +351,7 @@ def _parse_gate_body(p: _LineParser) -> GateBody:
             flip = p.take_int()
             p.take("ident", "w")
             weight = p.take_number()
-            terms.append(AtomicTermSyntax(src, dst, flip, weight, start))
+            terms.append(bct.AtomicTerm(src, dst, flip, weight))
             if not p.accept("+"):
                 return GateBody(kind="atomic", terms=tuple(terms))
     p.fail(f"unknown gate body starting at {text!r}")
@@ -509,22 +496,20 @@ def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> tuple | None:
         in_shape = SystemShape(())
         out_shape = SystemShape(())
         for box in stage:
-            if box.name in ast.states:
-                kinds.add("state")
-                value = ast.states[box.name]
-                out_shape = out_shape.compose(value.shape)
-            elif box.name in ast.effects:
-                kinds.add("effect")
-                value = ast.effects[box.name]
-                in_shape = in_shape.compose(value.shape)
-            elif box.name in ast.gates:
-                kinds.add("gate")
-                value = ast.gates[box.name]
-                in_shape = in_shape.compose(value.in_shape)
-                out_shape = out_shape.compose(value.out_shape)
-            else:
+            value = ast.boxes.get(box.name)
+            if value is None:
                 diags.append(Diagnostic(box.span, f"unknown box {box.name!r}"))
                 return None
+            if isinstance(value, State):
+                kinds.add("state")
+                out_shape = out_shape.compose(value.shape)
+            elif isinstance(value, Effect):
+                kinds.add("effect")
+                in_shape = in_shape.compose(value.shape)
+            else:
+                kinds.add("gate")
+                in_shape = in_shape.compose(value.in_shape)
+                out_shape = out_shape.compose(value.out_shape)
             boxes.append(value)
         if len(kinds) > 1:
             diags.append(
@@ -620,7 +605,7 @@ def parse(text: str) -> CircuitAst:
             shape = ast.shapes[decl.system]
             weights = _vector_weights(shape, decl.terms, diags, "state")
             try:
-                ast.states[decl.name] = State(shape, weights)
+                ast.boxes[decl.name] = State(shape, weights)
             except ValueError as exc:
                 diags.append(Diagnostic(decl.span, f"state {decl.name!r}: {exc}"))
         elif isinstance(decl, EffectDecl):
@@ -629,11 +614,11 @@ def parse(text: str) -> CircuitAst:
                 continue
             shape = ast.shapes[decl.system]
             if decl.terms is None:
-                ast.effects[decl.name] = bct.deterministic_effect(shape)
+                ast.boxes[decl.name] = bct.deterministic_effect(shape)
             else:
                 weights = _vector_weights(shape, decl.terms, diags, "effect")
                 try:
-                    ast.effects[decl.name] = Effect(shape, weights)
+                    ast.boxes[decl.name] = Effect(shape, weights)
                 except ValueError as exc:
                     diags.append(Diagnostic(decl.span, f"effect {decl.name!r}: {exc}"))
         elif isinstance(decl, GateDecl):
@@ -645,7 +630,7 @@ def parse(text: str) -> CircuitAst:
                 continue
             gate = _build_gate(decl, ast.shapes, diags)
             if gate is not None:
-                ast.gates[decl.name] = gate
+                ast.boxes[decl.name] = gate
     if diags:
         raise DslError(diags)
 
@@ -661,7 +646,7 @@ def parse(text: str) -> CircuitAst:
             ast.evals.append(decl)
     for directive in ast.evals:
         name = directive.name
-        if name not in ast.circuits and name not in ast.gates and name not in refused:
+        if name not in ast.circuits and name not in ast.boxes and name not in refused:
             diags.append(
                 Diagnostic(directive.span, f"eval of unknown name {name!r}")
             )
@@ -677,10 +662,10 @@ def parse(text: str) -> CircuitAst:
 
 def _box(ast: CircuitAst, name: str):
     """A declared state, effect or gate."""
-    for table in (ast.gates, ast.states, ast.effects):
-        if name in table:
-            return table[name]
-    raise KeyError(f"unknown circuit {name!r}")
+    try:
+        return ast.boxes[name]
+    except KeyError:
+        raise KeyError(f"unknown circuit {name!r}") from None
 
 
 def eval_bct(ast: CircuitAst, name: str):

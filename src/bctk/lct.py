@@ -99,13 +99,11 @@ def product_state(inst: LctInstance, sigma, tau) -> tuple:
     return _kron(inst.kappa, sigma, tau)
 
 
-def beta_state(inst: LctInstance, rho1=None, rho2=None) -> tuple:
-    """A composite state with non-zero pairing against the annihilator."""
-    if rho1 is None:
-        rho1 = (Fraction(1, inst.d1),) * inst.d1
-    if rho2 is None:
-        rho2 = (Fraction(1, inst.d2),) * inst.d2
-    return _kron(inst.kappa_bar, rho1, rho2)
+def beta_state(inst: LctInstance) -> tuple:
+    """A composite state with non-zero pairing against the annihilator: the
+    complementary latent state with both marginals uniform."""
+    return _kron(inst.kappa_bar, (Fraction(1, inst.d1),) * inst.d1,
+                 (Fraction(1, inst.d2),) * inst.d2)
 
 
 def pairing_value(inst: LctInstance, beta):
@@ -237,10 +235,6 @@ class ViolationCertificate:
     trace_identity: object
     fatal: bool = False
 
-    @property
-    def ok(self) -> bool:
-        return self.violation is not None
-
     def to_json(self) -> dict:
         return {
             "violation": self.violation,
@@ -252,7 +246,7 @@ class ViolationCertificate:
         }
 
 
-def falsify(cand: CandidateModel, inst: LctInstance, beta=None) -> ViolationCertificate:
+def falsify(cand: CandidateModel, inst: LctInstance) -> ViolationCertificate:
     """Refute a candidate model by the annihilating-effect contradiction.
 
     The trace identity ``choi_close(M) == xi_b . xi_beta`` holds for every
@@ -260,11 +254,9 @@ def falsify(cand: CandidateModel, inst: LctInstance, beta=None) -> ViolationCert
     jellyfish map is null) and ``xi_b . xi_beta == (b|beta)``; with a
     non-zero theory pairing the two cannot hold together.
     """
-    if beta is None:
-        beta = beta_state(inst)
     theory = cand.theory_pairing
     if theory is None:
-        theory = pairing_value(inst, beta)
+        theory = pairing_value(inst, beta_state(inst))
     m = jellyfish_matrix(cand)
     model = model_pairing(cand)
     trace = choi_close(m)

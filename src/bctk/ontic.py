@@ -3,7 +3,10 @@
 Every elementary system of dimension ``n`` is assigned a classical system of
 dimension ``2n`` (one extra bit of ontic state); composites get the tensor
 product of their factors' ontic spaces, with wires ordered
-``(n1, bit1, n2, bit2, ...)``.
+``(n1, bit1, n2, bit2, ...)``.  :func:`wire_points` lists that layout, the
+wire tuple of every ontic index in index order; ``bctk embed`` labels its
+rows and columns with it, and the swap oracle :func:`wire_swap_matrix`
+permutes it.
 
 Every image is read through one cached table, :func:`fused_index`, which
 places each fused point ``(q, b)`` of a shape on its composite wires; the
@@ -21,8 +24,8 @@ preserves diagrams and probabilities are the suites of :mod:`bctk.verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 from . import classical
@@ -32,47 +35,10 @@ from .scalars import HALF
 from .systems import SystemShape, q_encode, unflatten_label
 
 
-@dataclass(frozen=True)
-class OnticSpace:
-    """The classical system assigned to a shape, with its wire layout."""
-
-    shape: SystemShape
-
-    @property
-    def wires(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for n in self.shape.elems:
-            out.extend((n, 2))
-        return tuple(out)
-
-    @property
-    def dim(self) -> int:
-        return self.shape.ontic_dim
-
-    def index(self, point) -> int:
-        """0-based linear index of ``(i1, b1, i2, b2, ...)`` (values 1-based, bits 0-based)."""
-        wires = self.wires
-        if len(point) != len(wires):
-            raise ValueError(f"point {point} does not fit wires {wires}")
-        idx = 0
-        for pos, (dim, v) in enumerate(zip(wires, point)):
-            v0 = v - 1 if pos % 2 == 0 else v
-            if not 0 <= v0 < dim:
-                raise ValueError(f"value {v} out of range for wire of dimension {dim}")
-            idx = idx * dim + v0
-        return idx
-
-    def point(self, index: int) -> tuple:
-        wires = self.wires
-        vals = []
-        for dim in reversed(wires):
-            index, v0 = divmod(index, dim)
-            vals.append(v0)
-        vals.reverse()
-        return tuple(v0 + 1 if pos % 2 == 0 else v0 for pos, v0 in enumerate(vals))
-
-    def points(self):
-        return [self.point(i) for i in range(self.dim)]
+def wire_points(shape: SystemShape) -> list[tuple[int, ...]]:
+    """The wires ``(n1, b1, n2, b2, ...)`` of every ontic index of ``shape``, in
+    index order: values 1-based, bits 0 or 1, the last wire fastest."""
+    return list(product(*(wire for n in shape.elems for wire in (range(1, n + 1), (0, 1)))))
 
 
 @lru_cache(maxsize=None)
@@ -173,12 +139,8 @@ def image(x: State | Effect | Transformation) -> ClassicalMap:
 @lru_cache(maxsize=None)
 def wire_swap_matrix(left: SystemShape, right: SystemShape) -> ClassicalMap:
     """Independent oracle: the permutation exchanging the two wire blocks."""
-    sp_in = OnticSpace(left.compose(right))
-    sp_out = OnticSpace(right.compose(left))
+    points = wire_points(left.compose(right))
+    out_index = {p: i for i, p in enumerate(wire_points(right.compose(left)))}
     cut = 2 * left.num_factors
-    cells = {}
-    for col in range(sp_in.dim):
-        point = sp_in.point(col)
-        cells[sp_out.index(point[cut:] + point[:cut]), col] = 1
-    return ClassicalMap._from_cells(sp_out.dim, sp_in.dim, cells)
-
+    cells = {(out_index[p[cut:] + p[:cut]], col): 1 for col, p in enumerate(points)}
+    return ClassicalMap._from_cells(len(out_index), len(points), cells)

@@ -50,17 +50,6 @@ from .systems import (
     unflatten_label,
 )
 
-SUITE_NAMES = (
-    "linearity",
-    "diagram",
-    "probability",
-    "determinacy",
-    "atomicity",
-    "swap",
-    "codec",
-)
-
-
 # Cap on ``--max-dim``: ``rand_shape`` keeps ontic dimensions <= 64, so an
 # elementary dimension above 32 only lengthens its rejection loop and the
 # suites that draw dimensions directly.
@@ -159,11 +148,11 @@ def rand_channel(rng: random.Random, in_shape: SystemShape,
     return rand_tensor(rng, in_shape, out_shape, channel=True)
 
 
-def rand_instrument(rng: random.Random, in_shape: SystemShape, out_shape: SystemShape,
-                    outcomes: int = 3) -> Instrument:
-    """Split a random channel into members by scaling with a random simplex."""
+def rand_instrument(rng: random.Random, in_shape: SystemShape,
+                    out_shape: SystemShape) -> Instrument:
+    """Split a random channel into three members by scaling with a random simplex."""
     channel = rand_channel(rng, in_shape, out_shape)
-    probs = rand_distribution(rng, outcomes, normalised=True)
+    probs = rand_distribution(rng, 3, normalised=True)
     members = tuple(channel.scale(p) for p in probs)
     return Instrument(members)
 
@@ -191,10 +180,6 @@ class Report:
     trials: int = 0
     failures: list = field(default_factory=list)
     max_abs_dev: object = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def check(self, witness: list, lhs, rhs) -> None:
         """Count one trial of ``lhs == rhs``.  On a mismatch, extend the
@@ -599,7 +584,7 @@ def suite_determinacy(cfg: RunConfig) -> Report:
         report.check(["reversible-closed-form", idx],
                      {point: image[cell] for point, cell in cells.items()},
                      dict.fromkeys(cells, 1))
-        instr = rand_instrument(rng, a, b, outcomes=3)
+        instr = rand_instrument(rng, a, b)
         total = ontic_map(instr.members[0])
         for member in instr.members[1:]:
             total = total.add(ontic_map(member))
@@ -717,6 +702,7 @@ SUITES = {
     "swap": suite_swap,
     "codec": suite_codec,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(names, cfg: RunConfig) -> list[Report]:

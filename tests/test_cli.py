@@ -143,6 +143,28 @@ def test_embed_unknown_gate(circuit_file):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("name", ["x", "probe", "p"])
+def test_embed_refuses_a_name_that_is_not_a_gate(circuit_file, capsys, name):
+    assert cli.main(["embed", str(circuit_file), "--gate", name]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"unknown gate {name!r}\n"
+
+
+def test_eval_directive_takes_the_names_eval_name_takes(tmp_path, capsys):
+    body = "system a = elem 2\nstate x : a = 1/2 (1) + 1/4 (2)\neffect e : a = (2)\n"
+    path = tmp_path / "boxes.bct"
+    path.write_text(body + "eval x\neval e\n")
+    assert cli.main(["eval", str(path)]) == 0
+    directed = capsys.readouterr().out
+    path.write_text(body)
+    named = ""
+    for name in ("x", "e"):
+        assert cli.main(["eval", str(path), "--name", name]) == 0
+        named += capsys.readouterr().out
+    assert directed == named
+    assert [json.loads(line)["name"] for line in directed.splitlines()] == ["x", "e"]
+
+
 def test_lct_demo_annihilation_table():
     proc = run_cli("lct", "demo")
     assert proc.returncode == 0
@@ -311,6 +333,13 @@ def _assert_clean_rejection(proc, needle):
          "argument --candidate: not allowed with argument --model"),
         (("lct", "refute", "--candidate", "builtin:bct-style", "--random", "1"),
          "argument --random: not allowed with argument --candidate"),
+        (("lct", "demo", "--candidate", "builtin:bct-style"), "lct demo does not take --candidate"),
+        (("lct", "demo", "--model", "missing.json"), "lct demo does not take --model"),
+        (("lct", "demo", "--random", "3"), "lct demo does not take --random"),
+        (("lct", "demo", "--seed", "5"), "lct demo does not take --seed"),
+        (("lct", "demo", "--random", "3", "--seed", "5"),
+         "lct demo does not take --random or --seed"),
+        (("lct", "refute", "--seed", "5"), "lct refute: --seed needs --random"),
     ],
 )
 def test_bad_flags_exit_one(args, needle):
@@ -431,6 +460,22 @@ def test_dsl_file_is_read_as_utf8_whatever_the_locale(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["bct"] == [1, 2]
+
+
+def test_random_refute_alone_uses_seed_zero(capsys):
+    outputs = []
+    for seed in ([], ["--seed", "0"]):
+        assert cli.main(["lct", "refute", "--random", "4", *seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_every_public_name_resolves():
+    # A stale export of a deleted name fails here, not at ``from bctk import *``.
+    import bctk
+
+    for name in bctk.__all__:
+        assert getattr(bctk, name) is not None, name
 
 
 def test_import_does_not_load_numpy():

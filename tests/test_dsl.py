@@ -48,7 +48,7 @@ def test_parse_gate_with_fractional_weight():
     ast = dsl.parse(
         "system a = elem 2\ngate t : a -> a = atomic 1 -> 2 tau 1 w 1/2\n"
     )
-    gate = ast.gates["t"]
+    gate = ast.boxes["t"]
     assert isinstance(gate, Transformation)
     assert gate.coeffs == {(1, 2, 1): Fraction(1, 2)}
 
@@ -56,9 +56,9 @@ def test_parse_gate_with_fractional_weight():
 def test_parse_golden_corpus_and_build_everything():
     ast = dsl.parse(GOLDEN)
     assert ast.shapes["ab"] == SystemShape((2, 3))
-    assert ast.states["mixed"].weights.count(Fraction(1, 2)) == 2
-    assert ast.effects["dump"].weights == (1,) * 12
-    assert ast.gates["merge"].out_shape == SystemShape((12,))
+    assert ast.boxes["mixed"].weights.count(Fraction(1, 2)) == 2
+    assert ast.boxes["dump"].weights == (1,) * 12
+    assert ast.boxes["merge"].out_shape == SystemShape((12,))
     assert len(ast.circuits) == 2
 
 

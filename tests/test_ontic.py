@@ -28,13 +28,13 @@ from bctk.bct import (
 )
 from bctk.classical import ClassicalMap
 from bctk.ontic import (
-    OnticSpace,
     fused_index,
     merge_chain,
     merge_perm,
     ontic_effect,
     ontic_map,
     ontic_state,
+    wire_points,
     wire_swap_matrix,
 )
 from bctk.systems import PureLabel, SystemShape, TRIVIAL, all_labels
@@ -46,15 +46,37 @@ S23 = SystemShape((2, 3))
 HALF = Fraction(1, 2)
 
 
-def _points(column: ClassicalMap, space: OnticSpace):
-    return {space.point(r): v for r, c, v in column.nonzero()}
+def _points(column: ClassicalMap, shape: SystemShape):
+    points = wire_points(shape)
+    return {points[r]: v for r, c, v in column.nonzero()}
 
 
 def test_ontic_space_dimensions():
-    assert OnticSpace(S3).dim == 6
-    assert OnticSpace(TRIVIAL).dim == 1
-    assert OnticSpace(S23).dim == 24
-    assert OnticSpace(S23).wires == (2, 2, 3, 2)
+    assert len(wire_points(S3)) == 6
+    assert wire_points(TRIVIAL) == [()]
+    assert len(wire_points(S23)) == 24
+    assert wire_points(S23)[0] == (1, 0, 1, 0)
+    assert wire_points(S23)[-1] == (2, 1, 3, 1)
+
+
+def _mixed_radix_point(shape: SystemShape, index: int) -> tuple:
+    """Decode ``index`` over the wires ``(n1, 2, n2, 2, ...)``, last wire
+    fastest, as a 1-based value or a 0-based bit per wire."""
+    vals = []
+    for dim in reversed([w for n in shape.elems for w in (n, 2)]):
+        index, v0 = divmod(index, dim)
+        vals.append(v0)
+    vals.reverse()
+    return tuple(v0 + 1 if pos % 2 == 0 else v0 for pos, v0 in enumerate(vals))
+
+
+def test_wire_points_match_mixed_radix_decoding():
+    shapes = [TRIVIAL] + [SystemShape(elems) for k in (1, 2, 3)
+                          for elems in product((2, 3), repeat=k)]
+    for shape in shapes:
+        points = wire_points(shape)
+        assert len(points) == shape.ontic_dim
+        assert points == [_mixed_radix_point(shape, i) for i in range(shape.ontic_dim)]
 
 
 def test_ontic_dim_exceeds_bct_dim_on_composites():
@@ -67,14 +89,14 @@ def test_ontic_dim_exceeds_bct_dim_on_composites():
 
 def test_state_image_single_system():
     img = ontic_state(pure_state(S2, 2))
-    assert _points(img, OnticSpace(S2)) == {(2, 0): HALF, (2, 1): HALF}
+    assert _points(img, S2) == {(2, 0): HALF, (2, 1): HALF}
 
 
 def test_state_image_bipartite_parity():
     img = ontic_state(pure_state(S22, PureLabel((1, 1), (0,))))
-    assert set(_points(img, OnticSpace(S22))) == {(1, 0, 1, 0), (1, 1, 1, 1)}
+    assert set(_points(img, S22)) == {(1, 0, 1, 0), (1, 1, 1, 1)}
     img1 = ontic_state(pure_state(S22, PureLabel((1, 1), (1,))))
-    assert set(_points(img1, OnticSpace(S22))) == {(1, 0, 1, 1), (1, 1, 1, 0)}
+    assert set(_points(img1, S22)) == {(1, 0, 1, 1), (1, 1, 1, 0)}
 
 
 def test_state_image_respects_products():
@@ -144,25 +166,25 @@ def test_identity_and_swap_images():
 
 def test_swap_image_is_wire_permutation_pointwise():
     sw = ontic_map(swap(S2, S2))
-    sp = OnticSpace(S22)
+    points = wire_points(S22)
     for col in range(16):
-        i, b1, j, b2 = sp.point(col)
+        i, b1, j, b2 = points[col]
         rows = [r for r, c, v in sw.nonzero() if c == col]
         assert len(rows) == 1
-        assert sp.point(rows[0]) == (j, b2, i, b1)
+        assert points[rows[0]] == (j, b2, i, b1)
 
 
 def test_merge_perm_closed_form():
     mu = merge_perm(2, 2)
-    in_space = OnticSpace(S22)
-    out_space = OnticSpace(SystemShape((8,)))
+    in_points = wire_points(S22)
+    out_points = wire_points(SystemShape((8,)))
     from bctk.systems import q_encode
 
     for col in range(16):
-        x, b1, y, b2 = in_space.point(col)
+        x, b1, y, b2 = in_points[col]
         rows = [r for r, c, v in mu.nonzero() if c == col]
         assert len(rows) == 1
-        assert out_space.point(rows[0]) == (q_encode(2, 2, x, y, b1 ^ b2), b1)
+        assert out_points[rows[0]] == (q_encode(2, 2, x, y, b1 ^ b2), b1)
     assert classical.compose_seq(mu, mu.transpose()) == ClassicalMap.identity(16)
 
 
@@ -372,7 +394,7 @@ def test_substochasticity_equivalence():
     image = ontic_map(t)
     sums = image.column_sums()
     for src in range(1, 3):
-        expected = t.row_sum(src)
+        expected = sum((w for (s, _, _), w in t.coeffs.items() if s == src), 0)
         assert sums[(src - 1) * 2] == expected
         assert sums[(src - 1) * 2 + 1] == expected
 
