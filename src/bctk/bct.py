@@ -8,13 +8,28 @@ coefficient map is stored sparsely; validity means nonnegative weights with
 per-input sums at most one (exactly one for channels), which is precisely
 substochasticity of the image under the ontological model.
 
-Validation happens once, at the edge.  The public constructors
-(``Transformation(...)``, ``Transformation.from_json``, ``State(...)``,
-``Effect(...)``) and the operations that take arbitrary weights (``scale``,
-``add``, ``atomic``, ``recompose``) check every weight.  Kernel operations
-build their results through ``Transformation._from_coeffs`` and
-``_Vector._from_weights``, which check nothing: each such result is valid by
-construction, for the reason given at its call site.
+Weights live on an integer lattice.  A :class:`Transformation` stores
+``nums``, a dict from ``(src, dst, flip)`` to a positive ``int``, and a
+:class:`State`/:class:`Effect` stores ``nums``, a tuple of ``int``; each
+object has one denominator ``den >= 1`` with ``gcd(den, *nums) == 1`` (an
+empty object has ``den == 1``), so ``==`` and ``hash`` compare plain fields.
+Products multiply denominators and sums add numerators; every kernel result
+is reduced once, by :func:`~bctk.scalars.reduce_dict` or
+:func:`~bctk.scalars.reduce_tuple`, which cost nothing when ``den == 1``.
+
+Values enter and leave the lattice only at the edges.  The public
+constructors (``Transformation(...)``, ``Transformation.from_json``,
+``State(...)``, ``Effect(...)``) and the operations that take arbitrary
+weights (``scale``, ``add``, ``atomic``, ``recompose``) take exact
+``int``/``Fraction`` values, convert them once through
+:func:`~bctk.scalars.lattice` and check every weight in integers.  An
+optional ``den`` gives the values as numerators over ``den``.  Kernel
+operations build their results through ``Transformation._from_nums`` and
+``_Vector._from_nums``, which check nothing: each such result is valid by
+construction, for the reason given at its call site.  ``t.coeffs``,
+``v.weights``, ``nonzero()``, ``pair`` and ``to_json`` read values back out,
+as an ``int`` when integral and a ``Fraction`` otherwise, and no kernel
+operation reads them.
 
 Composite systems are handled through canonical left-nested labels; partial
 application, swaps and parallel composition are all label arithmetic via
@@ -24,9 +39,16 @@ application, swaps and parallel composition are all label arithmetic via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import lcm
 
-from .scalars import HALF, number_from_json, number_json
+from .scalars import (
+    exact,
+    lattice,
+    number_from_json,
+    ratio_json,
+    reduce_dict,
+    reduce_tuple,
+)
 from .systems import (
     SystemShape,
     TRIVIAL,
@@ -40,67 +62,86 @@ from .systems import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class _Vector:
-    """A weight vector over the pure labels of a shape (state or effect)."""
+    """A weight vector over the pure labels of a shape (state or effect):
+    the weights are ``nums[q - 1] / den``."""
 
     shape: SystemShape
-    weights: tuple
+    nums: tuple
+    den: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.weights) != self.shape.global_dim:
+    def __init__(self, shape: SystemShape, weights, den: int = 1):
+        nums, den = lattice(weights, den)
+        if len(nums) != shape.global_dim:
             raise ValueError(
-                f"{self._kind} on {self.shape} needs {self.shape.global_dim} weights, "
-                f"got {len(self.weights)}"
+                f"{self._kind} on {shape} needs {shape.global_dim} weights, "
+                f"got {len(nums)}"
             )
+        self._check(nums, den)
+        nums, den = reduce_tuple(tuple(nums), den)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _from_weights(cls, shape: SystemShape, weights: tuple):
-        """Kernel constructor: ``weights`` is a valid tuple of the right length."""
+    def _from_nums(cls, shape: SystemShape, nums: tuple, den: int):
+        """Kernel constructor: ``nums`` is a valid tuple of the right length,
+        in lowest terms over ``den``."""
         v = object.__new__(cls)
         object.__setattr__(v, "shape", shape)
-        object.__setattr__(v, "weights", weights)
+        object.__setattr__(v, "nums", nums)
+        object.__setattr__(v, "den", den)
         return v
 
+    @property
+    def weights(self) -> tuple:
+        den = self.den
+        return self.nums if den == 1 else tuple(exact(n, den) for n in self.nums)
+
     def scale(self, p):
-        return type(self)(self.shape, tuple(p * w for w in self.weights))
+        (pn,), pd = lattice((p,))
+        return type(self)(self.shape, [pn * n for n in self.nums], den=self.den * pd)
 
     def nonzero(self):
-        for q, w in enumerate(self.weights, start=1):
-            if w != 0:
-                yield q, w
+        den = self.den
+        for q, n in enumerate(self.nums, start=1):
+            if n != 0:
+                yield q, exact(n, den)
 
     def to_json(self) -> dict:
+        den = self.den
         return {"shape": list(self.shape.elems),
-                "weights": [number_json(w) for w in self.weights]}
+                "weights": [ratio_json(n, den) for n in self.nums]}
 
 
 class State(_Vector):
     """A subnormalised weight vector over the pure states of a shape."""
 
+    __slots__ = ()
     _kind = "state"
 
-    def __post_init__(self):
-        super().__post_init__()
-        if any(w < 0 for w in self.weights):
+    @staticmethod
+    def _check(nums, den) -> None:
+        if any(n < 0 for n in nums):
             raise ValueError("state weights must be nonnegative")
-        if sum(self.weights, 0) > 1:
+        if sum(nums) > den:
             raise ValueError("state weights must sum to at most 1")
 
     @property
     def total(self):
-        return sum(self.weights, 0)
+        return exact(sum(self.nums), self.den)
 
 
 class Effect(_Vector):
     """A response covector: entries in [0, 1] over the pure effects of a shape."""
 
+    __slots__ = ()
     _kind = "effect"
 
-    def __post_init__(self):
-        super().__post_init__()
-        if any(w < 0 or w > 1 for w in self.weights):
+    @staticmethod
+    def _check(nums, den) -> None:
+        if any(n < 0 or n > den for n in nums):
             raise ValueError("effect weights must lie in [0, 1]")
 
 
@@ -109,7 +150,7 @@ def _pure(cls, shape: SystemShape, label):
     out = [0] * shape.global_dim
     out[q - 1] = 1
     # One weight 1, the rest 0: a deterministic state and an effect in [0, 1].
-    return cls._from_weights(shape, tuple(out))
+    return cls._from_nums(shape, tuple(out), 1)
 
 
 def pure_state(shape: SystemShape, label) -> State:
@@ -123,44 +164,54 @@ def pure_effect(shape: SystemShape, label) -> Effect:
 def deterministic_effect(shape: SystemShape) -> Effect:
     """The unique deterministic effect: the all-ones covector."""
     # Every entry 1 lies in [0, 1].
-    return Effect._from_weights(shape, (1,) * shape.global_dim)
+    return Effect._from_nums(shape, (1,) * shape.global_dim, 1)
 
 
 def uniform_state(shape: SystemShape) -> State:
     n = shape.global_dim
-    # n entries 1/n: nonnegative, summing to 1.
-    return State._from_weights(shape, (Fraction(1, n),) * n)
+    # n entries 1/n: nonnegative, summing to 1, and gcd(n, 1) == 1.
+    return State._from_nums(shape, (1,) * n, n)
 
 
 def pair(e: Effect, rho: State):
     """The probability ``(e|rho)``."""
     if e.shape != rho.shape:
         raise ValueError(f"effect on {e.shape} cannot meet state on {rho.shape}")
-    return sum((a * b for a, b in zip(e.weights, rho.weights)), 0)
+    return exact(sum(a * b for a, b in zip(e.nums, rho.nums)), e.den * rho.den)
 
 
-def _par(a, b, factor):
+def _par(a, b, spread: int):
     """Parallel composition of two vectors of one kind: pure x pure spreads
-    over both section bits, each with ``factor`` times the product weight."""
+    over both section bits, each with ``1/spread`` times the product weight."""
     if a.shape.is_trivial:
-        return b.scale(a.weights[0])
+        return _scaled(b, a.nums[0], a.den)
     if b.shape.is_trivial:
-        return a.scale(b.weights[0])
-    shape = a.shape.compose(b.shape)
+        return _scaled(a, b.nums[0], b.den)
+    sa, sb = a.shape, b.shape
+    shape = sa.compose(sb)
     out = [0] * shape.global_dim
-    for q1, w1 in a.nonzero():
-        for q2, w2 in b.nonzero():
-            w = factor * w1 * w2
-            for s in (0, 1):
-                out[pair_label(a.shape, b.shape, q1, q2, s) - 1] += w
-    # pair_label is injective, so entry (q1 q2)_s is factor*w1*w2 <= w1*w2 <= 1
-    # and the entries sum to 2*factor*total1*total2, at most 1 for states.
-    return type(a)._from_weights(shape, tuple(out))
+    nonzero_b = [(q2, n2) for q2, n2 in enumerate(b.nums, start=1) if n2 != 0]
+    for q1, n1 in enumerate(a.nums, start=1):
+        if n1 != 0:
+            for q2, n2 in nonzero_b:
+                n = n1 * n2
+                for s in (0, 1):
+                    out[pair_label(sa, sb, q1, q2, s) - 1] = n
+    # pair_label is injective, so entry (q1 q2)_s is w1*w2/spread <= w1*w2 <= 1
+    # and the entries sum to 2*total1*total2/spread, at most 1 for states.
+    return type(a)._from_nums(shape, *reduce_tuple(tuple(out), spread * a.den * b.den))
+
+
+def _scaled(v, num: int, den: int):
+    """``v`` times the scalar ``num / den``, a weight in [0, 1]."""
+    # Scaling by a weight in [0, 1] keeps a state a substate and an effect in [0, 1].
+    return type(v)._from_nums(v.shape, *reduce_tuple(tuple(num * n for n in v.nums),
+                                                     den * v.den))
 
 
 def par_states(r1: State, r2: State) -> State:
     """Parallel composition: pure x pure spreads over both section bits with 1/2."""
-    return _par(r1, r2, HALF)
+    return _par(r1, r2, 2)
 
 
 def par_effects(a: Effect, b: Effect) -> Effect:
@@ -186,47 +237,59 @@ class AtomicTerm:
 class Transformation:
     """A conical combination of normalised atomic generators.
 
-    ``coeffs`` maps ``(src, dst, flip)`` to a nonnegative weight; zero weights
-    are pruned so two transformations are equal exactly when their coefficient
-    maps are (the uniqueness of the conical decomposition).
+    ``nums`` maps ``(src, dst, flip)`` to a positive numerator over ``den``;
+    zero weights are pruned and the pair is in lowest terms, so two
+    transformations are equal exactly when their fields are (the uniqueness
+    of the conical decomposition).  ``coeffs`` reads the weights out.
     """
 
-    __slots__ = ("in_shape", "out_shape", "coeffs")
+    __slots__ = ("in_shape", "out_shape", "nums", "den")
 
-    def __init__(self, in_shape: SystemShape, out_shape: SystemShape, coeffs: dict):
+    def __init__(self, in_shape: SystemShape, out_shape: SystemShape, coeffs: dict,
+                 den: int = 1):
         _require_nontrivial(in_shape, out_shape)
         n_in, n_out = in_shape.global_dim, out_shape.global_dim
+        values, den = lattice(coeffs.values(), den)
         pruned: dict = {}
         row: dict = {}
-        for (src, dst, flip), w in coeffs.items():
+        for (src, dst, flip), n in zip(coeffs, values):
             if not 1 <= src <= n_in:
                 raise ValueError(f"input label {src} out of range [1..{n_in}]")
             if not 1 <= dst <= n_out:
                 raise ValueError(f"output label {dst} out of range [1..{n_out}]")
             if flip not in (0, 1):
                 raise ValueError("section-bit shift must be 0 or 1")
-            if w < 0:
+            if n < 0:
                 raise ValueError("conical coefficients must be nonnegative")
-            if w != 0:
-                pruned[(src, dst, flip)] = w
-                row[src] = row.get(src, 0) + w
+            if n != 0:
+                pruned[(src, dst, flip)] = n
+                row[src] = row.get(src, 0) + n
         for src, total in row.items():
-            if total > 1:
+            if total > den:
                 raise ValueError(
-                    f"coefficients for input {src} sum to {total} > 1 (not substochastic)"
+                    f"coefficients for input {src} sum to {exact(total, den)} > 1 "
+                    "(not substochastic)"
                 )
         self.in_shape = in_shape
         self.out_shape = out_shape
-        self.coeffs = pruned
+        self.nums, self.den = reduce_dict(pruned, den)
 
     @classmethod
-    def _from_coeffs(cls, in_shape: SystemShape, out_shape: SystemShape,
-                     coeffs: dict) -> "Transformation":
-        """Kernel constructor: non-trivial shapes, ``coeffs`` holds only positive
-        weights with keys in range and per-input sums at most one."""
+    def _from_nums(cls, in_shape: SystemShape, out_shape: SystemShape,
+                   nums: dict, den: int) -> "Transformation":
+        """Kernel constructor: non-trivial shapes, ``nums`` holds only positive
+        numerators with keys in range and per-input sums at most ``den``, in
+        lowest terms over ``den``."""
         t = object.__new__(cls)
-        t.in_shape, t.out_shape, t.coeffs = in_shape, out_shape, coeffs
+        t.in_shape, t.out_shape, t.nums, t.den = in_shape, out_shape, nums, den
         return t
+
+    @property
+    def coeffs(self) -> dict:
+        den = self.den
+        if den == 1:
+            return dict(self.nums)
+        return {k: exact(n, den) for k, n in self.nums.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transformation):
@@ -234,49 +297,56 @@ class Transformation:
         return (
             self.in_shape == other.in_shape
             and self.out_shape == other.out_shape
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.in_shape, self.out_shape, tuple(sorted(self.coeffs.items()))))
+        return hash((self.in_shape, self.out_shape, self.den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
         return (
             f"Transformation({self.in_shape} -> {self.out_shape}, "
-            f"{len(self.coeffs)} terms)"
+            f"{len(self.nums)} terms)"
         )
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_channel(self) -> bool:
         """Deterministic iff every input's coefficients sum to exactly one."""
         rows: dict = {}
-        for (src, _, _), w in self.coeffs.items():
-            rows[src] = rows.get(src, 0) + w
-        return len(rows) == self.in_shape.global_dim and all(s == 1 for s in rows.values())
+        for (src, _, _), n in self.nums.items():
+            rows[src] = rows.get(src, 0) + n
+        den = self.den
+        return len(rows) == self.in_shape.global_dim and all(s == den for s in rows.values())
 
     def scale(self, p) -> "Transformation":
+        (pn,), pd = lattice((p,))
         return Transformation(
-            self.in_shape, self.out_shape, {k: p * w for k, w in self.coeffs.items()}
+            self.in_shape, self.out_shape, {k: pn * n for k, n in self.nums.items()},
+            den=self.den * pd,
         )
 
     def add(self, other: "Transformation") -> "Transformation":
         if self.in_shape != other.in_shape or self.out_shape != other.out_shape:
             raise ValueError("can only add transformations of equal shape")
-        merged = dict(self.coeffs)
-        for k, w in other.coeffs.items():
-            merged[k] = merged.get(k, 0) + w
-        return Transformation(self.in_shape, self.out_shape, merged)
+        den = lcm(self.den, other.den)
+        k1, k2 = den // self.den, den // other.den
+        merged = {k: k1 * n for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            merged[k] = merged.get(k, 0) + k2 * n
+        return Transformation(self.in_shape, self.out_shape, merged, den=den)
 
     def to_json(self) -> dict:
+        den = self.den
         return {
             "in": list(self.in_shape.elems),
             "out": list(self.out_shape.elems),
             "terms": [
-                {"i0": src, "l": dst, "tau": flip, "w": number_json(w)}
-                for (src, dst, flip), w in sorted(self.coeffs.items())
+                {"i0": src, "l": dst, "tau": flip, "w": ratio_json(n, den)}
+                for (src, dst, flip), n in sorted(self.nums.items())
             ],
         }
 
@@ -296,7 +366,7 @@ def _require_nontrivial(in_shape: SystemShape, out_shape: SystemShape) -> None:
 def zero(in_shape: SystemShape, out_shape: SystemShape) -> Transformation:
     _require_nontrivial(in_shape, out_shape)
     # No terms.
-    return Transformation._from_coeffs(in_shape, out_shape, {})
+    return Transformation._from_nums(in_shape, out_shape, {}, 1)
 
 
 def atomic(in_shape: SystemShape, out_shape: SystemShape, src, dst, flip: int,
@@ -310,23 +380,27 @@ def atomic(in_shape: SystemShape, out_shape: SystemShape, src, dst, flip: int,
 def identity(shape: SystemShape) -> Transformation:
     _require_nontrivial(shape, shape)
     # One weight-1 term per input.
-    return Transformation._from_coeffs(
-        shape, shape, {(q, q, 0): 1 for q in range(1, shape.global_dim + 1)}
+    return Transformation._from_nums(
+        shape, shape, {(q, q, 0): 1 for q in range(1, shape.global_dim + 1)}, 1
     )
 
 
 def decompose(t: Transformation) -> list[AtomicTerm]:
     """The unique conical decomposition, sorted by (src, dst, flip)."""
-    return [AtomicTerm(src, dst, flip, w) for (src, dst, flip), w in sorted(t.coeffs.items())]
+    den = t.den
+    return [AtomicTerm(src, dst, flip, exact(n, den))
+            for (src, dst, flip), n in sorted(t.nums.items())]
 
 
 def recompose(in_shape: SystemShape, out_shape: SystemShape,
               terms) -> Transformation:
+    terms = list(terms)
+    values, den = lattice(term.weight for term in terms)
     coeffs: dict = {}
-    for term in terms:
+    for term, n in zip(terms, values):
         key = (term.src, term.dst, term.flip)
-        coeffs[key] = coeffs.get(key, 0) + term.weight
-    return Transformation(in_shape, out_shape, coeffs)
+        coeffs[key] = coeffs.get(key, 0) + n
+    return Transformation(in_shape, out_shape, coeffs, den=den)
 
 
 def compose_seq(t1: Transformation, t2: Transformation) -> Transformation:
@@ -336,16 +410,17 @@ def compose_seq(t1: Transformation, t2: Transformation) -> Transformation:
             f"cannot compose {t1.out_shape} -> into -> {t2.in_shape} transformation"
         )
     by_src: dict[int, list] = {}
-    for (src, dst, flip), w in t2.coeffs.items():
-        by_src.setdefault(src, []).append((dst, flip, w))
+    for (src, dst, flip), n in t2.nums.items():
+        by_src.setdefault(src, []).append((dst, flip, n))
     out: dict = {}
-    for (src, mid, flip1), w1 in t1.coeffs.items():
-        for dst, flip2, w2 in by_src.get(mid, ()):
+    for (src, mid, flip1), n1 in t1.nums.items():
+        for dst, flip2, n2 in by_src.get(mid, ()):
             key = (src, dst, flip1 ^ flip2)
-            out[key] = out.get(key, 0) + w1 * w2
+            out[key] = out.get(key, 0) + n1 * n2
     # Sums of products of positive weights; input src sums to
     # sum_mid w1(src, mid) * row2(mid) <= row1(src) <= 1.
-    return Transformation._from_coeffs(t1.in_shape, t2.out_shape, out)
+    return Transformation._from_nums(t1.in_shape, t2.out_shape,
+                                     *reduce_dict(out, t1.den * t2.den))
 
 
 def par_with_identity(t: Transformation, right: SystemShape) -> Transformation:
@@ -370,7 +445,7 @@ def swap(left: SystemShape, right: SystemShape) -> Transformation:
                     )
                 ] = 1
     # A relabelling: one weight-1 term per input.
-    return Transformation._from_coeffs(left.compose(right), right.compose(left), coeffs)
+    return Transformation._from_nums(left.compose(right), right.compose(left), coeffs, 1)
 
 
 def compose_par(t1: Transformation, t2: Transformation) -> Transformation:
@@ -379,9 +454,10 @@ def compose_par(t1: Transformation, t2: Transformation) -> Transformation:
     (``t1 (x) id`` after ``swap . (t2 (x) id) . swap``) is its test oracle."""
     in1, in2, out1, out2 = t1.in_shape, t2.in_shape, t1.out_shape, t2.out_shape
     out: dict = {}
-    for (s1, d1, f1), w1 in t1.coeffs.items():
-        for (s2, d2, f2), w2 in t2.coeffs.items():
-            w = w1 * w2
+    terms2 = t2.nums.items()
+    for (s1, d1, f1), n1 in t1.nums.items():
+        for (s2, d2, f2), n2 in terms2:
+            n = n1 * n2
             for s in (0, 1):
                 # pair_label is injective in (s1, s2, s) and in (d1, d2, s^f1^f2),
                 # so each key is written once.
@@ -389,21 +465,23 @@ def compose_par(t1: Transformation, t2: Transformation) -> Transformation:
                     pair_label(in1, in2, s1, s2, s),
                     pair_label(out1, out2, d1, d2, s ^ f1 ^ f2),
                     f1,
-                )] = w
+                )] = n
     # Positive weights; input (s1 s2)_s sums to row1(s1) * row2(s2) <= 1.
-    return Transformation._from_coeffs(in1.compose(in2), out1.compose(out2), out)
+    return Transformation._from_nums(in1.compose(in2), out1.compose(out2),
+                                     *reduce_dict(out, t1.den * t2.den))
 
 
 def apply(t: Transformation, rho: State) -> State:
     if t.in_shape != rho.shape:
         raise ValueError(f"transformation expects {t.in_shape}, state is on {rho.shape}")
     out = [0] * t.out_shape.global_dim
-    for (src, dst, _), w in t.coeffs.items():
-        v = rho.weights[src - 1]
+    weights = rho.nums
+    for (src, dst, _), n in t.nums.items():
+        v = weights[src - 1]
         if v != 0:
-            out[dst - 1] += w * v
+            out[dst - 1] += n * v
     # A substochastic map on a substate: nonnegative, total <= rho's total <= 1.
-    return State._from_weights(t.out_shape, tuple(out))
+    return State._from_nums(t.out_shape, *reduce_tuple(tuple(out), t.den * rho.den))
 
 
 def pull(e: Effect, t: Transformation) -> Effect:
@@ -411,12 +489,13 @@ def pull(e: Effect, t: Transformation) -> Effect:
     if t.out_shape != e.shape:
         raise ValueError(f"transformation outputs {t.out_shape}, effect is on {e.shape}")
     out = [0] * t.in_shape.global_dim
-    for (src, dst, _), w in t.coeffs.items():
-        v = e.weights[dst - 1]
+    weights = e.nums
+    for (src, dst, _), n in t.nums.items():
+        v = weights[dst - 1]
         if v != 0:
-            out[src - 1] += w * v
+            out[src - 1] += n * v
     # Nonnegative, and entry src <= (sum of src's weights) * max(e) <= 1.
-    return Effect._from_weights(t.in_shape, tuple(out))
+    return Effect._from_nums(t.in_shape, *reduce_tuple(tuple(out), t.den * e.den))
 
 
 def fuse_map(left: SystemShape, right: SystemShape) -> Transformation:
@@ -430,10 +509,11 @@ def fuse_map(left: SystemShape, right: SystemShape) -> Transformation:
         raise ValueError("fuse_map needs two non-trivial systems")
     composite = left.compose(right)
     # A relabelling: one weight-1 term per input.
-    return Transformation._from_coeffs(
+    return Transformation._from_nums(
         composite,
         composite.fused(),
         {(q, q, 0): 1 for q in range(1, composite.global_dim + 1)},
+        1,
     )
 
 
@@ -442,10 +522,11 @@ def unfuse_map(left: SystemShape, right: SystemShape) -> Transformation:
         raise ValueError("unfuse_map needs two non-trivial systems")
     composite = left.compose(right)
     # A relabelling: one weight-1 term per input.
-    return Transformation._from_coeffs(
+    return Transformation._from_nums(
         composite.fused(),
         composite,
         {(q, q, 0): 1 for q in range(1, composite.global_dim + 1)},
+        1,
     )
 
 
@@ -454,13 +535,14 @@ def boxed_effect_left(e: Effect, right: SystemShape) -> Transformation:
     if e.shape.is_trivial or right.is_trivial:
         raise ValueError("boxed_effect_left needs non-trivial systems")
     out: dict = {}
-    for q1, w in e.nonzero():
-        for q2 in range(1, right.global_dim + 1):
-            for s in (0, 1):
-                key = (pair_label(e.shape, right, q1, q2, s), q2, s)
-                out[key] = out.get(key, 0) + w
-    # Input (q1 q2)_s has the one term e[q1], a nonzero weight in [0, 1].
-    return Transformation._from_coeffs(e.shape.compose(right), right, out)
+    for q1, n in enumerate(e.nums, start=1):
+        if n != 0:
+            for q2 in range(1, right.global_dim + 1):
+                for s in (0, 1):
+                    out[(pair_label(e.shape, right, q1, q2, s), q2, s)] = n
+    # Input (q1 q2)_s has the one term e[q1], a nonzero weight in [0, 1]; the
+    # nonzero numerators are e's, so e's denominator keeps them in lowest terms.
+    return Transformation._from_nums(e.shape.compose(right), right, out, e.den)
 
 
 def boxed_state_left(rho: State, right: SystemShape) -> Transformation:
@@ -468,13 +550,14 @@ def boxed_state_left(rho: State, right: SystemShape) -> Transformation:
     if rho.shape.is_trivial or right.is_trivial:
         raise ValueError("boxed_state_left needs non-trivial systems")
     out: dict = {}
-    for q1, w in rho.nonzero():
-        for q2 in range(1, right.global_dim + 1):
-            for s in (0, 1):
-                key = (q2, pair_label(rho.shape, right, q1, q2, s), s)
-                out[key] = out.get(key, 0) + HALF * w
-    # Positive weights; input q2 sums to rho's total <= 1.
-    return Transformation._from_coeffs(right, rho.shape.compose(right), out)
+    for q1, n in enumerate(rho.nums, start=1):
+        if n != 0:
+            for q2 in range(1, right.global_dim + 1):
+                for s in (0, 1):
+                    out[(q2, pair_label(rho.shape, right, q1, q2, s), s)] = n
+    # Weights rho[q1]/2, positive; input q2 sums to rho's total <= 1.
+    return Transformation._from_nums(right, rho.shape.compose(right),
+                                     *reduce_dict(out, 2 * rho.den))
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +597,11 @@ def reversible(shape: SystemShape, spec: ReversibleSpec) -> Transformation:
         raise ValueError(f"spec permutes {len(spec.perm)} labels, shape has {n}")
     _require_nontrivial(shape, shape)
     # A relabelling: one weight-1 term per input.
-    return Transformation._from_coeffs(
+    return Transformation._from_nums(
         shape,
         shape,
         {(i, spec.perm[i - 1], spec.bits[i - 1]): 1 for i in range(1, n + 1)},
+        1,
     )
 
 

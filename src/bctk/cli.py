@@ -12,12 +12,18 @@ action.  Only ``refute`` takes a candidate source, one of ``--candidate``,
 ``--model`` or ``--random N``, and it takes ``--seed`` only with
 ``--random`` (``--random N`` alone uses seed 0).  ``demo`` with any of these
 flags, or ``refute --seed`` without ``--random``, exits 1.
+
+A reader that closes stdout early (``bctk verify | head -c 10``) ends the
+command quietly with exit 1, as in Python's documented SIGPIPE recipe:
+stdout is pointed at ``os.devnull`` so that the interpreter's final flush
+raises nothing either.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -314,7 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classical import ClassicalMap, choi_close
-from .scalars import number_from_json, number_json
+from .scalars import lattice, number_from_json, number_json, reduce_dict
 
 
 # Input caps: the jellyfish matrix can fill all ``L2 x L2`` cells and
@@ -204,15 +204,18 @@ def jellyfish_matrix(cand: CandidateModel) -> ClassicalMap:
     ``M[y, x] = sum_a xi_beta[a, y] * xi_b[a, x]``.
     """
     L2 = cand.L2
+    # The candidate's exact vectors enter the lattice once each.
+    b_nums, b_den = lattice(cand.xi_b)
+    beta_nums, beta_den = lattice(cand.xi_beta)
     cells: dict = {}
     for base in range(0, cand.L1 * L2, L2):
-        xs = [(x, v) for x, v in enumerate(cand.xi_b[base:base + L2]) if v != 0]
-        for y, w in enumerate(cand.xi_beta[base:base + L2]):
+        xs = [(x, v) for x, v in enumerate(b_nums[base:base + L2]) if v != 0]
+        for y, w in enumerate(beta_nums[base:base + L2]):
             if w != 0:
                 for x, v in xs:
                     cells[y, x] = cells.get((y, x), 0) + w * v
     # Candidate data is nonnegative, so no sum of nonzero products cancels.
-    return ClassicalMap._from_cells(cand.L2, cand.L2, cells)
+    return ClassicalMap._from_nums(L2, L2, *reduce_dict(cells, b_den * beta_den))
 
 
 def model_pairing(cand: CandidateModel):

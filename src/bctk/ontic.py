@@ -18,6 +18,12 @@ The merging permutations :func:`merge_perm`/:func:`merge_chain` and
 :func:`wire_swap_matrix` are the oracles the table and the images are pinned
 to.
 
+Images stay on the integer lattice of :mod:`bctk.bct` and
+:mod:`bctk.classical`: a transformation's image keeps its numerators and
+denominator, an effect's image keeps its own, and a state's image doubles
+the denominator (each pure label spreads half its weight over each bit) and
+is reduced once.  No image reads an exact value.
+
 This module is the model and its oracles only; the checks that the model
 preserves diagrams and probabilities are the suites of :mod:`bctk.verify`.
 """
@@ -31,7 +37,7 @@ from math import prod
 from . import classical
 from .classical import ClassicalMap
 from .bct import Effect, State, Transformation
-from .scalars import HALF
+from .scalars import reduce_dict
 from .systems import SystemShape, q_encode, unflatten_label
 
 
@@ -56,27 +62,32 @@ def fused_index(shape: SystemShape) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _vector_image(v, factor, make) -> ClassicalMap:
-    """Each pure label spreads ``factor`` times its weight over both bits."""
-    if v.shape.is_trivial:
-        return ClassicalMap.scalar(v.weights[0])
-    index = fused_index(v.shape)
-    out = [0] * v.shape.ontic_dim
-    for q, w in v.nonzero():
-        fw = factor * w
-        out[index[2 * q - 2]] += fw
-        out[index[2 * q - 1]] += fw
-    return make(out)
+def _scalar_image(v) -> ClassicalMap:
+    """The image of a vector on the trivial system: its one weight, as is."""
+    n = v.nums[0]
+    return ClassicalMap._from_nums(1, 1, {(0, 0): n} if n != 0 else {}, v.den)
 
 
 def ontic_state(rho: State) -> ClassicalMap:
     """Image of a state: each pure label spreads over its two bit patterns."""
-    return _vector_image(rho, HALF, ClassicalMap.state)
+    if rho.shape.is_trivial:
+        return _scalar_image(rho)
+    index = fused_index(rho.shape)
+    # The table is injective, so each cell is written once, with half a weight.
+    cells = {(index[k], 0): n for q, n in enumerate(rho.nums) if n != 0
+             for k in (2 * q, 2 * q + 1)}
+    return ClassicalMap._from_nums(rho.shape.ontic_dim, 1, *reduce_dict(cells, 2 * rho.den))
 
 
 def ontic_effect(e: Effect) -> ClassicalMap:
     """Image of an effect: same bit patterns, summed without the 1/2."""
-    return _vector_image(e, 1, ClassicalMap.effect)
+    if e.shape.is_trivial:
+        return _scalar_image(e)
+    index = fused_index(e.shape)
+    # e's nonzero numerators over e's denominator: already in lowest terms.
+    cells = {(0, index[k]): n for q, n in enumerate(e.nums) if n != 0
+             for k in (2 * q, 2 * q + 1)}
+    return ClassicalMap._from_nums(1, e.shape.ontic_dim, cells, e.den)
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +108,7 @@ def merge_perm(n1: int, n2: int) -> ClassicalMap:
                     col = (((x - 1) * 2 + b1) * n2 + (y - 1)) * 2 + b2
                     row = (q_encode(n1, n2, x, y, b1 ^ b2) - 1) * 2 + b1
                     cells[row, col] = 1
-    return ClassicalMap._from_cells(dim, dim, cells)
+    return ClassicalMap._from_nums(dim, dim, cells, 1)
 
 
 @lru_cache(maxsize=None)
@@ -121,10 +132,14 @@ def ontic_map(t: Transformation) -> ClassicalMap:
     """Image of a transformation: the atomic rule, scattered through the table."""
     rows, cols = fused_index(t.out_shape), fused_index(t.in_shape)
     # The table is injective and the weights are nonzero, so every term
-    # lands on two cells of its own.
-    cells = {(rows[2 * (dst - 1) + (b ^ flip)], cols[2 * (src - 1) + b]): w
-             for (src, dst, flip), w in t.coeffs.items() for b in (0, 1)}
-    return ClassicalMap._from_cells(t.out_shape.ontic_dim, t.in_shape.ontic_dim, cells)
+    # lands on two cells of its own, with t's numerators over t's denominator.
+    cells = {}
+    for (src, dst, flip), n in t.nums.items():
+        col = 2 * (src - 1)
+        row = 2 * (dst - 1) + flip  # bit b = 0; row ^ 1 is bit 1 ^ flip
+        cells[rows[row], cols[col]] = n
+        cells[rows[row ^ 1], cols[col + 1]] = n
+    return ClassicalMap._from_nums(t.out_shape.ontic_dim, t.in_shape.ontic_dim, cells, t.den)
 
 
 def image(x: State | Effect | Transformation) -> ClassicalMap:
@@ -143,4 +158,4 @@ def wire_swap_matrix(left: SystemShape, right: SystemShape) -> ClassicalMap:
     out_index = {p: i for i, p in enumerate(wire_points(right.compose(left)))}
     cut = 2 * left.num_factors
     cells = {(out_index[p[cut:] + p[:cut]], col): 1 for col, p in enumerate(points)}
-    return ClassicalMap._from_cells(len(out_index), len(points), cells)
+    return ClassicalMap._from_nums(len(out_index), len(points), cells, 1)

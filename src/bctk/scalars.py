@@ -5,6 +5,13 @@ every algebraic identity is asserted with ``==`` and there is no tolerance
 anywhere.  Numbers from outside the program (DSL text, CLI flags, JSON)
 enter only through :func:`parse_number` and :func:`number_from_json`; both
 read decimals exactly and raise ``ValueError`` naming the offending text.
+
+The kernel objects store their values on an integer lattice: integer
+numerators over one positive denominator, in lowest terms.
+:func:`lattice` is the one conversion of exact values onto it,
+:func:`reduce_dict`/:func:`reduce_tuple` bring a kernel result to lowest
+terms, and :func:`exact` and :func:`ratio_json` read one lattice value back
+out.
 """
 
 from __future__ import annotations
@@ -12,8 +19,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-
-HALF = Fraction(1, 2)
 
 # No exponent form: ``1e999999999`` would be an unbounded allocation.
 _NUMBER_RE = re.compile(r"([+-]?\d+)(?:/(\d+)|\.\d+)?")
@@ -58,3 +63,67 @@ def number_from_json(value) -> Fraction:
     if type(value) is float and math.isfinite(value):
         return Fraction(repr(value))
     raise ValueError(f"not an exact number: {value!r}")
+
+
+# ---------------------------------------------------------------------------
+# the integer lattice
+# ---------------------------------------------------------------------------
+
+
+def lattice(values, den: int = 1) -> tuple[list, int]:
+    """The exact values ``v / den`` as integer numerators over one positive
+    denominator: ``den`` times the lcm of the values' denominators.
+
+    The result is not reduced.  A value that is not an ``int`` or a
+    ``Fraction`` raises ``TypeError``.
+    """
+    if type(den) is not int or den < 1:
+        raise ValueError(f"a denominator must be a positive integer, got {den!r}")
+    values = list(values)
+    scale = 1
+    all_int = True
+    for v in values:
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"not an exact number: {v!r}")
+            all_int = False
+            scale = math.lcm(scale, v.denominator)
+    if all_int:
+        return values, den
+    return [v.numerator * (scale // v.denominator) for v in values], den * scale
+
+
+def reduce_dict(nums: dict, den: int) -> tuple[dict, int]:
+    """Numerators and denominator divided by their gcd; ``den == 1`` costs nothing."""
+    if den == 1:
+        return nums, 1
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {k: v // g for k, v in nums.items()}, den // g
+
+
+def reduce_tuple(nums: tuple, den: int) -> tuple[tuple, int]:
+    """:func:`reduce_dict` for a tuple of numerators."""
+    if den == 1:
+        return nums, 1
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple(v // g for v in nums), den // g
+
+
+def exact(num: int, den: int):
+    """``num / den`` as an ``int`` when it is integral, else a ``Fraction``."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
+
+
+def ratio_json(num: int, den: int) -> list:
+    """:func:`number_json` of ``num / den``, without building a Fraction."""
+    if den == 1:
+        return [num, 1]
+    g = math.gcd(num, den)
+    return [num // g, den // g]

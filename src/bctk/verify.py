@@ -56,7 +56,8 @@ from .systems import (
 MAX_DIM = 32
 
 # Every random weight is a multiple of 1/WEIGHT_GRID, so the suites' values
-# are dyadic with small denominators.
+# are dyadic with small denominators; the generators build their objects on
+# this denominator directly.
 WEIGHT_GRID = 16
 
 
@@ -97,12 +98,16 @@ def trial_rng(cfg: RunConfig, suite: str, index: int) -> random.Random:
 # ---------------------------------------------------------------------------
 
 
-def rand_distribution(rng: random.Random, n: int, normalised: bool = True) -> tuple:
-    """An exact random distribution on the weight grid via integer cut points."""
+def _grid_counts(rng: random.Random, n: int, normalised: bool) -> list[int]:
+    """Numerators over WEIGHT_GRID of a random distribution, via integer cut points."""
     total = WEIGHT_GRID if normalised else rng.randint(0, WEIGHT_GRID)
     cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
-    counts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    return tuple(Fraction(c, WEIGHT_GRID) for c in counts)
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def rand_distribution(rng: random.Random, n: int, normalised: bool = True) -> tuple:
+    """An exact random distribution on the weight grid via integer cut points."""
+    return tuple(Fraction(c, WEIGHT_GRID) for c in _grid_counts(rng, n, normalised))
 
 
 def rand_shape(rng: random.Random, max_dim: int, max_factors: int = 2,
@@ -116,12 +121,12 @@ def rand_shape(rng: random.Random, max_dim: int, max_factors: int = 2,
 
 def rand_state(rng: random.Random, shape: SystemShape,
                deterministic: bool = False) -> State:
-    return State(shape, rand_distribution(rng, shape.global_dim, normalised=deterministic))
+    return State(shape, _grid_counts(rng, shape.global_dim, deterministic), den=WEIGHT_GRID)
 
 
 def rand_effect(rng: random.Random, shape: SystemShape) -> Effect:
-    return Effect(shape, tuple(Fraction(rng.randint(0, WEIGHT_GRID), WEIGHT_GRID)
-                               for _ in range(shape.global_dim)))
+    return Effect(shape, [rng.randint(0, WEIGHT_GRID) for _ in range(shape.global_dim)],
+                  den=WEIGHT_GRID)
 
 
 def rand_tensor(rng: random.Random, in_shape: SystemShape, out_shape: SystemShape,
@@ -136,11 +141,11 @@ def rand_tensor(rng: random.Random, in_shape: SystemShape, out_shape: SystemShap
         targets = set()
         while len(targets) < k:
             targets.add((rng.randint(1, n_out), rng.randint(0, 1)))
-        weights = rand_distribution(rng, k, normalised=channel)
-        for (dst, flip), w in zip(sorted(targets), weights):
-            if w != 0:
-                coeffs[(src, dst, flip)] = w
-    return Transformation(in_shape, out_shape, coeffs)
+        counts = _grid_counts(rng, k, normalised=channel)
+        for (dst, flip), c in zip(sorted(targets), counts):
+            if c != 0:
+                coeffs[(src, dst, flip)] = c
+    return Transformation(in_shape, out_shape, coeffs, den=WEIGHT_GRID)
 
 
 def rand_channel(rng: random.Random, in_shape: SystemShape,
@@ -419,15 +424,15 @@ def _explicit_lift(t: Transformation, right: SystemShape) -> Transformation:
     pairing bit picks up the term's section shift."""
     # The input label fixes (src, q2, s) and the output label then fixes dst
     # and flip, so no two terms share a key; each weight is one of t's.
-    coeffs = {
+    nums = {
         (pair_label(t.in_shape, right, src, q2, s),
-         pair_label(t.out_shape, right, dst, q2, s ^ flip), flip): w
-        for (src, dst, flip), w in t.coeffs.items()
+         pair_label(t.out_shape, right, dst, q2, s ^ flip), flip): n
+        for (src, dst, flip), n in t.nums.items()
         for q2 in range(1, right.global_dim + 1)
         for s in (0, 1)
     }
-    return Transformation._from_coeffs(t.in_shape.compose(right),
-                                       t.out_shape.compose(right), coeffs)
+    return Transformation._from_nums(t.in_shape.compose(right),
+                                     t.out_shape.compose(right), nums, t.den)
 
 
 def suite_diagram(cfg: RunConfig) -> Report:

@@ -485,3 +485,51 @@ def test_import_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("lct", "refute", "--random", "50", "--seed", "3"),
+     "5fa43f948db38c3eb9628646903ad6264885204c1dfd53d57db4cc3e4190e2c4"),
+    (("lct", "demo"), "69dd85257fd0fedae8d373d75897388199eb75583e4f9132497754ee42865b39"),
+    (("lct", "refute"), "0dba41b7a5694c1a8d3b11bd80b93df3baf95351faa8886c7e0ca249ecfb086c"),
+])
+def test_lct_bytes_are_pinned(args, digest, capsys):
+    # Measured while the jellyfish map still held Fraction cells.
+    assert cli.main(list(args)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("eval", "coprime_denominators.bct"),
+     "8c09bbc05c81c1dbf2c80d461d7dbd66a872682272a292fe4ac48c38a698707e"),
+    (("embed", "coprime_denominators.bct", "--gate", "g0"),
+     "c92493abced88e2c2bebe5a8598c7496bff25569f1c6f99d7683ce50a816b216"),
+    (("lct", "refute", "--model", "coprime_denominators_candidate.json"),
+     "e86cc9a5b9043128f4f05a8dc3641f9d65040bec22c78606f711d7ebe38ca4a5"),
+])
+def test_coprime_denominator_inputs_keep_their_bytes(args, digest, capsys):
+    # Eighteen distinct 30-digit prime denominators, so one shared denominator
+    # is a 540-digit lcm; measured while every weight was its own Fraction.
+    argv = [os.path.join(DATA, a) if a.startswith("coprime") else a for a in args]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [("verify", "--trials", "5"),
+                                  ("lct", "demo", "--d1", "6", "--d2", "6")])
+def test_closed_stdout_ends_quietly(args):
+    # The read end is closed before the command starts, so its first write
+    # fails whatever the timing.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bctk", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
