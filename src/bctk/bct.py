@@ -9,7 +9,7 @@ per-input sums at most one (exactly one for channels), which is precisely
 substochasticity of the image under the ontological model.
 
 Weights live on an integer lattice.  A :class:`Transformation` stores
-``nums``, a dict from ``(src, dst, flip)`` to a positive ``int``, and a
+``nums``, a mapping from ``(src, dst, flip)`` to a positive ``int``, and a
 :class:`State`/:class:`Effect` stores ``nums``, a tuple of ``int``; each
 object has one denominator ``den >= 1`` with ``gcd(den, *nums) == 1`` (an
 empty object has ``den == 1``), so ``==`` and ``hash`` compare plain fields.
@@ -26,7 +26,12 @@ weights (``scale``, ``add``, ``atomic``, ``recompose``) take exact
 optional ``den`` gives the values as numerators over ``den``.  Kernel
 operations build their results through ``Transformation._from_nums`` and
 ``_Vector._from_nums``, which check nothing: each such result is valid by
-construction, for the reason given at its call site.  ``t.coeffs``,
+construction, for the reason given at its call site.  ``_Vector.scale``
+by a weight in ``[0, 1]`` builds its result the same way.
+
+The per-shape constants ``identity``, ``swap`` and the pure states and
+effects are built once and cached.  They are shared, so a cached
+transformation's ``nums`` is a read-only ``MappingProxyType``.  ``t.coeffs``,
 ``v.weights``, ``nonzero()``, ``pair`` and ``to_json`` read values back out,
 as an ``int`` when integral and a ``Fraction`` otherwise, and no kernel
 operation reads them.
@@ -39,7 +44,9 @@ application, swaps and parallel composition are all label arithmetic via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 
 from .scalars import (
     exact,
@@ -101,6 +108,10 @@ class _Vector:
 
     def scale(self, p):
         (pn,), pd = lattice((p,))
+        if pn == pd:
+            return self
+        if 0 <= pn <= pd:
+            return _scaled(self, pn, pd)
         return type(self)(self.shape, [pn * n for n in self.nums], den=self.den * pd)
 
     def nonzero(self):
@@ -146,7 +157,11 @@ class Effect(_Vector):
 
 
 def _pure(cls, shape: SystemShape, label):
-    q = flatten_label(shape, as_label(label))
+    return _pure_vector(cls, shape, flatten_label(shape, as_label(label)))
+
+
+@lru_cache(maxsize=None)
+def _pure_vector(cls, shape: SystemShape, q: int):
     out = [0] * shape.global_dim
     out[q - 1] = 1
     # One weight 1, the rest 0: a deterministic state and an effect in [0, 1].
@@ -377,11 +392,13 @@ def atomic(in_shape: SystemShape, out_shape: SystemShape, src, dst, flip: int,
     return Transformation(in_shape, out_shape, {(s, d, flip): weight})
 
 
+@lru_cache(maxsize=None)
 def identity(shape: SystemShape) -> Transformation:
     _require_nontrivial(shape, shape)
-    # One weight-1 term per input.
+    # One weight-1 term per input; cached, so its terms are read-only.
     return Transformation._from_nums(
-        shape, shape, {(q, q, 0): 1 for q in range(1, shape.global_dim + 1)}, 1
+        shape, shape,
+        MappingProxyType({(q, q, 0): 1 for q in range(1, shape.global_dim + 1)}), 1
     )
 
 
@@ -429,6 +446,7 @@ def par_with_identity(t: Transformation, right: SystemShape) -> Transformation:
     return t if right.is_trivial else compose_par(t, identity(right))
 
 
+@lru_cache(maxsize=None)
 def swap(left: SystemShape, right: SystemShape) -> Transformation:
     """The symmetric swap; its section shift equals the pairing bit."""
     if left.is_trivial or right.is_trivial:
@@ -444,8 +462,9 @@ def swap(left: SystemShape, right: SystemShape) -> Transformation:
                         s,
                     )
                 ] = 1
-    # A relabelling: one weight-1 term per input.
-    return Transformation._from_nums(left.compose(right), right.compose(left), coeffs, 1)
+    # A relabelling: one weight-1 term per input; cached, so its terms are read-only.
+    return Transformation._from_nums(left.compose(right), right.compose(left),
+                                     MappingProxyType(coeffs), 1)
 
 
 def compose_par(t1: Transformation, t2: Transformation) -> Transformation:

@@ -161,6 +161,13 @@ def _instance_from_args(args) -> lct.LctInstance:
     return lct.make_instance(args.d1, args.d2, args.dl, kappa)
 
 
+def _random_candidates(inst: lct.LctInstance, n: int, seed: int):
+    """``(name, candidate)`` for the seeded random candidates, one at a time."""
+    for idx in range(n):
+        rng = random.Random(verify.derive_seed(seed, "lct", idx))
+        yield f"random-{idx}", lct.random_candidate(rng, inst)
+
+
 def cmd_lct(args) -> int:
     if args.action == "demo":
         given = [flag for flag, value in (("--candidate", args.candidate),
@@ -199,18 +206,16 @@ def cmd_lct(args) -> int:
         )
         return EXIT_OK
 
-    candidates: list[tuple[str, lct.CandidateModel]] = []
     spec = args.model or args.candidate or "builtin:bct-style"
     if args.random is not None:
-        for idx in range(args.random):
-            rng = random.Random(verify.derive_seed(args.seed or 0, "lct", idx))
-            candidates.append((f"random-{idx}", lct.random_candidate(rng, inst)))
+        # Drawn lazily: each candidate is falsified and dropped before the next.
+        candidates = _random_candidates(inst, args.random, args.seed or 0)
     elif spec == "builtin:bct-style":
-        candidates.append((spec, lct.bct_style_candidate(inst)))
+        candidates = [(spec, lct.bct_style_candidate(inst))]
     else:
         try:
             data = json.loads(Path(spec).read_text())
-            candidates.append((spec, lct.CandidateModel.from_json(data)))
+            candidates = [(spec, lct.CandidateModel.from_json(data))]
         except (OSError, ValueError) as exc:
             _err(f"cannot load candidate {spec}: {exc}")
             return EXIT_INPUT
@@ -231,7 +236,7 @@ def cmd_lct(args) -> int:
     _dump(
         {
             "instance": inst.to_json(),
-            "candidates": len(candidates),
+            "candidates": fatal + violations,
             "violations": violations,
             "violations_by_axiom": by_axiom,
             "fatal_inconsistencies": fatal,

@@ -55,7 +55,7 @@ from functools import reduce
 from . import bct, classical, ontic
 from .bct import Effect, State, Transformation
 from .scalars import number_json, number_text, parse_number
-from .systems import PureLabel, SystemShape, flatten_label
+from .systems import PureLabel, SystemShape, flatten_label, label_text
 
 # Largest ontic dimension of a declared system or of a circuit wire.  Images
 # are sparse, but ``embed`` and ``eval`` print an open map as dense D x D JSON
@@ -715,14 +715,6 @@ def eval_ontic(ast: CircuitAst, name: str):
 # ---------------------------------------------------------------------------
 # pretty printing
 # ---------------------------------------------------------------------------
-
-
-def label_text(label: PureLabel) -> str:
-    """DSL syntax of a pure label, e.g. ``((1,2);0)``."""
-    core = str(label.indices[0])
-    for idx, bit in zip(label.indices[1:], label.sections):
-        core = f"({core},{idx});{bit}"
-    return f"({core})"
 
 
 def _terms_str(terms) -> str:

@@ -145,6 +145,14 @@ def as_label(label) -> PureLabel:
     return PureLabel(tuple(label[0]), tuple(label[1]))
 
 
+def label_text(label: PureLabel) -> str:
+    """DSL syntax of a pure label, e.g. ``((1,2);0)``."""
+    core = str(label.indices[0])
+    for idx, bit in zip(label.indices[1:], label.sections):
+        core = f"({core},{idx});{bit}"
+    return f"({core})"
+
+
 def flatten_label(shape: SystemShape, label) -> int:
     """Global index in ``[1..N]`` of a pure label, by left-nested pair folding."""
     return _flatten_cached(shape, as_label(label))

@@ -31,7 +31,6 @@ from .bct import (
     par_with_identity,
 )
 from .classical import ClassicalMap
-from .dsl import label_text
 from .ontic import ontic_effect, ontic_map, ontic_state
 from .scalars import number_json, number_text
 from .systems import (
@@ -41,6 +40,7 @@ from .systems import (
     all_labels,
     flatten_label,
     flatten_right_nested,
+    label_text,
     pair_label,
     q_decode,
     q_encode,

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bctk import bct, cli, dsl, ontic, verify
+from bctk import bct, cli, dsl, lct, ontic, verify
 from bctk.systems import PureLabel, SystemShape, unflatten_label
 
 PRODUCT_CIRCUIT = """\
@@ -189,6 +189,29 @@ def test_lct_refute_random_sweep():
     assert payload["candidates"] == 100
     assert payload["violations"] == 100
     assert payload["fatal_inconsistencies"] == 0
+
+
+def test_lct_refute_random_streams_its_candidates(monkeypatch, capsys):
+    # Each candidate is drawn, falsified and dropped before the next one is
+    # drawn, so memory does not grow with --random.
+    calls = []
+    draw, falsify = lct.random_candidate, lct.falsify
+
+    def logged_draw(rng, inst):
+        calls.append("draw")
+        return draw(rng, inst)
+
+    def logged_falsify(cand, inst):
+        calls.append("falsify")
+        return falsify(cand, inst)
+
+    monkeypatch.setattr(lct, "random_candidate", logged_draw)
+    monkeypatch.setattr(lct, "falsify", logged_falsify)
+    assert cli.main(["lct", "refute", "--random", "12", "--seed", "3"]) == 0
+    assert calls == ["draw", "falsify"] * 12
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["candidates"] == 12
+    assert len(payload["certificates"]) == 10
 
 
 def test_lct_fabricated_candidate_exits_four(tmp_path):
@@ -487,6 +510,17 @@ def test_import_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_verify_does_not_import_dsl():
+    # The suites sit below the DSL: they print labels through systems.label_text.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bctk.verify; print('bctk.dsl' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert dsl.label_text is verify.label_text
+
+
 @pytest.mark.parametrize("args, digest", [
     (("lct", "refute", "--random", "50", "--seed", "3"),
      "5fa43f948db38c3eb9628646903ad6264885204c1dfd53d57db4cc3e4190e2c4"),
@@ -508,13 +542,16 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     (("embed", "coprime_denominators.bct", "--gate", "g0"),
      "c92493abced88e2c2bebe5a8598c7496bff25569f1c6f99d7683ce50a816b216"),
     (("lct", "refute", "--model", "coprime_denominators_candidate.json"),
-     "e86cc9a5b9043128f4f05a8dc3641f9d65040bec22c78606f711d7ebe38ca4a5"),
+     "8f4f73bf3adb1d7e7c3151c88763ce3a32b09a254f7b6c2367927603492fb201"),
 ])
-def test_coprime_denominator_inputs_keep_their_bytes(args, digest, capsys):
+def test_coprime_denominator_inputs_keep_their_bytes(args, digest, capsys, monkeypatch):
     # Eighteen distinct 30-digit prime denominators, so one shared denominator
     # is a 540-digit lcm; measured while every weight was its own Fraction.
-    argv = [os.path.join(DATA, a) if a.startswith("coprime") else a for a in args]
-    assert cli.main(argv) == 0
+    # The lct report names the candidate file as given, so the files are
+    # given by bare name from their own directory, wherever the checkout is;
+    # the lct pin was re-measured that way on integer-lattice weights.
+    monkeypatch.chdir(DATA)
+    assert cli.main(list(args)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

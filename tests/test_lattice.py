@@ -9,7 +9,9 @@ denominators meet in every product and sum.
 
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -17,7 +19,7 @@ from hypothesis import given, seed, settings, strategies as st
 from bctk import bct, classical, ontic
 from bctk.bct import Effect, State, Transformation
 from bctk.classical import ClassicalMap
-from bctk.systems import SystemShape, pair_label
+from bctk.systems import SystemShape, all_labels, pair_label
 
 SHAPES = [SystemShape(e) for e in ((2,), (3,), (4,), (2, 2), (2, 3), (3, 2))]
 
@@ -31,7 +33,7 @@ def _assert_lowest(obj, values) -> None:
     factor is left between it and the numerators, and an empty object has 1."""
     assert obj.den >= 1
     assert obj.den == math.lcm(*(_den(v) for v in values))
-    numerators = obj.nums.values() if isinstance(obj.nums, dict) else obj.nums
+    numerators = obj.nums.values() if isinstance(obj.nums, Mapping) else obj.nums
     assert math.gcd(obj.den, *numerators) == 1
     assert all(type(n) is int for n in numerators)
 
@@ -395,3 +397,85 @@ def test_constructors_check_in_integers_with_unchanged_messages():
         State(s2, (0, 0), den=0)
     with pytest.raises(TypeError, match="exact number"):
         State(s2, (0.5, 0))
+
+
+# ---------------------------------------------------------------------------
+# cached per-shape constants
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_cached_identity_is_its_construction(shape):
+    cached = bct.identity(shape)
+    assert bct.identity(shape) is cached
+    assert cached == bct.identity.__wrapped__(shape)
+    _check_transformation(cached, {(q, q, 0): 1 for q in range(1, shape.global_dim + 1)})
+
+
+@pytest.mark.parametrize("left, right", list(product(SHAPES, repeat=2)), ids=str)
+def test_cached_swap_is_its_construction(left, right):
+    cached = bct.swap(left, right)
+    assert bct.swap(left, right) is cached
+    assert cached == bct.swap.__wrapped__(left, right)
+    _check_transformation(cached, {
+        (pair_label(left, right, q1, q2, s), pair_label(right, left, q2, q1, s), s): 1
+        for q1 in range(1, left.global_dim + 1)
+        for q2 in range(1, right.global_dim + 1)
+        for s in (0, 1)})
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_cached_pure_vectors_equal_fresh_ones(shape):
+    for q, lab in enumerate(all_labels(shape), start=1):
+        weights = tuple(int(k == q) for k in range(1, shape.global_dim + 1))
+        forms = [lab, (list(lab.indices), list(lab.sections))]
+        if shape.num_factors == 1:
+            forms.append(lab.indices[0])
+        for cls, pure in ((State, bct.pure_state), (Effect, bct.pure_effect)):
+            cached = pure(shape, lab)
+            assert type(cached) is cls
+            _check_vector(cached, weights)
+            assert cached == cls(shape, weights)
+            # Every form of one label is one cache entry.
+            assert all(pure(shape, form) is cached for form in forms)
+
+
+def test_cached_values_are_read_only():
+    s2, s3 = SystemShape((2,)), SystemShape((3,))
+    with pytest.raises(TypeError):
+        bct.identity(s2).nums[(1, 2, 0)] = 1
+    with pytest.raises(TypeError):
+        del bct.swap(s2, s3).nums[min(bct.swap(s2, s3).nums)]
+    with pytest.raises(AttributeError):
+        bct.pure_state(s2, 1).nums = (0, 1)
+    assert bct.identity(s2).coeffs == {(1, 1, 0): 1, (2, 2, 0): 1}
+    assert bct.pure_state(s2, 1).weights == (1, 0)
+
+
+@given(st.integers(0, 2**32 - 1), st.fractions(0, 1, max_denominator=97))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_scale_equals_the_validating_path(case, p):
+    rng = random.Random(case)
+    shape = rng.choice(SHAPES)
+    for v in (State(shape, _rand_state_weights(rng, shape)),
+              Effect(shape, _rand_effect_weights(rng, shape)),
+              bct.pure_state(shape, rng.choice(list(all_labels(shape))))):
+        scaled = v.scale(p)
+        assert scaled == type(v)(shape, [p * w for w in v.weights])
+        _check_vector(scaled, [p * w for w in v.weights])
+    assert v.scale(1) is v and v.scale(Fraction(1)) is v
+
+
+def test_scale_outside_the_unit_interval_still_validates():
+    s2 = SystemShape((2,))
+    half = State(s2, (Fraction(1, 4), Fraction(1, 4)))
+    assert half.scale(2) == State(s2, (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="at most 1"):
+        half.scale(Fraction(5, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        half.scale(-1)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        bct.pure_effect(s2, 1).scale(2)
+    for p in (1.0, 0.5, 0.0):
+        with pytest.raises(TypeError, match="exact number"):
+            half.scale(p)
