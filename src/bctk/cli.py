@@ -195,7 +195,7 @@ def cmd_lct(args) -> int:
                 value = lct.pairing_value(inst, lct.product_state(inst, sigma, tau))
                 worst = max(worst, abs(value))
                 table.append({"sigma": i, "tau": j, "value": number_json(value)})
-        pairing = lct.pairing_value(inst, lct.beta_state(inst))
+        pairing = inst.theory_pairing
         _dump(
             {
                 "instance": inst.to_json(),

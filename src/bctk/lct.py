@@ -10,6 +10,17 @@ pairing to the trace of that map, which kills every candidate classical
 embedding: either the jellyfish image fails to vanish (diagram preservation
 broken) or the model pairing is zero while the theory's is not (probability
 preservation broken).
+
+A :class:`CandidateModel` stores each of its vectors on the integer lattice
+of :mod:`bctk.scalars`: integer numerators over one positive denominator, in
+lowest terms.  Values enter once, through :func:`~bctk.scalars.lattice`, in
+the public constructor; ``xi_beta``, ``xi_b``, ``xi_sigma``, ``xi_tau`` and
+``to_json`` read them back out, as an ``int`` when integral and a
+``Fraction`` otherwise.  Validation, :func:`jellyfish_matrix`,
+:func:`model_pairing` and the product-annihilation check of :func:`falsify`
+run on the integers.  The theory pairing ``(b|beta)`` depends only on the
+instance, so :attr:`LctInstance.theory_pairing` computes it once per
+instance, through the module-level :func:`pairing_value`.
 """
 
 from __future__ import annotations
@@ -17,9 +28,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .classical import ClassicalMap, choi_close
-from .scalars import lattice, number_from_json, number_json, reduce_dict
+from .scalars import (
+    exact,
+    lattice,
+    number_from_json,
+    number_json,
+    ratio_json,
+    reduce_dict,
+    reduce_tuple,
+)
 
 
 # Input caps: the jellyfish matrix can fill all ``L2 x L2`` cells and
@@ -50,6 +71,12 @@ class LctInstance:
     @property
     def composite_dim(self) -> int:
         return self.dL * self.d1 * self.d2
+
+    @cached_property
+    def theory_pairing(self):
+        """``(b|beta)`` for the annihilator and :func:`beta_state`, computed
+        once per instance."""
+        return pairing_value(self, beta_state(self))
 
     def to_json(self) -> dict:
         return {
@@ -118,7 +145,28 @@ def pairing_value(inst: LctInstance, beta):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _lattice_vector(values) -> tuple:
+    """Exact values as ``(nums, den)``: a tuple of integer numerators over one
+    positive denominator, in lowest terms -- over the lcm of the reduced
+    values' denominators, no prime divides ``den`` and every numerator."""
+    nums, den = lattice(values)
+    return tuple(nums), den
+
+
+def _check_substate(vec, what: str) -> None:
+    nums, den = vec
+    if any(n < 0 for n in nums) or sum(nums) > den:
+        raise ValueError(f"{what} must be a subnormalised distribution")
+
+
+def _view(vec):
+    if vec is None:
+        return None
+    nums, den = vec
+    return nums if den == 1 else tuple(exact(n, den) for n in nums)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class CandidateModel:
     """The minimal data the no-go argument touches.
 
@@ -126,50 +174,100 @@ class CandidateModel:
     parallel-composition preservation forces this), the image of one
     composite state with non-zero theory pairing, and the image of the
     annihilating effect.  ``theory_pairing`` is the scalar the theory assigns
-    to that state/effect pair; when omitted it is computed from the instance.
+    to that state/effect pair; when omitted, :func:`falsify` takes the
+    instance's.  ``xi_sigma``/``xi_tau`` optionally give the images of the
+    two marginals of a product state, both or neither.
+
+    Each vector is stored as ``(nums, den)`` -- ``beta``, ``b``, ``sigma``
+    and ``tau`` -- in lowest terms, and ``theory_pairing`` as an exact
+    scalar, so ``==`` and ``hash`` compare the canonical form:
+    ``xi_b=(Fraction(4, 4), Fraction(2, 4))`` and ``xi_b=(1, Fraction(1,
+    2))`` give equal candidates.  ``xi_beta``, ``xi_b``, ``xi_sigma`` and
+    ``xi_tau`` are read-only views of the exact values.  Entries must be
+    ``int`` or ``Fraction``; anything else raises ``TypeError``.
     """
 
     L1: int
     L2: int
-    xi_beta: tuple
-    xi_b: tuple
-    theory_pairing: object = None
-    xi_sigma: tuple | None = None
-    xi_tau: tuple | None = None
+    beta: tuple
+    b: tuple
+    theory_pairing: object
+    sigma: tuple | None
+    tau: tuple | None
 
-    def __post_init__(self):
-        if any(type(d) is not int or d < 1 for d in (self.L1, self.L2)):
+    def __init__(self, L1: int, L2: int, xi_beta, xi_b, theory_pairing=None,
+                 xi_sigma=None, xi_tau=None):
+        if any(type(d) is not int or d < 1 for d in (L1, L2)):
             raise ValueError("L1 and L2 must be positive integers")
-        if self.L2 > MAX_L2:
-            raise ValueError(f"L2 = {self.L2} exceeds {MAX_L2}")
-        object.__setattr__(self, "xi_beta", tuple(self.xi_beta))
-        object.__setattr__(self, "xi_b", tuple(self.xi_b))
-        if len(self.xi_beta) != self.L1 * self.L2:
+        if L2 > MAX_L2:
+            raise ValueError(f"L2 = {L2} exceeds {MAX_L2}")
+        beta, b = _lattice_vector(xi_beta), _lattice_vector(xi_b)
+        if len(beta[0]) != L1 * L2:
             raise ValueError("xi_beta must live on the product ontic space L1*L2")
-        if len(self.xi_b) != self.L1 * self.L2:
+        if len(b[0]) != L1 * L2:
             raise ValueError("xi_b must live on the product ontic space L1*L2")
-        if any(v < 0 for v in self.xi_beta) or sum(self.xi_beta, 0) > 1:
-            raise ValueError("xi_beta must be a subnormalised distribution")
-        if any(v < 0 or v > 1 for v in self.xi_b):
+        _check_substate(beta, "xi_beta")
+        if any(n < 0 or n > b[1] for n in b[0]):
             raise ValueError("xi_b entries must lie in [0, 1]")
-        if self.xi_sigma is not None:
-            object.__setattr__(self, "xi_sigma", tuple(self.xi_sigma))
-            if len(self.xi_sigma) != self.L1:
+        if theory_pairing is not None:
+            (num,), den = lattice((theory_pairing,))
+            theory_pairing = exact(num, den)
+        if (xi_sigma is None) != (xi_tau is None):
+            raise ValueError("xi_sigma and xi_tau come together or not at all")
+        sigma = tau = None
+        if xi_sigma is not None:
+            sigma, tau = _lattice_vector(xi_sigma), _lattice_vector(xi_tau)
+            if len(sigma[0]) != L1:
                 raise ValueError("xi_sigma must live on the first ontic factor")
-        if self.xi_tau is not None:
-            object.__setattr__(self, "xi_tau", tuple(self.xi_tau))
-            if len(self.xi_tau) != self.L2:
+            if len(tau[0]) != L2:
                 raise ValueError("xi_tau must live on the second ontic factor")
+            _check_substate(sigma, "xi_sigma")
+            _check_substate(tau, "xi_tau")
+        self._fill(L1, L2, beta, b, theory_pairing, sigma, tau)
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):  # in field order
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_nums(cls, L1: int, L2: int, beta: tuple, b: tuple,
+                   theory_pairing=None) -> "CandidateModel":
+        """Kernel constructor: ``L1 >= 1``, ``1 <= L2 <= MAX_L2``, ``beta`` a
+        subnormalised and ``b`` a ``[0, 1]`` vector of ``L1 * L2``
+        numerators, each ``(nums, den)`` in lowest terms, and an exact
+        ``theory_pairing``."""
+        c = object.__new__(cls)
+        c._fill(L1, L2, beta, b, theory_pairing, None, None)
+        return c
+
+    @property
+    def xi_beta(self) -> tuple:
+        return _view(self.beta)
+
+    @property
+    def xi_b(self) -> tuple:
+        return _view(self.b)
+
+    @property
+    def xi_sigma(self) -> tuple | None:
+        return _view(self.sigma)
+
+    @property
+    def xi_tau(self) -> tuple | None:
+        return _view(self.tau)
 
     def to_json(self) -> dict:
-        data = {
-            "L1": self.L1,
-            "L2": self.L2,
-            "xi_beta": [number_json(v) for v in self.xi_beta],
-            "xi_b": [number_json(v) for v in self.xi_b],
-        }
+        def vector(vec):
+            nums, den = vec
+            return [ratio_json(n, den) for n in nums]
+
+        data = {"L1": self.L1, "L2": self.L2,
+                "xi_beta": vector(self.beta), "xi_b": vector(self.b)}
         if self.theory_pairing is not None:
             data["theory_pairing"] = number_json(self.theory_pairing)
+        if self.sigma is not None:
+            data["xi_sigma"] = vector(self.sigma)
+            data["xi_tau"] = vector(self.tau)
         return data
 
     @classmethod
@@ -180,19 +278,21 @@ class CandidateModel:
         for key in ("L1", "L2", "xi_beta", "xi_b"):
             if key not in data:
                 raise ValueError(f"candidate lacks {key!r}")
-        for key in ("xi_beta", "xi_b"):
-            if not isinstance(data[key], list):
-                raise ValueError(f"{key} must be a list of numbers")
+        vectors = {}
+        for key in ("xi_beta", "xi_b", "xi_sigma", "xi_tau"):
+            if key in data:
+                if not isinstance(data[key], list):
+                    raise ValueError(f"{key} must be a list of numbers")
+                vectors[key] = tuple(number_from_json(v) for v in data[key])
         return cls(
             L1=data["L1"],
             L2=data["L2"],
-            xi_beta=tuple(number_from_json(v) for v in data["xi_beta"]),
-            xi_b=tuple(number_from_json(v) for v in data["xi_b"]),
             theory_pairing=(
                 number_from_json(data["theory_pairing"])
                 if "theory_pairing" in data
                 else None
             ),
+            **vectors,
         )
 
 
@@ -204,9 +304,8 @@ def jellyfish_matrix(cand: CandidateModel) -> ClassicalMap:
     ``M[y, x] = sum_a xi_beta[a, y] * xi_b[a, x]``.
     """
     L2 = cand.L2
-    # The candidate's exact vectors enter the lattice once each.
-    b_nums, b_den = lattice(cand.xi_b)
-    beta_nums, beta_den = lattice(cand.xi_beta)
+    b_nums, b_den = cand.b
+    beta_nums, beta_den = cand.beta
     cells: dict = {}
     for base in range(0, cand.L1 * L2, L2):
         xs = [(x, v) for x, v in enumerate(b_nums[base:base + L2]) if v != 0]
@@ -219,7 +318,9 @@ def jellyfish_matrix(cand: CandidateModel) -> ClassicalMap:
 
 
 def model_pairing(cand: CandidateModel):
-    return sum((a * b for a, b in zip(cand.xi_b, cand.xi_beta)), 0)
+    """``xi_b . xi_beta``, the pairing the model assigns to the theory's pair."""
+    (b_nums, b_den), (beta_nums, beta_den) = cand.b, cand.beta
+    return exact(sum(map(mul, b_nums, beta_nums)), b_den * beta_den)
 
 
 @dataclass(frozen=True)
@@ -259,19 +360,18 @@ def falsify(cand: CandidateModel, inst: LctInstance) -> ViolationCertificate:
     """
     theory = cand.theory_pairing
     if theory is None:
-        theory = pairing_value(inst, beta_state(inst))
+        theory = inst.theory_pairing
     m = jellyfish_matrix(cand)
-    model = model_pairing(cand)
     trace = choi_close(m)
 
-    if cand.xi_sigma is not None and cand.xi_tau is not None:
-        product_image = _kron(cand.xi_sigma, cand.xi_tau)
-        product = sum((b * v for b, v in zip(cand.xi_b, product_image)), 0)
+    if cand.sigma is not None:
+        (b_nums, b_den), (s_nums, s_den), (t_nums, t_den) = cand.b, cand.sigma, cand.tau
+        product = sum(map(mul, b_nums, _kron(s_nums, t_nums)))
         if product != 0:
             return ViolationCertificate(
                 violation="product-annihilation",
                 witness="xi_b . (xi_sigma (x) xi_tau)",
-                lhs=product,
+                lhs=exact(product, b_den * s_den * t_den),
                 rhs=0,
                 trace_identity=trace,
             )
@@ -286,6 +386,7 @@ def falsify(cand: CandidateModel, inst: LctInstance) -> ViolationCertificate:
             rhs=0,
             trace_identity=trace,
         )
+    model = model_pairing(cand)
     if model != theory:
         return ViolationCertificate(
             violation="probability-preservation",
@@ -313,19 +414,12 @@ def bct_style_candidate(inst: LctInstance) -> CandidateModel:
     forces a non-zero jellyfish image.
     """
     L1, L2 = 2 * inst.d1, 2 * inst.d2
-    factor1 = [0] * L1
-    factor1[0] = Fraction(1, 2)
-    factor1[1] = Fraction(1, 2)
-    factor2 = [0] * L2
-    factor2[0] = Fraction(1, 2)
-    factor2[1] = Fraction(1, 2)
-    return CandidateModel(
-        L1=L1,
-        L2=L2,
-        xi_beta=_kron(factor1, factor2),
-        xi_b=(1,) * (L1 * L2),
-        theory_pairing=pairing_value(inst, beta_state(inst)),
-    )
+    bits1 = (1, 1) + (0,) * (L1 - 2)
+    bits2 = (1, 1) + (0,) * (L2 - 2)
+    # Four entries 1/4: a normalised state; all-ones lies in [0, 1].  L2 = 2*d2
+    # is within MAX_L2 because the instance's composite dimension is capped.
+    return CandidateModel._from_nums(L1, L2, (_kron(bits1, bits2), 4),
+                                     ((1,) * (L1 * L2), 1), inst.theory_pairing)
 
 
 def random_candidate(rng: random.Random, inst: LctInstance) -> CandidateModel:
@@ -334,7 +428,8 @@ def random_candidate(rng: random.Random, inst: LctInstance) -> CandidateModel:
     L2 = rng.randint(2, 6)
     dim = L1 * L2
     cuts = sorted(rng.randint(0, 16) for _ in range(dim - 1))
-    counts = [b - a for a, b in zip([0] + cuts, cuts + [16])]
-    xi_beta = tuple(Fraction(c, 16) for c in counts)
-    xi_b = tuple(Fraction(rng.randint(0, 16), 16) for _ in range(dim))
-    return CandidateModel(L1=L1, L2=L2, xi_beta=xi_beta, xi_b=xi_b)
+    counts = tuple(b - a for a, b in zip([0] + cuts, cuts + [16]))
+    b_counts = tuple(rng.randint(0, 16) for _ in range(dim))
+    # Counts over 16: nonnegative and summing to 16, and each in [0, 16].
+    return CandidateModel._from_nums(L1, L2, reduce_tuple(counts, 16),
+                                     reduce_tuple(b_counts, 16))

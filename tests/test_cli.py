@@ -228,6 +228,32 @@ def test_lct_fabricated_candidate_exits_four(tmp_path):
     assert payload["fatal_inconsistencies"] == 1
 
 
+def test_lct_model_with_product_images_reaches_product_annihilation(tmp_path):
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({
+        "L1": 2, "L2": 2,
+        "xi_beta": [[1, 2], [1, 2], [0, 1], [0, 1]],
+        "xi_b": [[0, 1], [0, 1], [1, 1], [1, 1]],
+        "xi_sigma": [[1, 2], [1, 2]],
+        "xi_tau": [[1, 2], [1, 2]],
+    }))
+    proc = run_cli("lct", "refute", "--model", str(path))
+    assert proc.returncode == 0, proc.stderr
+    cert = json.loads(proc.stdout)["certificates"][0]["certificate"]
+    assert cert["violation"] == "product-annihilation"
+    assert cert["lhs"] == [1, 2]
+
+
+def test_lct_model_with_one_product_image_exits_one(tmp_path):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({
+        "L1": 2, "L2": 2, "xi_beta": [1, 0, 0, 0], "xi_b": [1, 1, 1, 1],
+        "xi_sigma": [[1, 2], [1, 2]],
+    }))
+    _assert_clean_rejection(run_cli("lct", "refute", "--model", str(path)),
+                            "xi_sigma and xi_tau come together")
+
+
 def test_lct_custom_instance():
     proc = run_cli("lct", "demo", "--d1", "3", "--d2", "2", "--dl", "3",
                    "--kappa", "1/2,1/2,0")
@@ -526,9 +552,13 @@ def test_verify_does_not_import_dsl():
      "5fa43f948db38c3eb9628646903ad6264885204c1dfd53d57db4cc3e4190e2c4"),
     (("lct", "demo"), "69dd85257fd0fedae8d373d75897388199eb75583e4f9132497754ee42865b39"),
     (("lct", "refute"), "0dba41b7a5694c1a8d3b11bd80b93df3baf95351faa8886c7e0ca249ecfb086c"),
+    # Every L1, L2 in 2..6 that random candidates draw.
+    (("lct", "refute", "--random", "3000", "--seed", "5"),
+     "45b6926f90ff92a0565b56202b34e0185fc6484e9010b3e48a92b8a1a8438b55"),
 ])
 def test_lct_bytes_are_pinned(args, digest, capsys):
-    # Measured while the jellyfish map still held Fraction cells.
+    # Measured while the jellyfish map still held Fraction cells; the 3000
+    # candidate pin while every candidate entry was its own Fraction.
     assert cli.main(list(args)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

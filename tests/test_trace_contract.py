@@ -10,11 +10,12 @@ tables (and edits nothing under ``bench/``) so the break shows here first.
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import numpy as np
 
-from bctk import bct, classical, dsl, ontic, verify
+from bctk import bct, classical, dsl, lct, ontic, verify
 from bctk.systems import SystemShape
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -62,6 +63,21 @@ def test_tracer_counts_the_row_combinators_of_both_evaluators():
     assert calls["ontic.ontic_state"] == 3
     assert calls["ontic.ontic_effect"] == 1
     assert calls["classical.compose_par"] == 4
+
+
+def test_tracer_counts_the_theory_pairing_once_per_instance():
+    # The instance caches its theory pairing; the tracer must still see the
+    # one pairing_value call, and every candidate's draw, falsify and map.
+    with _tracer().Tracer() as tracer:
+        for _ in range(2):
+            inst = lct.make_instance()
+            for index in range(10):
+                cand = lct.random_candidate(random.Random(index), inst)
+                assert not lct.falsify(cand, inst).fatal
+    calls = {name: stats[0] for name, stats in tracer.stats.items()}
+    assert calls["lct.pairing_value"] == 2
+    assert calls["lct.random_candidate"] == calls["lct.falsify"] == 20
+    assert calls["lct.jellyfish_matrix"] == 20
 
 
 def test_every_cached_target_has_cache_info():
