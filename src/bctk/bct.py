@@ -325,10 +325,6 @@ class Transformation:
             f"{len(self.nums)} terms)"
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def is_channel(self) -> bool:
         """Deterministic iff every input's coefficients sum to exactly one."""
         rows: dict = {}
@@ -648,9 +644,6 @@ class Instrument:
         if len(outcomes) != len(members):
             raise ValueError("one outcome label per member required")
         object.__setattr__(self, "outcomes", outcomes)
-
-    def is_valid(self) -> bool:
-        return coarse_grain(self, self.outcomes).is_channel()
 
 
 def coarse_grain(instr: Instrument, subset) -> Transformation:

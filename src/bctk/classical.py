@@ -104,15 +104,6 @@ class ClassicalMap:
         return cls._from_cells(1, 1, {(0, 0): value} if value != 0 else {})
 
     @classmethod
-    def point_state(cls, dim: int, index: int) -> "ClassicalMap":
-        """The pure state ``|index)`` (1-based)."""
-        return cls._from_nums(dim, 1, {(index - 1, 0): 1}, 1)
-
-    @classmethod
-    def point_effect(cls, dim: int, index: int) -> "ClassicalMap":
-        return cls._from_nums(1, dim, {(0, index - 1): 1}, 1)
-
-    @classmethod
     def uniform_state(cls, dim: int) -> "ClassicalMap":
         return cls._from_nums(dim, 1, {(i, 0): 1 for i in range(dim)}, dim)
 
@@ -170,11 +161,6 @@ class ClassicalMap:
         rows = [[cells.get((r, c), 0) for c in range(self.in_dim)]
                 for r in range(self.out_dim)]
         return f"ClassicalMap({rows!r})"
-
-    def transpose(self) -> "ClassicalMap":
-        return ClassicalMap._from_nums(
-            self.in_dim, self.out_dim, {(c, r): n for (r, c), n in self.nums.items()},
-            self.den)
 
     def scale(self, factor) -> "ClassicalMap":
         (fn,), fd = lattice((factor,))

@@ -43,7 +43,9 @@ EXIT_INCONSISTENT = 4
 
 
 def _dump(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    # Every payload is a freshly built tree of dicts and lists, so it holds
+    # no cycle to look for.
+    print(json.dumps(payload, sort_keys=True, check_circular=False))
 
 
 def _err(message: str) -> None:

@@ -34,11 +34,19 @@ Grammar (one construct per line, ``#`` comments)::
 Labels use 1-based indices with explicit section bits: ``(2)``,
 ``((1,2);0)``, ``(((1,2);0,3);1)``.
 
-Each line is tokenized in one ``finditer`` pass into plain
-``(kind, text, col, end_col)`` tuples with 1-based columns; a
-:class:`SourceSpan` is built only where an AST node keeps one or a
-diagnostic needs one.  A character that starts no token is refused at its
-own column, e.g. ``1:19: unexpected character '$'`` for
+A line reaches its declaration by one of two paths.  The fast path,
+:func:`_fast_line`, takes the ``state``/``effect`` lines with weighted
+labels and the ``atomic`` gate lines written in the compact single-space
+form of :func:`pretty` and ``verify.random_circuit_source``: one
+``fullmatch`` checks the line, one ``finditer`` reads its terms, and the
+result equals the token parser's.  Every other line goes to the token
+parser: a comment, other whitespace, a label with more factors than a
+system within :data:`MAX_ONTIC_DIM` has, a number that does not convert.
+Diagnostics come only from the token parser.  It tokenizes a line in one
+``finditer`` pass into plain ``(kind, text, col, end_col)`` tuples with
+1-based columns, and a :class:`SourceSpan` is built only where an AST node
+keeps one or a diagnostic needs one.  A character that starts no token is
+refused at its own column, e.g. ``1:19: unexpected character '$'`` for
 ``system a = elem 2 $``.
 
 A system or a circuit wire whose ontic dimension exceeds
@@ -50,7 +58,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from math import lcm
 
 from . import bct, classical, ontic
 from .bct import Effect, State, Transformation
@@ -429,20 +438,103 @@ def _parse_line(tokens: list[tuple[str, str, int, int]], lineno: int):
 
 
 # ---------------------------------------------------------------------------
+# fast path
+# ---------------------------------------------------------------------------
+
+# Every elementary factor has dimension >= 2, so ontic dimension >= 4: a
+# system within MAX_ONTIC_DIM has at most this many factors, and so has a
+# label that fits one.
+_MAX_LABEL_FACTORS = (MAX_ONTIC_DIM.bit_length() - 1) // 2
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUM = r"[0-9]+(?:/[0-9]+|\.[0-9]+)?"
+# ``(i1)``, ``((i1,i2);s1)``, ``(((i1,i2);s1,i3);s2)``, ... as label_text
+# writes them, one alternative per factor count.
+_LABEL = "(?:" + "|".join(
+    r"\(" * p + "[0-9]+" + r",[0-9]+\);[01]" * (p - 1) + r"\)"
+    for p in range(1, _MAX_LABEL_FACTORS + 1)
+) + ")"
+_VECTOR_TERM = rf"(?:{_NUM} )?{_LABEL}"
+_ATOMIC_TERM = rf"[0-9]+ -> [0-9]+ tau [0-9]+ w {_NUM}"
+_ONE = Fraction(1)
+
+
+@lru_cache(maxsize=None)
+def _fast_patterns() -> tuple:
+    """The line regex, then the vector and atomic term regexes, which
+    capture a term's parts.  Compiled on first use, so that a command that
+    reads no DSL does not compile them at start-up."""
+    return (
+        re.compile(
+            rf"(state|effect) ({_NAME}) : ({_NAME}) = ({_VECTOR_TERM}(?: \+ {_VECTOR_TERM})*)"
+            rf"|gate ({_NAME}) : ({_NAME}) -> ({_NAME}) = "
+            rf"(atomic {_ATOMIC_TERM}(?: \+ (?:atomic )?{_ATOMIC_TERM})*)"
+        ),
+        re.compile(rf"(?:({_NUM}) )?({_LABEL})"),
+        re.compile(rf"([0-9]+) -> ([0-9]+) tau ([0-9]+) w ({_NUM})"),
+    )
+
+
+@lru_cache(maxsize=1024)
+def _fast_label(text: str) -> PureLabel:
+    """The label of a ``_LABEL`` match, whose digits read ``i1, i2, s1, i3,
+    s2, ...``.  Cached: a file repeats its labels across lines."""
+    ints = [int(d) for d in re.findall("[0-9]+", text)]
+    return PureLabel((ints[0], *ints[1::2]), tuple(ints[2::2]))
+
+
+def _fast_line(line: str, lineno: int):
+    """The declaration of a vector line or an atomic gate line written in the
+    compact single-space form of :func:`pretty`, or None.
+
+    The result equals ``_parse_line(_tokenize_line(line, lineno), lineno)``.
+    None means the token parser takes the line: any other form or kind of
+    line, and a number that does not convert.
+    """
+    line_re, vector_re, atomic_re = _fast_patterns()
+    m = line_re.fullmatch(line)
+    if m is None:
+        return None
+    keyword, name, system, _, gate, in_system, out_system, _ = m.groups()
+    try:
+        if keyword is not None:
+            terms = []
+            for t in vector_re.finditer(line, m.start(4)):
+                weight, label = t.groups()
+                terms.append(VectorTerm(
+                    _ONE if weight is None else parse_number(weight), _fast_label(label),
+                    SourceSpan(lineno, t.start(2) + 1, t.end(2) + 1)))
+            span = SourceSpan(lineno, 1, len(keyword) + 1)
+            decl = StateDecl if keyword == "state" else EffectDecl
+            return decl(name, system, tuple(terms), span)
+        terms = tuple(
+            bct.AtomicTerm(int(src), int(dst), int(flip), parse_number(weight))
+            for src, dst, flip, weight in atomic_re.findall(line, m.start(8))
+        )
+    except ValueError:  # 1/0, or more digits than int() accepts
+        return None
+    return GateDecl(name=gate, in_system=in_system, out_system=out_system,
+                    body=GateBody(kind="atomic", terms=terms), span=SourceSpan(lineno, 1, 5))
+
+
+# ---------------------------------------------------------------------------
 # checking
 # ---------------------------------------------------------------------------
 
 
-def _vector_weights(shape: SystemShape, terms, diags, kind: str):
-    weights = [Fraction(0)] * shape.global_dim
+def _vector_weights(shape: SystemShape, terms, diags, kind: str) -> tuple[list, int]:
+    """The summed term weights per pure label, as integer numerators over
+    the lcm of the terms' denominators."""
+    den = lcm(*(term.weight.denominator for term in terms))
+    nums = [0] * shape.global_dim
     for term in terms:
         try:
             q = flatten_label(shape, term.label)
         except ValueError as exc:
             diags.append(Diagnostic(term.span, f"{kind} label does not fit system: {exc}"))
             continue
-        weights[q - 1] += term.weight
-    return tuple(weights)
+        nums[q - 1] += term.weight.numerator * (den // term.weight.denominator)
+    return nums, den
 
 
 def _build_gate(decl: GateDecl, shapes: dict, diags) -> Transformation | None:
@@ -556,6 +648,10 @@ def parse(text: str) -> CircuitAst:
         line = line.removesuffix("\r")
         if not line.strip():
             continue
+        decl = _fast_line(line, lineno)
+        if decl is not None:
+            decls.append(decl)
+            continue
         try:
             tokens = _tokenize_line(line, lineno)
             if not tokens:
@@ -603,9 +699,9 @@ def parse(text: str) -> CircuitAst:
                 diags.append(Diagnostic(decl.span, f"unknown system {decl.system!r}"))
                 continue
             shape = ast.shapes[decl.system]
-            weights = _vector_weights(shape, decl.terms, diags, "state")
+            nums, den = _vector_weights(shape, decl.terms, diags, "state")
             try:
-                ast.boxes[decl.name] = State(shape, weights)
+                ast.boxes[decl.name] = State(shape, nums, den)
             except ValueError as exc:
                 diags.append(Diagnostic(decl.span, f"state {decl.name!r}: {exc}"))
         elif isinstance(decl, EffectDecl):
@@ -616,9 +712,9 @@ def parse(text: str) -> CircuitAst:
             if decl.terms is None:
                 ast.boxes[decl.name] = bct.deterministic_effect(shape)
             else:
-                weights = _vector_weights(shape, decl.terms, diags, "effect")
+                nums, den = _vector_weights(shape, decl.terms, diags, "effect")
                 try:
-                    ast.boxes[decl.name] = Effect(shape, weights)
+                    ast.boxes[decl.name] = Effect(shape, nums, den)
                 except ValueError as exc:
                     diags.append(Diagnostic(decl.span, f"effect {decl.name!r}: {exc}"))
         elif isinstance(decl, GateDecl):

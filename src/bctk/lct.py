@@ -184,7 +184,8 @@ class CandidateModel:
     ``xi_b=(Fraction(4, 4), Fraction(2, 4))`` and ``xi_b=(1, Fraction(1,
     2))`` give equal candidates.  ``xi_beta``, ``xi_b``, ``xi_sigma`` and
     ``xi_tau`` are read-only views of the exact values.  Entries must be
-    ``int`` or ``Fraction``; anything else raises ``TypeError``.
+    ``int`` or ``Fraction``; anything else raises ``TypeError``.  The theory
+    pairing is a probability, so a value outside [0, 1] raises ``ValueError``.
     """
 
     L1: int
@@ -211,6 +212,8 @@ class CandidateModel:
             raise ValueError("xi_b entries must lie in [0, 1]")
         if theory_pairing is not None:
             (num,), den = lattice((theory_pairing,))
+            if not 0 <= num <= den:
+                raise ValueError("theory_pairing must lie in [0, 1]")
             theory_pairing = exact(num, den)
         if (xi_sigma is None) != (xi_tau is None):
             raise ValueError("xi_sigma and xi_tau come together or not at all")

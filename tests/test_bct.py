@@ -41,6 +41,8 @@ from bctk.systems import (
     TRIVIAL, PureLabel, SystemShape, all_labels, q_decode, q_encode)
 from bctk.verify import _explicit_lift
 
+from kernel_helpers import instrument_is_valid, is_zero
+
 S2 = SystemShape((2,))
 S3 = SystemShape((3,))
 S22 = SystemShape((2, 2))
@@ -166,7 +168,7 @@ def test_atomic_sequencing_matches_delta_rule():
     t2 = atomic(S2, S2, 2, 1, 1)
     assert compose_seq(t1, t2).coeffs == {(1, 1, 0): 1}
     blocked = atomic(S2, S2, 1, 1, 0)
-    assert compose_seq(t1, blocked).is_zero
+    assert is_zero(compose_seq(t1, blocked))
 
 
 def test_identity_expansion_and_neutrality():
@@ -474,7 +476,7 @@ def test_coarse_graining():
     half_id = identity(S2).scale(HALF)
     instr = Instrument((half_id, half_id))
     assert coarse_grain(instr, instr.outcomes) == identity(S2)
-    assert instr.is_valid()
+    assert instrument_is_valid(instr)
     rng = random.Random(41)
     parts = [
         _rand_tensor(rng, S2, S3).scale(Fraction(1, 4)) for _ in range(3)
@@ -490,9 +492,9 @@ def test_zero_annihilates():
     rng = random.Random(43)
     t = _rand_tensor(rng, S2, S2)
     eps = zero(S2, S2)
-    assert compose_seq(eps, t).is_zero
-    assert compose_seq(t, eps).is_zero
-    assert compose_par(eps, t).is_zero
+    assert is_zero(compose_seq(eps, t))
+    assert is_zero(compose_seq(t, eps))
+    assert is_zero(compose_par(eps, t))
 
 
 # -- partial application helpers ---------------------------------------------------

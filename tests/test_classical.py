@@ -10,6 +10,8 @@ from hypothesis import given, seed, settings, strategies as st
 from bctk.classical import ClassicalMap, choi_close, compose_par, compose_seq
 from bctk.scalars import number_json
 
+from kernel_helpers import point_effect, point_state, transpose
+
 
 def permutation_map(perm) -> ClassicalMap:
     """The stochastic 0/1 map sending ``|i)`` to ``|perm[i-1])`` (1-based)."""
@@ -42,10 +44,10 @@ def test_identity_composition():
 
 
 def test_point_state_meets_point_effect():
-    state = ClassicalMap.point_state(3, 2)
-    effect = ClassicalMap.point_effect(3, 2)
+    state = point_state(3, 2)
+    effect = point_effect(3, 2)
     assert compose_seq(state, effect).scalar_value() == 1
-    other = ClassicalMap.point_effect(3, 1)
+    other = point_effect(3, 1)
     assert compose_seq(state, other).scalar_value() == 0
 
 
@@ -62,8 +64,8 @@ def test_parallel_identities():
 
 
 def test_parallel_point_states():
-    left = ClassicalMap.point_state(2, 1)
-    right = ClassicalMap.point_state(2, 2)
+    left = point_state(2, 1)
+    right = point_state(2, 2)
     both = compose_par(left, right)
     # row-major, left factor outer: index (1, 2) -> 0*2 + 1
     assert both == ClassicalMap([[0], [1], [0], [0]])
@@ -82,8 +84,8 @@ def test_permutation_map_identity_and_transposition():
 
 def test_permutation_three_cycle_moves_point_state():
     cycle = permutation_map((2, 3, 1))
-    moved = compose_seq(ClassicalMap.point_state(3, 1), cycle)
-    assert moved == ClassicalMap.point_state(3, 2)
+    moved = compose_seq(point_state(3, 1), cycle)
+    assert moved == point_state(3, 2)
 
 
 def test_permutation_inverse():
@@ -306,7 +308,7 @@ def test_linear_structure_matches_dense_oracle(data):
     _assert_matches(m.add(ClassicalMap(b)), a + b)
     _assert_matches(m.add(ClassicalMap(-a)), a - a)
     _assert_matches(m.scale(factor), a * factor)
-    _assert_matches(m.transpose(), a.T)
+    _assert_matches(transpose(m), a.T)
     assert m.column_sums() == [sum(a[:, c], 0) for c in range(a.shape[1])]
     rows, cols = np.nonzero(a != b)
     assert list(m.differences(ClassicalMap(b))) == [
@@ -328,7 +330,7 @@ def test_predicates_match_dense_oracle(a):
 @settings(max_examples=80, deadline=None)
 def test_nonzero_order_and_json_match_dense_oracle(a):
     m = ClassicalMap(a)
-    for sparse, arr in ((m, a), (m.transpose(), a.T)):
+    for sparse, arr in ((m, a), (transpose(m), a.T)):
         rows, cols = np.nonzero(arr != 0)
         assert list(sparse.nonzero()) == [
             (r, c, arr[r, c]) for r, c in zip(rows.tolist(), cols.tolist())]
@@ -384,7 +386,7 @@ def test_dense_json_writer_matches_per_cell_writer(m):
 def test_equal_maps_hash_alike_across_int_and_fraction():
     ints = ClassicalMap([[1, 2], [3, 0]])
     # built column by column, so its cells are stored in another order
-    fracs = ClassicalMap([[Fraction(1), Fraction(3)], [Fraction(2), 0]]).transpose()
+    fracs = transpose(ClassicalMap([[Fraction(1), Fraction(3)], [Fraction(2), 0]]))
     assert ints == fracs and hash(ints) == hash(fracs)
     assert len({ints, fracs}) == 1
 

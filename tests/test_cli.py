@@ -228,6 +228,22 @@ def test_lct_fabricated_candidate_exits_four(tmp_path):
     assert payload["fatal_inconsistencies"] == 1
 
 
+@pytest.mark.parametrize("pairing, code", [([-7, 2], 1), ([3, 2], 1), ([0, 1], 4)])
+def test_lct_model_theory_pairing_must_be_a_probability(tmp_path, pairing, code):
+    path = tmp_path / "pairing.json"
+    path.write_text(json.dumps({
+        "L1": 2, "L2": 2, "xi_beta": [1, 0, 0, 0], "xi_b": [0, 0, 1, 1],
+        "theory_pairing": pairing,
+    }))
+    proc = run_cli("lct", "refute", "--model", str(path))
+    assert proc.returncode == code
+    if code == 1:
+        assert proc.stdout == ""
+        assert "theory_pairing must lie in [0, 1]" in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["fatal_inconsistencies"] == 1
+
+
 def test_lct_model_with_product_images_reaches_product_annihilation(tmp_path):
     path = tmp_path / "product.json"
     path.write_text(json.dumps({

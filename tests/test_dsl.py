@@ -1,6 +1,7 @@
 """Netlist parsing, type checking, dual evaluation, and pretty printing."""
 
 import contextlib
+import functools
 import io
 import json
 import random
@@ -8,6 +9,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -15,7 +17,7 @@ from hypothesis import given, seed, settings, strategies as st
 from bctk import cli, dsl, verify
 from bctk.bct import Transformation
 from bctk.classical import ClassicalMap
-from bctk.systems import PureLabel, SystemShape
+from bctk.systems import PureLabel, SystemShape, flatten_label
 
 GOLDEN = """\
 system a = elem 2
@@ -384,3 +386,176 @@ def test_every_stage_sequence_is_refused_once_or_agrees(stages):
             code = cli.main(["eval", str(path)])
     assert code == 0, source
     assert json.loads(out.getvalue())["diff"] == [0, 1], source
+
+
+# ---------------------------------------------------------------------------
+# the fast path for vector and atomic-gate lines against the token parser
+# ---------------------------------------------------------------------------
+
+
+def _token_decl(line: str, lineno: int):
+    """What the token parser makes of one line: a declaration, or its
+    diagnostics."""
+    try:
+        return dsl._parse_line(dsl._tokenize_line(line, lineno), lineno)
+    except dsl.DslError as exc:
+        return exc.diagnostics
+
+
+def _parse_or_diagnostics(source: str):
+    try:
+        return dsl.parse(source)
+    except dsl.DslError as exc:
+        return exc.diagnostics
+
+
+def _token_parse(source: str):
+    with mock.patch.object(dsl, "_fast_line", lambda line, lineno: None):
+        return _parse_or_diagnostics(source)
+
+
+@functools.lru_cache(maxsize=None)
+def _fast_corpus() -> tuple:
+    """Sources from ``random_circuit_source`` over 200 seeds at every
+    ``max_dim`` from 2 to 4, each followed by its ``pretty`` form, which
+    drops weights of 1."""
+    sources = []
+    for idx in range(200):
+        for max_dim in (2, 3, 4):
+            rng = random.Random(verify.derive_seed(13, "dsl-fast", idx))
+            src = verify.random_circuit_source(rng, max_dim=max_dim)
+            sources += [src, dsl.pretty(dsl.parse(src))]
+    for src in (GOLDEN, _BOXES_SOURCE):
+        sources += [src, dsl.pretty(dsl.parse(src))]
+    return tuple(sources)
+
+
+def _is_fast_kind(line: str) -> bool:
+    head = line.split(" ", 1)[0]
+    if head in ("state", "effect"):
+        return not line.endswith("= discard")
+    return head == "gate" and " = atomic " in line
+
+
+# Hand-written lines in the compact form that the corpus does not reach:
+# decimal weights, atomic terms without the optional keyword, and labels of
+# every factor count up to the bound.
+_FAST_LINES = [
+    "state s : a = 0.25 (1) + 0.75 (2)",
+    "effect e : abc = (((1,2);0,3);1) + 1/3 (((2,1);1,1);0)",
+    "effect e : abcd = 1 ((((1,2);0,3);1,4);0)",
+    "gate t : a -> a = atomic 1 -> 2 tau 1 w 1/2 + 2 -> 2 tau 0 w 1",
+    "gate t : a -> a = atomic 1 -> 2 tau 1 w 0.5 + 2 -> 1 tau 0 w 1 + atomic 2 -> 2 tau 1 w 0",
+    "state discard : atomic = 07 (010) + 3/006 ((01,2);1)",
+]
+
+
+def test_label_factor_bound_is_derived_from_the_ontic_cap():
+    # Each factor has ontic dimension >= 4.
+    bound = dsl._MAX_LABEL_FACTORS
+    assert bound == 4
+    assert 4 ** bound <= dsl.MAX_ONTIC_DIM < 4 ** (bound + 1)
+    labels = ["(1)", "((1,2);0)", "(((1,2);0,3);1)", "((((1,2);0,3);1,4);0)",
+              "(((((1,2);0,3);1,4);0,5);1)"]
+    for factors, label in enumerate(labels, start=1):
+        fast = dsl._fast_line(f"state s : a = {label}", 1)
+        assert (fast is not None) == (factors <= bound)
+
+
+def test_every_vector_and_atomic_line_of_the_corpus_takes_the_fast_path():
+    lines = [line for src in _fast_corpus() for line in src.splitlines()]
+    fast = [line for line in lines if _is_fast_kind(line)] + _FAST_LINES
+    assert len(fast) > 2000
+    for lineno, line in enumerate(fast, start=1):
+        decl = dsl._fast_line(line, lineno)
+        assert decl is not None, line
+        # repr also compares the types of the weights, Fraction against int.
+        assert repr(decl) == repr(_token_decl(line, lineno)), line
+    for line in lines:
+        if not _is_fast_kind(line):
+            assert dsl._fast_line(line, 1) is None, line
+
+
+def test_corpus_parses_alike_on_both_paths():
+    for src in _fast_corpus():
+        ast = dsl.parse(src)
+        assert ast == _token_parse(src)
+        # Vector weights summed in Fraction, as before the integer lattice.
+        for decl in ast.decls:
+            if isinstance(decl, (dsl.StateDecl, dsl.EffectDecl)) and decl.terms is not None:
+                shape = ast.shapes[decl.system]
+                weights = [Fraction(0)] * shape.global_dim
+                for term in decl.terms:
+                    weights[flatten_label(shape, term.label) - 1] += term.weight
+                assert ast.boxes[decl.name].weights == tuple(weights)
+
+
+def _replace_match(pattern: str, replacement):
+    """A mutation that rewrites one match of ``pattern``, chosen by an index."""
+    def mutate(line: str, pick: int):
+        matches = list(re.finditer(pattern, line))
+        if not matches:
+            return None
+        m = matches[pick % len(matches)]
+        new = replacement if isinstance(replacement, str) else replacement(m.group())
+        return line[:m.start()] + new + line[m.end():]
+    return mutate
+
+
+_MUTATIONS = {
+    "tab": _replace_match(" ", "\t"),
+    "double space": _replace_match(" ", "  "),
+    "nbsp": _replace_match(" ", "\u00a0"),
+    "bit 2": _replace_match(r"(?<=;)[01]", "2"),
+    "bit 01": _replace_match(r"(?<=;)[01]", "01"),
+    "zero denominator": _replace_match(r"[0-9]+(?:/[0-9]+)?", "1/0"),
+    "5000 digits": _replace_match(r"[0-9]+", "7" * 5000),
+    "arabic-indic digit": _replace_match(r"[0-9]", "\u0663"),
+    "dropped paren": _replace_match(r"[()]", ""),
+    "5-factor label": _replace_match(r"\([0-9(][^ ]*\)", "(((((1,2);0,3);1,4);0,5);1)"),
+    "trailing #": lambda line, pick: line + ("#" if pick % 2 else " # note"),
+    "leading space": lambda line, pick: " " + line,
+    "atomic dropped": _replace_match(r" \+ atomic ", " + "),
+}
+
+
+@seed(20261018)
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_mutated_lines_agree_with_the_token_parser(data):
+    sources = _fast_corpus()
+    src = sources[data.draw(st.integers(0, len(sources) - 1), label="source")]
+    lines = src.split("\n")
+    candidates = [i for i, line in enumerate(lines) if _is_fast_kind(line)]
+    index = data.draw(st.sampled_from(candidates), label="line")
+    name = data.draw(st.sampled_from(sorted(_MUTATIONS)), label="mutation")
+    mutated = _MUTATIONS[name](lines[index], data.draw(st.integers(0, 200), label="pick"))
+    if mutated is None:
+        return
+    lineno = index + 1
+    fast = dsl._fast_line(mutated, lineno)
+    assert fast is None or fast == _token_decl(mutated, lineno), (name, mutated)
+    if name == "atomic dropped" and mutated.startswith("gate"):
+        assert fast is not None, mutated
+    lines[index] = mutated
+    source = "\n".join(lines)
+    assert _parse_or_diagnostics(source) == _token_parse(source), (name, mutated)
+
+
+def test_fast_path_diagnostics_come_from_the_token_parser():
+    head = "system a = elem 2\nsystem b = elem 2\nsystem ab = a * b\n"
+    for line, diagnostic in [
+        ("state s : ab = 1/0 ((1,1);0)", "4:16: zero denominator in '1/0'"),
+        ("state s : ab = ((1,1);2)", "4:23: section bit must be 0 or 1"),
+        ("state s : ab = (((((1,2);0,1);1,2);0,1);1)",
+         "4:16: state label does not fit system: label PureLabel(indices=(1, 2, 1, 2, 1), "
+         "sections=(0, 1, 0, 1)) does not fit shape (2,2)"),
+        ("gate g : ab -> ab = atomic 1 -> 2 tau 0 w 1/0", "4:43: zero denominator in '1/0'"),
+        ("effect e : ab = 1 ((1,1);0) # comment +", None),
+    ]:
+        result = _parse_or_diagnostics(head + line + "\n")
+        if diagnostic is None:
+            assert isinstance(result, dsl.CircuitAst)
+        else:
+            assert [str(d) for d in result] == [diagnostic]
+        assert result == _token_parse(head + line + "\n")

@@ -39,6 +39,8 @@ from bctk.ontic import (
 )
 from bctk.systems import PureLabel, SystemShape, TRIVIAL, all_labels
 
+from kernel_helpers import transpose
+
 S2 = SystemShape((2,))
 S3 = SystemShape((3,))
 S22 = SystemShape((2, 2))
@@ -185,7 +187,7 @@ def test_merge_perm_closed_form():
         rows = [r for r, c, v in mu.nonzero() if c == col]
         assert len(rows) == 1
         assert out_points[rows[0]] == (q_encode(2, 2, x, y, b1 ^ b2), b1)
-    assert classical.compose_seq(mu, mu.transpose()) == ClassicalMap.identity(16)
+    assert classical.compose_seq(mu, transpose(mu)) == ClassicalMap.identity(16)
 
 
 def test_merge_pins_the_fused_state_rule():
@@ -244,7 +246,7 @@ def test_ontic_map_matches_merge_chain_sandwich():
             t = _rand_tensor(rng, in_shape, out_shape, channel=channel)
             oracle = classical.compose_seq(
                 classical.compose_seq(merge_chain(in_shape), _fused_matrix(t)),
-                merge_chain(out_shape).transpose(),
+                transpose(merge_chain(out_shape)),
             )
             assert ontic_map(t) == oracle
 
@@ -374,7 +376,7 @@ def test_image_faithfulness():
         fused = image
         if in_shape.num_factors > 1 or out_shape.num_factors > 1:
             fused = classical.compose_seq(
-                classical.compose_seq(merge_chain(in_shape).transpose(), image),
+                classical.compose_seq(transpose(merge_chain(in_shape)), image),
                 merge_chain(out_shape),
             )
         recovered = {}
