@@ -23,14 +23,18 @@ and the trusted ``_from_cells``, each converting once through
 :meth:`~ClassicalMap.nonzero`, ``scalar_value``, ``column_sums``,
 :func:`choi_close` and :meth:`~ClassicalMap.to_json`, as an ``int`` when
 integral and a ``Fraction`` otherwise; no kernel operation reads them.
-:meth:`ClassicalMap.nonzero` yields cells in row-major order;
-:meth:`ClassicalMap.to_json` writes the dense row-major entry list,
-converting only the nonzero cells; :attr:`ClassicalMap.entries` builds a
-dense numpy object array on demand, and is the only place numpy is imported.
+:meth:`ClassicalMap.nonzero` yields cells in row-major order.
+:meth:`ClassicalMap.to_json_text` is the one dense writer: it prints the
+row-major entry list as JSON text, one shared ``[0, 1]`` string for every
+absent cell and one formatted string per nonzero cell, joined once;
+:meth:`ClassicalMap.to_json` is its parse.  :attr:`ClassicalMap.entries`
+builds a dense numpy object array on demand, and is the only place numpy is
+imported.
 """
 
 from __future__ import annotations
 
+import json
 from math import lcm
 
 from .scalars import exact, lattice, number_from_json, ratio_json, reduce_dict
@@ -237,15 +241,23 @@ class ClassicalMap:
 
     # -- serialisation --------------------------------------------------
 
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True)``, written directly:
+        one preformatted ``[0, 1]`` string shared by every absent cell, one
+        ``"[num, den]"`` string for each nonzero cell, joined once."""
+        in_dim, den = self.in_dim, self.den
+        parts = ["[0, 1]"] * (self.out_dim * in_dim)
+        for (r, c), n in self.nums.items():
+            a, b = ratio_json(n, den)
+            parts[r * in_dim + c] = f"[{a}, {b}]"
+        return f'{{"entries": [{", ".join(parts)}], "in": {in_dim}, "out": {self.out_dim}}}'
+
     def to_json(self) -> dict:
         """``{"in", "out", "entries"}`` with the dense row-major entry list:
         ``[0, 1]`` for every absent cell, ``number_json`` of the nonzero ones.
-        Each entry is a list of its own."""
-        in_dim, den = self.in_dim, self.den
-        entries = [[0, 1] for _ in range(self.out_dim * in_dim)]
-        for (r, c), n in self.nums.items():
-            entries[r * in_dim + c] = ratio_json(n, den)
-        return {"in": in_dim, "out": self.out_dim, "entries": entries}
+        Each entry is a list of its own.  It is the parse of
+        :meth:`to_json_text`, the one dense writer."""
+        return json.loads(self.to_json_text())
 
     @classmethod
     def from_json(cls, data: dict) -> "ClassicalMap":

@@ -5,7 +5,8 @@ a parse, type or IO error), 2 backend disagreement in ``eval``, 3
 verification failures, 4 a falsifier run found a candidate with no violation
 (which would contradict the no-go theorem and flags a fatal inconsistency).  All structured output goes to stdout as JSON; diagnostics
 go to stderr, one line each.  Every number is exact: flags and JSON are read
-through :mod:`bctk.scalars`, so a JSON float ``0.25`` means ``1/4``.
+through :mod:`bctk.scalars`, so a JSON float ``0.25`` means ``1/4``, and an
+integer flag takes an optional sign and ASCII digits only.
 
 ``bctk lct`` takes the instance flags ``--d1/--d2/--dl/--kappa`` with either
 action.  Only ``refute`` takes a candidate source, one of ``--candidate``,
@@ -25,6 +26,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,10 +44,20 @@ EXIT_VERIFY = 3
 EXIT_INCONSISTENT = 4
 
 
-def _dump(payload) -> None:
-    # Every payload is a freshly built tree of dicts and lists, so it holds
-    # no cycle to look for.
-    print(json.dumps(payload, sort_keys=True, check_circular=False))
+def _dump(payload: dict) -> None:
+    # Prints the bytes of ``json.dumps(payload, sort_keys=True)``, one
+    # top-level key at a time, so that a dense map value is written by its own
+    # text writer and never becomes one list per cell.  Every other value is a
+    # freshly built tree of dicts and lists, so it holds no cycle to look for.
+    parts = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, ClassicalMap):
+            text = value.to_json_text()
+        else:
+            text = json.dumps(value, sort_keys=True, check_circular=False)
+        parts.append(f"{json.dumps(key)}: {text}")
+    print(f"{{{', '.join(parts)}}}")
 
 
 def _err(message: str) -> None:
@@ -99,7 +111,8 @@ def cmd_eval(args) -> int:
             {
                 "name": name,
                 "bct": dsl.eval_to_json(value_bct),
-                "ontic": dsl.eval_to_json(value_ontic),
+                "ontic": (value_ontic if isinstance(value_ontic, ClassicalMap)
+                          else dsl.eval_to_json(value_ontic)),
                 "diff": number_json(diff),
             }
         )
@@ -150,7 +163,7 @@ def cmd_embed(args) -> int:
             "gate": args.gate,
             "in_wires": [list(p) for p in ontic.wire_points(gate.in_shape)],
             "out_wires": [list(p) for p in ontic.wire_points(gate.out_shape)],
-            "map": ontic.ontic_map(gate).to_json(),
+            "map": ontic.ontic_map(gate),
         }
     )
     return EXIT_OK
@@ -259,13 +272,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _int_in_range(low: int, high: int | None = None):
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(low: int | None = None, high: int | None = None):
+    """An argparse type for an integer flag: optional sign and ASCII digits
+    only, where ``int`` would also take ``"\u0663"`` or ``"1_000"``."""
+
     def parse(text: str) -> int:
+        t = text.strip()
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
+            value = int(t) if _INTEGER_RE.fullmatch(t) else None
+        except ValueError:  # more digits than ``int`` converts
+            value = None
+        if value is None:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
@@ -291,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", default="all", choices=list(verify.SUITE_NAMES) + ["all"]
     )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=_int_in_range(0), default=200)
-    p_verify.add_argument("--max-dim", type=_int_in_range(2, verify.MAX_DIM), default=4,
+    p_verify.add_argument("--seed", type=_integer(), default=0)
+    p_verify.add_argument("--trials", type=_integer(0), default=200)
+    p_verify.add_argument("--max-dim", type=_integer(2, verify.MAX_DIM), default=4,
                           dest="max_dim")
     p_verify.add_argument("--report", help="also write the JSON report to this path")
     p_verify.add_argument(
@@ -308,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lct = sub.add_parser("lct", help="latent-classical demo and falsifier")
     p_lct.add_argument("action", choices=["demo", "refute"])
-    p_lct.add_argument("--d1", type=int, default=2)
-    p_lct.add_argument("--d2", type=int, default=2)
-    p_lct.add_argument("--dl", type=int, default=2)
+    p_lct.add_argument("--d1", type=_integer(), default=2)
+    p_lct.add_argument("--d2", type=_integer(), default=2)
+    p_lct.add_argument("--dl", type=_integer(), default=2)
     p_lct.add_argument("--kappa", help="latent state as comma-separated rationals")
     source = p_lct.add_mutually_exclusive_group()
     source.add_argument(
@@ -318,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source.add_argument("--model", help="path to a candidate JSON file")
     source.add_argument(
-        "--random", type=_int_in_range(1), help="refute N seeded random candidates"
+        "--random", type=_integer(1), help="refute N seeded random candidates"
     )
-    p_lct.add_argument("--seed", type=int, help="seed of --random (default 0)")
+    p_lct.add_argument("--seed", type=_integer(), help="seed of --random (default 0)")
     p_lct.set_defaults(func=cmd_lct)
     return parser
 

@@ -68,8 +68,9 @@ from .systems import PureLabel, SystemShape, flatten_label, label_text
 
 # Largest ontic dimension of a declared system or of a circuit wire.  Images
 # are sparse, but ``embed`` and ``eval`` print an open map as dense D x D JSON
-# and a state image has D entries.  ``random_circuit_source(max_dim=4)``
-# reaches 64.
+# through ``ClassicalMap.to_json_text`` (at the cap, 262144 cells and about
+# 2 MB of text in a few milliseconds), and a state image has D entries.
+# ``random_circuit_source(max_dim=4)`` reaches 64.
 MAX_ONTIC_DIM = 512
 
 
@@ -102,7 +103,8 @@ class DslError(Exception):
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<comment>#.*)|(?P<arrow>->)|(?P<number>\d+/\d+|\d+\.\d+|\d+)"
+    r"(?P<comment>#.*)|(?P<arrow>->)"
+    r"|(?P<number>[0-9]+/[0-9]+|[0-9]+\.[0-9]+|[0-9]+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\],;:=+*|])|(?P<bad>\S)"
 )
 

@@ -20,8 +20,9 @@ import math
 import re
 from fractions import Fraction
 
-# No exponent form: ``1e999999999`` would be an unbounded allocation.
-_NUMBER_RE = re.compile(r"([+-]?\d+)(?:/(\d+)|\.\d+)?")
+# No exponent form: ``1e999999999`` would be an unbounded allocation.  Only
+# ASCII digits: ``\d`` and ``int`` would also read ``"\u0661/\u0663"`` as 1/3.
+_NUMBER_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.[0-9]+)?")
 
 
 def parse_number(text: str) -> Fraction:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from bctk.classical import ClassicalMap, choi_close, compose_par, compose_seq
 from bctk.scalars import number_json
@@ -381,6 +381,22 @@ def test_dense_json_writer_matches_per_cell_writer(m):
         assert number_json(v) == _per_cell_number_json(v)
         assert [type(part) for part in number_json(v)] == [int, int]
     assert ClassicalMap.from_json(data) == m
+
+
+@seed(20261019)
+@given(_sparse_maps())
+@example(ClassicalMap.zero(0, 0))
+@example(ClassicalMap.zero(0, 3))
+@example(ClassicalMap.zero(3, 0))
+@example(ClassicalMap.zero(2, 3))
+@example(ClassicalMap.scalar(-10**19 - 7))
+@example(ClassicalMap.scalar(Fraction(-3, 10**20 + 1)))
+@example(ClassicalMap([[Fraction(1, 3), -2, 0], [0, 10**20, Fraction(-7, 2)]]))
+@settings(max_examples=150, deadline=None)
+def test_dense_text_writer_matches_json_dumps(m):
+    text = m.to_json_text()
+    assert text == json.dumps(m.to_json(), sort_keys=True)
+    assert text == json.dumps(_per_cell_to_json(m), sort_keys=True)
 
 
 def test_equal_maps_hash_alike_across_int_and_fraction():

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from bctk import bct, cli, dsl, lct, ontic, verify
+from bctk.classical import ClassicalMap
 from bctk.systems import PureLabel, SystemShape, unflatten_label
 
 PRODUCT_CIRCUIT = """\
@@ -371,6 +372,83 @@ def test_open_circuit_eval_and_embed_bytes_are_pinned(tmp_path, capsys):
     assert digest.hexdigest() == "dc172be06374a87556289056f40088ffd138985df8204a3de21fc26f898586b1"
 
 
+def _old_dump_text(payload) -> str:
+    """What ``_dump`` printed while every map value was built as ``to_json()``
+    lists and the whole payload went through one ``json.dumps``."""
+    payload = {key: value.to_json() if isinstance(value, ClassicalMap) else value
+               for key, value in payload.items()}
+    return json.dumps(payload, sort_keys=True, check_circular=False) + "\n"
+
+
+def test_dump_prints_the_old_writer_bytes(tmp_path, capsys, monkeypatch):
+    seen = []
+    dump = cli._dump
+
+    def recording_dump(payload):
+        dump(payload)
+        seen.append((payload, capsys.readouterr().out))
+
+    monkeypatch.setattr(cli, "_dump", recording_dump)
+    runs = []
+    for i in range(20):
+        rng = random.Random(verify.derive_seed(7, "dsl", i))
+        path = tmp_path / f"c{i}.bct"
+        path.write_text(verify.random_circuit_source(rng, max_dim=4))
+        runs += [["eval", str(path)], ["embed", str(path), "--gate", "g0"]]
+    path = tmp_path / "open.bct"
+    path.write_text(OPEN_CIRCUITS)
+    runs.append(["eval", str(path)])
+    runs += [["embed", str(path), "--gate", gate]
+             for gate in re.findall(r"^gate (\w+)", OPEN_CIRCUITS, re.MULTILINE)]
+    runs += [["lct", "demo"], ["lct", "refute"], ["lct", "refute", "--random", "50", "--seed", "3"]]
+    for args in runs:
+        cli.main(args)
+    assert len(seen) >= len(runs)
+    map_keys = [key for payload, _ in seen for key, v in payload.items()
+                if isinstance(v, ClassicalMap)]
+    assert map_keys.count("map") == sum(args[0] == "embed" for args in runs)
+    assert "ontic" in map_keys
+    for payload, out in seen:
+        assert out == _old_dump_text(payload)
+
+
+# The largest system a circuit may have: ontic dimension 8 ** 3 == MAX_ONTIC_DIM.
+CAP_CIRCUIT = """\
+system a = elem 4
+system b = a * a
+system c = b * a
+gate g : c -> c = id
+circuit m = g
+"""
+
+
+def test_embed_and_eval_at_the_ontic_cap_keep_the_old_bytes(tmp_path, capsys):
+    path = tmp_path / "cap.bct"
+    path.write_text(CAP_CIRCUIT)
+    ast = dsl.parse(CAP_CIRCUIT)
+    gate = ast.boxes["g"]
+    image = ontic.ontic_map(gate)
+    assert image.shape == (dsl.MAX_ONTIC_DIM, dsl.MAX_ONTIC_DIM)
+
+    assert cli.main(["embed", str(path), "--gate", "g"]) == 0
+    assert capsys.readouterr().out == _old_dump_text({
+        "gate": "g",
+        "in_wires": [list(p) for p in ontic.wire_points(gate.in_shape)],
+        "out_wires": [list(p) for p in ontic.wire_points(gate.out_shape)],
+        "map": image,
+    })
+
+    assert cli.main(["eval", str(path), "--name", "m"]) == 0
+    value_ontic = dsl.eval_ontic(ast, "m")
+    assert value_ontic == image
+    assert capsys.readouterr().out == _old_dump_text({
+        "name": "m",
+        "bct": dsl.eval_to_json(dsl.eval_bct(ast, "m")),
+        "ontic": value_ontic,
+        "diff": [0, 1],
+    })
+
+
 def _assert_clean_rejection(proc, needle):
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -405,6 +483,17 @@ def _assert_clean_rejection(proc, needle):
         (("lct", "demo", "--random", "3", "--seed", "5"),
          "lct demo does not take --random or --seed"),
         (("lct", "refute", "--seed", "5"), "lct refute: --seed needs --random"),
+        # Only ASCII digits: ``int`` and ``\d`` would read these as 3, 7 or 1/2.
+        (("lct", "demo", "--kappa", "\u0661/\u0662,\u0661/\u0662"), "not a number"),
+        (("verify", "--trials", "\u0663", "--seed", "\u0667"), "--trials: not an integer"),
+        (("verify", "--seed", "\u0667"), "--seed: not an integer"),
+        (("verify", "--seed", "1_0"), "--seed: not an integer"),
+        (("verify", "--max-dim", "\u0663"), "--max-dim: not an integer"),
+        (("lct", "demo", "--d1", "\u0663"), "--d1: not an integer"),
+        (("lct", "demo", "--d2", "\u0663"), "--d2: not an integer"),
+        (("lct", "demo", "--dl", "\u0663"), "--dl: not an integer"),
+        (("lct", "refute", "--random", "\u0663"), "--random: not an integer"),
+        (("lct", "refute", "--random", "2", "--seed", "\u0667"), "--seed: not an integer"),
     ],
 )
 def test_bad_flags_exit_one(args, needle):
@@ -416,6 +505,8 @@ def test_bad_flags_exit_one(args, needle):
     [
         ("system a = elem 2\nstate x : a = 1/0 (1)\n", "2:15"),
         ("system a = elem " + "9" * 5000 + "\n", "1:17"),
+        ("system a = elem 3\nstate s : a = \u0661/\u0663 (1) + 2/3 (2)\n",
+         "2:15: unexpected character '\u0661'"),
     ],
 )
 def test_dsl_bad_number_exits_one(tmp_path, source, needle):
@@ -527,6 +618,13 @@ def test_dsl_file_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert json.loads(proc.stdout)["bct"] == [1, 2]
 
 
+def test_negative_seeds_are_valid(capsys):
+    assert cli.main(["verify", "--suite", "swap", "--trials", "1", "--seed", "-5"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == -5
+    assert cli.main(["lct", "refute", "--random", "2", "--seed", "-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["candidates"] == 2
+
+
 def test_random_refute_alone_uses_seed_zero(capsys):
     outputs = []
     for seed in ([], ["--seed", "0"]):
@@ -601,9 +699,7 @@ def test_coprime_denominator_inputs_keep_their_bytes(args, digest, capsys, monke
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("args", [("verify", "--trials", "5"),
-                                  ("lct", "demo", "--d1", "6", "--d2", "6")])
-def test_closed_stdout_ends_quietly(args):
+def _run_with_closed_stdout(args):
     # The read end is closed before the command starts, so its first write
     # fails whatever the timing.
     read_end, write_end = os.pipe()
@@ -616,3 +712,15 @@ def test_closed_stdout_ends_quietly(args):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("args", [("verify", "--trials", "5"),
+                                  ("lct", "demo", "--d1", "6", "--d2", "6")])
+def test_closed_stdout_ends_quietly(args):
+    _run_with_closed_stdout(args)
+
+
+def test_embed_at_the_ontic_cap_with_closed_stdout_ends_quietly(tmp_path):
+    path = tmp_path / "cap.bct"
+    path.write_text(CAP_CIRCUIT)
+    _run_with_closed_stdout(("embed", str(path), "--gate", "g"))

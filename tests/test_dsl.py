@@ -289,10 +289,11 @@ def test_crlf_line_ends_keep_columns():
 
 # The tokenizer that ``dsl._tokenize_line`` replaced: one anchored match per
 # token with a leading-whitespace prefix and frozen token objects.  Kept as an
-# oracle, with the one intended change: a bad character is reported at its
-# own column, not at the whitespace before it.
+# oracle, with two intended changes: a bad character is reported at its own
+# column, not at the whitespace before it, and a number is ASCII digits only,
+# so ``\u0663`` is a bad character rather than the digit 3.
 _ORACLE_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<comment>#.*)|(?P<arrow>->)|(?P<number>\d+/\d+|\d+\.\d+|\d+)"
+    r"\s*(?:(?P<comment>#.*)|(?P<arrow>->)|(?P<number>[0-9]+/[0-9]+|[0-9]+\.[0-9]+|[0-9]+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\],;:=+*|]))"
 )
 
