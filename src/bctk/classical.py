@@ -27,9 +27,11 @@ integral and a ``Fraction`` otherwise; no kernel operation reads them.
 :meth:`ClassicalMap.to_json_text` is the one dense writer: it prints the
 row-major entry list as JSON text, one shared ``[0, 1]`` string for every
 absent cell and one formatted string per nonzero cell, joined once;
-:meth:`ClassicalMap.to_json` is its parse.  :attr:`ClassicalMap.entries`
-builds a dense numpy object array on demand, and is the only place numpy is
-imported.
+:meth:`ClassicalMap.to_json` is its parse.
+
+numpy is not a runtime dependency: only :attr:`ClassicalMap.entries`, a
+dense object array that the benchmark tracer counts cells through, imports
+it, and the ``test`` extra installs it.
 """
 
 from __future__ import annotations
@@ -52,9 +54,7 @@ class ClassicalMap:
     __slots__ = ("out_dim", "in_dim", "nums", "den")
 
     def __init__(self, rows):
-        """Build a map from a dense 2-d array or nested list of exact entries."""
-        if hasattr(rows, "tolist"):  # a numpy array
-            rows = rows.tolist()
+        """Build a map from a dense 2-d list or tuple of exact entries."""
         if (
             not isinstance(rows, (list, tuple))
             or not rows
@@ -127,7 +127,11 @@ class ClassicalMap:
 
     @property
     def entries(self):
-        """A dense, read-only numpy object array of the entries, built on demand."""
+        """A dense, read-only numpy object array of the entries, built on demand.
+
+        It needs numpy, which only the ``test`` extra installs: the benchmark
+        tracer counts cells through it, and no command reads it.
+        """
         import numpy as np
 
         arr = np.full(self.shape, 0, dtype=object)

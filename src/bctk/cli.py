@@ -92,7 +92,7 @@ def cmd_eval(args) -> int:
     ast = _load_ast(args.file)
     if ast is None:
         return EXIT_INPUT
-    names = [args.name] if args.name else [d.name for d in ast.evals]
+    names = [args.name] if args.name is not None else [d.name for d in ast.evals]
     if not names:
         _err("nothing to evaluate: pass --name or add eval directives")
         return EXIT_INPUT
@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True)
     print(text)
-    if args.report:
+    if args.report is not None:
         try:
             Path(args.report).write_text(text + "\n")
         except OSError as exc:
@@ -171,7 +171,7 @@ def cmd_embed(args) -> int:
 
 def _instance_from_args(args) -> lct.LctInstance:
     kappa = None
-    if args.kappa:
+    if args.kappa is not None:
         kappa = tuple(parse_number(part) for part in args.kappa.split(","))
     return lct.make_instance(args.d1, args.d2, args.dl, kappa)
 
@@ -221,12 +221,12 @@ def cmd_lct(args) -> int:
         )
         return EXIT_OK
 
-    spec = args.model or args.candidate or "builtin:bct-style"
+    spec = args.model if args.model is not None else args.candidate
     if args.random is not None:
         # Drawn lazily: each candidate is falsified and dropped before the next.
         candidates = _random_candidates(inst, args.random, args.seed or 0)
-    elif spec == "builtin:bct-style":
-        candidates = [(spec, lct.bct_style_candidate(inst))]
+    elif spec in (None, "builtin:bct-style"):
+        candidates = [("builtin:bct-style", lct.bct_style_candidate(inst))]
     else:
         try:
             data = json.loads(Path(spec).read_text())

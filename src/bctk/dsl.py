@@ -7,6 +7,10 @@ the system the one before it ends on, and a state stage after the first
 follows only a circuit that opened with a state (and so has closed to a
 scalar): ``e ; rho`` is refused, since it would leave an open effect.
 
+A state and an effect are both a weighted sum of pure labels, so both lines
+parse into one :class:`VectorDecl` whose ``kind`` tells them apart.  The
+gates built from two named systems are one table, ``_PAIR_GATES``.
+
 Systems, states, effects, gates and circuits share one namespace.  States,
 effects and gates are built into one name table, ``CircuitAst.boxes``; an
 ``eval NAME`` directive and ``bctk eval --name NAME`` accept the same names,
@@ -39,15 +43,16 @@ A line reaches its declaration by one of two paths.  The fast path,
 labels and the ``atomic`` gate lines written in the compact single-space
 form of :func:`pretty` and ``verify.random_circuit_source``: one
 ``fullmatch`` checks the line, one ``finditer`` reads its terms, and the
-result equals the token parser's.  Every other line goes to the token
-parser: a comment, other whitespace, a label with more factors than a
-system within :data:`MAX_ONTIC_DIM` has, a number that does not convert.
-Diagnostics come only from the token parser.  It tokenizes a line in one
-``finditer`` pass into plain ``(kind, text, col, end_col)`` tuples with
-1-based columns, and a :class:`SourceSpan` is built only where an AST node
-keeps one or a diagnostic needs one.  A character that starts no token is
-refused at its own column, e.g. ``1:19: unexpected character '$'`` for
-``system a = elem 2 $``.
+result equals the token parser's.  Both paths read a name and a number
+through the same two patterns, ``_NAME`` and ``_NUM``.  Every other line
+goes to the token parser: a comment, other whitespace, a label with more
+factors than a system within :data:`MAX_ONTIC_DIM` has, a number that does
+not convert.  Diagnostics come only from the token parser.  It tokenizes a
+line in one ``finditer`` pass into plain ``(kind, text, col, end_col)``
+tuples with 1-based columns, and a :class:`SourceSpan` is built only where
+an AST node keeps one or a diagnostic needs one.  A character that starts
+no token is refused at its own column, e.g. ``1:19: unexpected character
+'$'`` for ``system a = elem 2 $``.
 
 A system or a circuit wire whose ontic dimension exceeds
 :data:`MAX_ONTIC_DIM` is refused with a diagnostic.
@@ -102,10 +107,13 @@ class DslError(Exception):
 # tokens
 # ---------------------------------------------------------------------------
 
+# A name and a number, for the tokenizer and the fast-path regexes alike.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUM = r"[0-9]+(?:/[0-9]+|\.[0-9]+)?"
+
 _TOKEN_RE = re.compile(
-    r"(?P<comment>#.*)|(?P<arrow>->)"
-    r"|(?P<number>[0-9]+/[0-9]+|[0-9]+\.[0-9]+|[0-9]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\],;:=+*|])|(?P<bad>\S)"
+    rf"(?P<comment>#.*)|(?P<arrow>->)|(?P<number>{_NUM})"
+    rf"|(?P<ident>{_NAME})|(?P<punct>[()\[\],;:=+*|])|(?P<bad>\S)"
 )
 
 
@@ -151,24 +159,21 @@ class VectorTerm:
 
 
 @dataclass(frozen=True)
-class StateDecl:
+class VectorDecl:
+    kind: str  # state | effect
     name: str
     system: str
-    terms: tuple
+    terms: tuple | None  # None only for ``effect NAME : SYSTEM = discard``
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class EffectDecl:
-    name: str
-    system: str
-    terms: tuple | None  # None means the deterministic effect
-    span: SourceSpan
+# The gates built from two named systems, by body keyword.
+_PAIR_GATES = {"swap": bct.swap, "nu": bct.fuse_map, "nu_inv": bct.unfuse_map}
 
 
 @dataclass(frozen=True)
 class GateBody:
-    kind: str  # atomic | id | swap | nu | nu_inv | rev
+    kind: str  # atomic | id | rev | a key of _PAIR_GATES
     terms: tuple = ()
     args: tuple = ()
     perm: tuple = ()
@@ -344,7 +349,7 @@ def _parse_gate_body(p: _LineParser) -> GateBody:
     text = tok[1]
     if p.accept("id"):
         return GateBody(kind="id")
-    if text in ("swap", "nu", "nu_inv"):
+    if text in _PAIR_GATES:
         kind, a, b = p.take_name(), p.take_name(), p.take_name()
         return GateBody(kind=kind, args=(a, b))
     if p.accept("rev"):
@@ -385,25 +390,15 @@ def _parse_line(tokens: list[tuple[str, str, int, int]], lineno: int):
         right = p.take_name()
         p.done()
         return SystemDecl(name, elem=None, parts=(left, right), span=span)
-    if keyword == "state":
+    if keyword in ("state", "effect"):
         name = p.take_name()
         p.take("punct", ":")
         system = p.take_name()
         p.take("punct", "=")
-        terms = p.parse_vector_terms()
+        discard = keyword == "effect" and p.accept("discard")
+        terms = None if discard else p.parse_vector_terms()
         p.done()
-        return StateDecl(name, system, terms, span)
-    if keyword == "effect":
-        name = p.take_name()
-        p.take("punct", ":")
-        system = p.take_name()
-        p.take("punct", "=")
-        if p.accept("discard"):
-            p.done()
-            return EffectDecl(name, system, terms=None, span=span)
-        terms = p.parse_vector_terms()
-        p.done()
-        return EffectDecl(name, system, terms, span)
+        return VectorDecl(keyword, name, system, terms, span)
     if keyword == "gate":
         name = p.take_name()
         p.take("punct", ":")
@@ -448,8 +443,6 @@ def _parse_line(tokens: list[tuple[str, str, int, int]], lineno: int):
 # label that fits one.
 _MAX_LABEL_FACTORS = (MAX_ONTIC_DIM.bit_length() - 1) // 2
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUM = r"[0-9]+(?:/[0-9]+|\.[0-9]+)?"
 # ``(i1)``, ``((i1,i2);s1)``, ``(((i1,i2);s1,i3);s2)``, ... as label_text
 # writes them, one alternative per factor count.
 _LABEL = "(?:" + "|".join(
@@ -506,9 +499,8 @@ def _fast_line(line: str, lineno: int):
                 terms.append(VectorTerm(
                     _ONE if weight is None else parse_number(weight), _fast_label(label),
                     SourceSpan(lineno, t.start(2) + 1, t.end(2) + 1)))
-            span = SourceSpan(lineno, 1, len(keyword) + 1)
-            decl = StateDecl if keyword == "state" else EffectDecl
-            return decl(name, system, tuple(terms), span)
+            return VectorDecl(keyword, name, system, tuple(terms),
+                              SourceSpan(lineno, 1, len(keyword) + 1))
         terms = tuple(
             bct.AtomicTerm(int(src), int(dst), int(flip), parse_number(weight))
             for src, dst, flip, weight in atomic_re.findall(line, m.start(8))
@@ -548,17 +540,12 @@ def _build_gate(decl: GateDecl, shapes: dict, diags) -> Transformation | None:
             if in_shape != out_shape:
                 raise ValueError("identity gates need equal input and output systems")
             return bct.identity(in_shape)
-        if body.kind in ("swap", "nu", "nu_inv"):
+        if body.kind in _PAIR_GATES:
             a, b = body.args
             if a not in shapes or b not in shapes:
                 missing = a if a not in shapes else b
                 raise ValueError(f"unknown system {missing!r}")
-            if body.kind == "swap":
-                built = bct.swap(shapes[a], shapes[b])
-            elif body.kind == "nu":
-                built = bct.fuse_map(shapes[a], shapes[b])
-            else:
-                built = bct.unfuse_map(shapes[a], shapes[b])
+            built = _PAIR_GATES[body.kind](shapes[a], shapes[b])
             if built.in_shape != in_shape or built.out_shape != out_shape:
                 raise ValueError(
                     f"{body.kind} has type {built.in_shape} -> {built.out_shape}, "
@@ -696,29 +683,20 @@ def parse(text: str) -> CircuitAst:
                 diags.append(Diagnostic(decl.span, _too_wide(f"system {decl.name!r}", shape)))
                 raise DslError(diags)
             ast.shapes[decl.name] = shape
-        elif isinstance(decl, StateDecl):
-            if decl.system not in ast.shapes:
-                diags.append(Diagnostic(decl.span, f"unknown system {decl.system!r}"))
-                continue
-            shape = ast.shapes[decl.system]
-            nums, den = _vector_weights(shape, decl.terms, diags, "state")
-            try:
-                ast.boxes[decl.name] = State(shape, nums, den)
-            except ValueError as exc:
-                diags.append(Diagnostic(decl.span, f"state {decl.name!r}: {exc}"))
-        elif isinstance(decl, EffectDecl):
+        elif isinstance(decl, VectorDecl):
             if decl.system not in ast.shapes:
                 diags.append(Diagnostic(decl.span, f"unknown system {decl.system!r}"))
                 continue
             shape = ast.shapes[decl.system]
             if decl.terms is None:
                 ast.boxes[decl.name] = bct.deterministic_effect(shape)
-            else:
-                nums, den = _vector_weights(shape, decl.terms, diags, "effect")
-                try:
-                    ast.boxes[decl.name] = Effect(shape, nums, den)
-                except ValueError as exc:
-                    diags.append(Diagnostic(decl.span, f"effect {decl.name!r}: {exc}"))
+                continue
+            nums, den = _vector_weights(shape, decl.terms, diags, decl.kind)
+            vector = State if decl.kind == "state" else Effect
+            try:
+                ast.boxes[decl.name] = vector(shape, nums, den)
+            except ValueError as exc:
+                diags.append(Diagnostic(decl.span, f"{decl.kind} {decl.name!r}: {exc}"))
         elif isinstance(decl, GateDecl):
             if decl.in_system not in ast.shapes or decl.out_system not in ast.shapes:
                 missing = (
@@ -832,36 +810,23 @@ def pretty(ast: CircuitAst) -> str:
                 lines.append(f"system {decl.name} = elem {decl.elem}")
             else:
                 lines.append(f"system {decl.name} = {decl.parts[0]} * {decl.parts[1]}")
-        elif isinstance(decl, StateDecl):
-            lines.append(f"state {decl.name} : {decl.system} = {_terms_str(decl.terms)}")
-        elif isinstance(decl, EffectDecl):
-            if decl.terms is None:
-                lines.append(f"effect {decl.name} : {decl.system} = discard")
-            else:
-                lines.append(
-                    f"effect {decl.name} : {decl.system} = {_terms_str(decl.terms)}"
-                )
+        elif isinstance(decl, VectorDecl):
+            rhs = "discard" if decl.terms is None else _terms_str(decl.terms)
+            lines.append(f"{decl.kind} {decl.name} : {decl.system} = {rhs}")
         elif isinstance(decl, GateDecl):
             body = decl.body
             if body.kind == "id":
                 rhs = "id"
-            elif body.kind in ("swap", "nu", "nu_inv"):
+            elif body.kind in _PAIR_GATES:
                 rhs = f"{body.kind} {body.args[0]} {body.args[1]}"
             elif body.kind == "rev":
-                rhs = (
-                    "rev "
-                    + ",".join(str(v) for v in body.perm)
-                    + " "
-                    + ",".join(str(v) for v in body.bits)
-                )
+                rhs = f"rev {','.join(map(str, body.perm))} {','.join(map(str, body.bits))}"
             else:
                 rhs = " + ".join(
                     f"atomic {t.src} -> {t.dst} tau {t.flip} w {number_text(t.weight)}"
                     for t in body.terms
                 )
-            lines.append(
-                f"gate {decl.name} : {decl.in_system} -> {decl.out_system} = {rhs}"
-            )
+            lines.append(f"gate {decl.name} : {decl.in_system} -> {decl.out_system} = {rhs}")
         elif isinstance(decl, CircuitDecl):
             stages = " ; ".join(
                 " | ".join(box.name for box in stage) for stage in decl.stages

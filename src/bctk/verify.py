@@ -119,9 +119,8 @@ def rand_shape(rng: random.Random, max_dim: int, max_factors: int = 2,
             return shape
 
 
-def rand_state(rng: random.Random, shape: SystemShape,
-               deterministic: bool = False) -> State:
-    return State(shape, _grid_counts(rng, shape.global_dim, deterministic), den=WEIGHT_GRID)
+def rand_state(rng: random.Random, shape: SystemShape) -> State:
+    return State(shape, _grid_counts(rng, shape.global_dim, normalised=False), den=WEIGHT_GRID)
 
 
 def rand_effect(rng: random.Random, shape: SystemShape) -> Effect:
@@ -602,35 +601,24 @@ def suite_determinacy(cfg: RunConfig) -> Report:
 def suite_atomicity(cfg: RunConfig) -> Report:
     """The ancilla law of atomic generators, elementary and composite."""
     report = Report(suite="atomicity", seed=cfg.seed)
-    for n, m, k in product((2, 3), (2, 3), (2, 3)):
-        n_shape, m_shape, anc = SystemShape((n,)), SystemShape((m,)), SystemShape((k,))
-        for src, dst, flip in product(range(1, n + 1), range(1, m + 1), (0, 1)):
-            lifted = par_with_identity(atomic(n_shape, m_shape, src, dst, flip), anc)
-            got, want = {}, {}
-            for i, j, s in product(range(1, n + 1), range(1, k + 1), (0, 1)):
-                lab = PureLabel((i, j), (s,))
-                got[label_text(lab)] = bct.apply(lifted, bct.pure_state(n_shape.compose(anc), lab))
-                want[label_text(lab)] = bct.pure_state(
-                    m_shape.compose(anc), PureLabel((dst, j), (s ^ flip,))
-                ).scale(1 if i == src else 0)
-            report.check(["atomic-law", n, m, k, src, dst, flip], got, want)
     comp = SystemShape((2, 2))
-    for k in (2, 3):
+    laws = [(SystemShape((n,)), SystemShape((m,)), k, ["atomic-law", n, m, k])
+            for n, m, k in product((2, 3), repeat=3)]
+    laws += [(comp, comp, k, ["composite-atomic-law", k]) for k in (2, 3)]
+    for in_shape, out_shape, k, prefix in laws:
         anc = SystemShape((k,))
-        big = comp.compose(anc)
-        for low, up, flip in product(
-            range(1, comp.global_dim + 1), range(1, comp.global_dim + 1), (0, 1)
-        ):
-            lifted = par_with_identity(atomic(comp, comp, low, up, flip), anc)
+        in_big, out_big = in_shape.compose(anc), out_shape.compose(anc)
+        n, m = in_shape.global_dim, out_shape.global_dim
+        for src, dst, flip in product(range(1, n + 1), range(1, m + 1), (0, 1)):
+            lifted = par_with_identity(atomic(in_shape, out_shape, src, dst, flip), anc)
             got, want = {}, {}
-            for q, j, s in product(range(1, comp.global_dim + 1), range(1, k + 1), (0, 1)):
-                lab = unflatten_label(big, pair_label(comp, anc, q, j, s))
-                got[label_text(lab)] = bct.apply(lifted, bct.pure_state(big, lab))
-                want_q = pair_label(comp, anc, up, j, s ^ flip)
-                want[label_text(lab)] = bct.pure_state(big, unflatten_label(big, want_q)).scale(
-                    1 if q == low else 0
-                )
-            report.check(["composite-atomic-law", k, low, up, flip], got, want)
+            for q, j, s in product(range(1, n + 1), range(1, k + 1), (0, 1)):
+                lab = unflatten_label(in_big, pair_label(in_shape, anc, q, j, s))
+                got[label_text(lab)] = bct.apply(lifted, bct.pure_state(in_big, lab))
+                want_q = pair_label(out_shape, anc, dst, j, s ^ flip)
+                want[label_text(lab)] = bct.pure_state(
+                    out_big, unflatten_label(out_big, want_q)).scale(1 if q == src else 0)
+            report.check([*prefix, src, dst, flip], got, want)
     for idx in range(cfg.trials):
         rng = trial_rng(cfg, "atomicity", idx)
         n = rng.randint(2, cfg.max_dim)

@@ -292,8 +292,9 @@ def test_products_match_dense_oracle(data):
     f = data.draw(dense())
     g = data.draw(dense(in_dim=f.shape[0]))
     h = data.draw(dense())
-    _assert_matches(compose_seq(ClassicalMap(f), ClassicalMap(g)), g.dot(f))
-    _assert_matches(compose_par(ClassicalMap(f), ClassicalMap(h)), np.kron(f, h))
+    _assert_matches(compose_seq(ClassicalMap(f.tolist()), ClassicalMap(g.tolist())), g.dot(f))
+    _assert_matches(compose_par(ClassicalMap(f.tolist()), ClassicalMap(h.tolist())),
+                    np.kron(f, h))
 
 
 @seed(20261019)
@@ -303,15 +304,15 @@ def test_linear_structure_matches_dense_oracle(data):
     a = data.draw(dense())
     b = data.draw(dense(*a.shape))
     factor = data.draw(_VALUES)
-    m = ClassicalMap(a)
+    m = ClassicalMap(a.tolist())
     _assert_matches(m, a)
-    _assert_matches(m.add(ClassicalMap(b)), a + b)
-    _assert_matches(m.add(ClassicalMap(-a)), a - a)
+    _assert_matches(m.add(ClassicalMap(b.tolist())), a + b)
+    _assert_matches(m.add(ClassicalMap((-a).tolist())), a - a)
     _assert_matches(m.scale(factor), a * factor)
     _assert_matches(transpose(m), a.T)
     assert m.column_sums() == [sum(a[:, c], 0) for c in range(a.shape[1])]
     rows, cols = np.nonzero(a != b)
-    assert list(m.differences(ClassicalMap(b))) == [
+    assert list(m.differences(ClassicalMap(b.tolist()))) == [
         (r, c, a[r, c], b[r, c]) for r, c in zip(rows.tolist(), cols.tolist())]
 
 
@@ -319,7 +320,7 @@ def test_linear_structure_matches_dense_oracle(data):
 @given(dense())
 @settings(max_examples=120, deadline=None)
 def test_predicates_match_dense_oracle(a):
-    m = ClassicalMap(a)
+    m = ClassicalMap(a.tolist())
     assert m.is_substochastic() == _dense_stochastic(a, strict=False)
     assert m.is_stochastic() == _dense_stochastic(a, strict=True)
     assert m.is_permutation() == _dense_permutation(a)
@@ -329,7 +330,7 @@ def test_predicates_match_dense_oracle(a):
 @given(dense())
 @settings(max_examples=80, deadline=None)
 def test_nonzero_order_and_json_match_dense_oracle(a):
-    m = ClassicalMap(a)
+    m = ClassicalMap(a.tolist())
     for sparse, arr in ((m, a), (transpose(m), a.T)):
         rows, cols = np.nonzero(arr != 0)
         assert list(sparse.nonzero()) == [

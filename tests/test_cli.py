@@ -494,10 +494,28 @@ def _assert_clean_rejection(proc, needle):
         (("lct", "demo", "--dl", "\u0663"), "--dl: not an integer"),
         (("lct", "refute", "--random", "\u0663"), "--random: not an integer"),
         (("lct", "refute", "--random", "2", "--seed", "\u0667"), "--seed: not an integer"),
+        # An empty value is a value: a path, a candidate or a kappa list.
+        (("lct", "refute", "--model", ""), "cannot load candidate"),
+        (("lct", "refute", "--candidate", ""), "cannot load candidate"),
+        (("lct", "demo", "--kappa", ""), "not a number: ''"),
     ],
 )
 def test_bad_flags_exit_one(args, needle):
     _assert_clean_rejection(run_cli(*args), needle)
+
+
+def test_empty_name_and_report_are_values(circuit_file, tmp_path):
+    _assert_clean_rejection(run_cli("eval", str(circuit_file), "--name", ""),
+                            "unknown circuit ''")
+    # An empty report path fails as any other unwritable path does.
+    verify_args = ("verify", "--suite", "codec", "--trials", "1", "--report")
+    empty = run_cli(*verify_args, "")
+    missing = run_cli(*verify_args, str(tmp_path / "missing" / "report.json"))
+    for proc in (empty, missing):
+        assert proc.returncode == 1
+        assert proc.stdout == missing.stdout != ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr.startswith("cannot write report:")
 
 
 @pytest.mark.parametrize(
@@ -641,13 +659,27 @@ def test_every_public_name_resolves():
         assert getattr(bctk, name) is not None, name
 
 
-def test_import_does_not_load_numpy():
+def test_import_does_not_load_numpy(circuit_file):
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, bctk, bctk.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    # numpy is a test-only dependency, so no command may load it either.
+    script = f"""if True:
+        import sys
+        from bctk import cli
+        path = {str(circuit_file)!r}
+        for argv in (["verify", "--suite", "all", "--trials", "2"], ["eval", path],
+                     ["embed", path, "--gate", "shift"], ["lct", "demo"],
+                     ["lct", "refute", "--random", "5"]):
+            assert cli.main(argv) == 0, argv
+        print("numpy" in sys.modules, file=sys.stderr)
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
 
 
 def test_verify_does_not_import_dsl():

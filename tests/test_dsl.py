@@ -271,6 +271,23 @@ def test_integer_errors_are_reported_at_the_number(source, diagnostic):
     assert [str(d) for d in err.value.diagnostics] == [diagnostic]
 
 
+_NOT_IN_A = "index 3 out of range [1..2] in label for (2)"
+
+
+@pytest.mark.parametrize("line, diagnostic", [
+    ("state s : a = 1 (1) + 1 (2)", "2:1: state 's': state weights must sum to at most 1"),
+    ("effect e : a = 2 (1)", "2:1: effect 'e': effect weights must lie in [0, 1]"),
+    ("state s : a = discard", "2:15: expected '(', got 'discard'"),
+    ("state s : a = (3)", f"2:15: state label does not fit system: {_NOT_IN_A}"),
+    ("effect e : a = (3)", f"2:16: effect label does not fit system: {_NOT_IN_A}"),
+    ("effect e : b = discard", "2:1: unknown system 'b'"),
+])
+def test_state_and_effect_diagnostics_name_their_kind(line, diagnostic):
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(f"system a = elem 2\n{line}\n")
+    assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                  "\u2028", "\u2029"])
 def test_lines_end_at_newline_only(sep):
@@ -483,7 +500,7 @@ def test_corpus_parses_alike_on_both_paths():
         assert ast == _token_parse(src)
         # Vector weights summed in Fraction, as before the integer lattice.
         for decl in ast.decls:
-            if isinstance(decl, (dsl.StateDecl, dsl.EffectDecl)) and decl.terms is not None:
+            if isinstance(decl, dsl.VectorDecl) and decl.terms is not None:
                 shape = ast.shapes[decl.system]
                 weights = [Fraction(0)] * shape.global_dim
                 for term in decl.terms:
