@@ -102,7 +102,7 @@ def cmd_eval(args) -> int:
             value_bct = dsl.eval_bct(ast, name)
             value_ontic = dsl.eval_ontic(ast, name)
         except KeyError as exc:
-            _err(str(exc))
+            _err(exc.args[0])
             return EXIT_INPUT
         diff = _difference(value_bct, value_ontic)
         if diff != 0:
@@ -296,45 +296,38 @@ def _integer(low: int | None = None, high: int | None = None):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="bctk",
-        description="Evaluate process diagrams, verify the ontological model, "
-        "and run the latent-classical falsifier.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--name", help="circuit to evaluate (default: eval directives)")
+    p.set_defaults(func=cmd_eval)
 
-    p_eval = sub.add_parser("eval", help="evaluate a circuit under both backends")
-    p_eval.add_argument("file")
-    p_eval.add_argument("--name", help="circuit to evaluate (default: eval directives)")
-    p_eval.set_defaults(func=cmd_eval)
 
-    p_verify = sub.add_parser("verify", help="run consistency suites")
-    p_verify.add_argument(
-        "--suite", default="all", choices=list(verify.SUITE_NAMES) + ["all"]
-    )
-    p_verify.add_argument("--seed", type=_integer(), default=0)
-    p_verify.add_argument("--trials", type=_integer(0), default=200)
-    p_verify.add_argument("--max-dim", type=_integer(2, verify.MAX_DIM), default=4,
-                          dest="max_dim")
-    p_verify.add_argument("--report", help="also write the JSON report to this path")
-    p_verify.add_argument(
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suite", default="all", choices=list(verify.SUITE_NAMES) + ["all"])
+    p.add_argument("--seed", type=_integer(), default=0)
+    p.add_argument("--trials", type=_integer(0), default=200)
+    p.add_argument("--max-dim", type=_integer(2, verify.MAX_DIM), default=4,
+                   dest="max_dim")
+    p.add_argument("--report", help="also write the JSON report to this path")
+    p.add_argument(
         "--corrupt", choices=["swap"], help="inject a corrupted fixture (testing only)"
     )
-    p_verify.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify)
 
-    p_embed = sub.add_parser("embed", help="dump the classical image of a gate")
-    p_embed.add_argument("file")
-    p_embed.add_argument("--gate", required=True)
-    p_embed.set_defaults(func=cmd_embed)
 
-    p_lct = sub.add_parser("lct", help="latent-classical demo and falsifier")
-    p_lct.add_argument("action", choices=["demo", "refute"])
-    p_lct.add_argument("--d1", type=_integer(), default=2)
-    p_lct.add_argument("--d2", type=_integer(), default=2)
-    p_lct.add_argument("--dl", type=_integer(), default=2)
-    p_lct.add_argument("--kappa", help="latent state as comma-separated rationals")
-    source = p_lct.add_mutually_exclusive_group()
+def _embed_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--gate", required=True)
+    p.set_defaults(func=cmd_embed)
+
+
+def _lct_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=["demo", "refute"])
+    p.add_argument("--d1", type=_integer(), default=2)
+    p.add_argument("--d2", type=_integer(), default=2)
+    p.add_argument("--dl", type=_integer(), default=2)
+    p.add_argument("--kappa", help="latent state as comma-separated rationals")
+    source = p.add_mutually_exclusive_group()
     source.add_argument(
         "--candidate", help="builtin:bct-style or a path to a candidate JSON file"
     )
@@ -342,13 +335,39 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--random", type=_integer(1), help="refute N seeded random candidates"
     )
-    p_lct.add_argument("--seed", type=_integer(), help="seed of --random (default 0)")
-    p_lct.set_defaults(func=cmd_lct)
+    p.add_argument("--seed", type=_integer(), help="seed of --random (default 0)")
+    p.set_defaults(func=cmd_lct)
+
+
+# Subcommand name -> (help text, function adding that command's arguments).
+_COMMANDS = {
+    "eval": ("evaluate a circuit under both backends", _eval_arguments),
+    "verify": ("run consistency suites", _verify_arguments),
+    "embed": ("dump the classical image of a gate", _embed_arguments),
+    "lct": ("latent-classical demo and falsifier", _lct_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone if it names a subcommand, else of all four."""
+    parser = _Parser(
+        prog="bctk",
+        description="Evaluate process diagrams, verify the ontological model, "
+        "and run the latent-classical falsifier.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named command's parser is built: a usage error prints no usage
+    # line and a subparser's prog is fixed when it is added, so every byte of
+    # output is what the full parser would print.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

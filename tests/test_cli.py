@@ -151,6 +151,13 @@ def test_embed_refuses_a_name_that_is_not_a_gate(circuit_file, capsys, name):
     assert out == "" and err == f"unknown gate {name!r}\n"
 
 
+def test_eval_refuses_an_unknown_circuit_as_embed_refuses_a_gate(circuit_file, capsys):
+    assert cli.main(["eval", str(circuit_file), "--name", "nosuch"]) == 1
+    assert capsys.readouterr() == ("", "unknown circuit 'nosuch'\n")
+    assert cli.main(["embed", str(circuit_file), "--gate", "nosuch"]) == 1
+    assert capsys.readouterr() == ("", "unknown gate 'nosuch'\n")
+
+
 def test_eval_directive_takes_the_names_eval_name_takes(tmp_path, capsys):
     body = "system a = elem 2\nstate x : a = 1/2 (1) + 1/4 (2)\neffect e : a = (2)\n"
     path = tmp_path / "boxes.bct"
@@ -649,6 +656,64 @@ def test_random_refute_alone_uses_seed_zero(capsys):
         assert cli.main(["lct", "refute", "--random", "4", *seed]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+PARSER_CORPUS = [
+    ["eval", "c.bct"],
+    ["eval", "c.bct", "--name", "p"],
+    ["embed", "c.bct", "--gate", "shift"],
+    ["verify", "--suite", "codec", "--seed", "-5", "--trials", "1", "--max-dim", "3",
+     "--report", "r.json", "--corrupt", "swap"],
+    ["lct", "refute", "--d1", "3", "--kappa", "1/2,1/2", "--random", "2", "--seed", "4"],
+    ["lct", "demo"],
+    ["-h"], ["eval", "-h"], ["verify", "-h"], ["embed", "-h"], ["lct", "-h"],
+    ["nosuch"], [], ["--"],
+    ["embed", "c.bct"], ["eval"],
+    ["verify", "--suite", "nosuch"], ["lct", "nosuch"],
+    ["lct", "refute", "--model", "a", "--random", "3"],
+    ["verify", "--trials", "-1"], ["verify", "--max-dim", str(verify.MAX_DIM + 1)],
+    ["eval", "c.bct", "--bogus"], ["verify", "extra"],
+]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """``(exit code, stdout, stderr, namespace)`` of one ``parse_args``."""
+    code = namespace = None
+    try:
+        namespace = parser.parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr(), namespace)
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_one_command_parser_parses_as_the_full_parser(argv, capsys):
+    single = _parse_outcome(cli.build_parser(argv[0] if argv else None), argv, capsys)
+    full = _parse_outcome(cli.build_parser(), argv, capsys)
+    assert single == full
+
+
+def test_main_builds_only_the_parser_its_command_names(circuit_file, monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    path = str(circuit_file)
+    for argv in (["eval", path], ["embed", path, "--gate", "shift"],
+                 ["verify", "--suite", "codec", "--trials", "1"], ["lct", "demo"]):
+        built.clear()
+        assert cli.main(argv) == 0, argv
+        assert len(built) == 2, argv
+    for argv in ([], ["nosuch"]):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert len(built) == 5, argv
 
 
 def test_every_public_name_resolves():
