@@ -27,7 +27,8 @@ optional ``den`` gives the values as numerators over ``den``.  Kernel
 operations build their results through ``Transformation._from_nums`` and
 ``_Vector._from_nums``, which check nothing: each such result is valid by
 construction, for the reason given at its call site.  ``_Vector.scale``
-by a weight in ``[0, 1]`` builds its result the same way.
+by a weight in ``[0, 1]`` builds its result the same way, and by ``0`` it
+returns the zero vector over ``den == 1`` directly.
 
 The per-shape constants ``identity``, ``swap`` and the pure states and
 effects are built once and cached.  They are shared, so a cached
@@ -38,7 +39,8 @@ operation reads them.
 
 Composite systems are handled through canonical left-nested labels; partial
 application, swaps and parallel composition are all label arithmetic via
-:func:`bctk.systems.pair_label`.
+:func:`bctk.systems.pair_label`, whose closed form ``compose_par`` inlines
+with the per-shape offsets :func:`bctk.systems.pair_offsets`.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .systems import (
     as_label,
     flatten_label,
     pair_label,
+    pair_offsets,
 )
 
 # ---------------------------------------------------------------------------
@@ -110,7 +113,10 @@ class _Vector:
         (pn,), pd = lattice((p,))
         if pn == pd:
             return self
-        if 0 <= pn <= pd:
+        if pn == 0:
+            # The zero vector is a substate and an effect in [0, 1].
+            return type(self)._from_nums(self.shape, (0,) * len(self.nums), 1)
+        if 0 < pn < pd:
             return _scaled(self, pn, pd)
         return type(self)(self.shape, [pn * n for n in self.nums], den=self.den * pd)
 
@@ -468,19 +474,25 @@ def compose_par(t1: Transformation, t2: Transformation) -> Transformation:
     with section shift ``f1`` and weight ``w1*w2``.  The swap sandwich
     (``t1 (x) id`` after ``swap . (t2 (x) id) . swap``) is its test oracle."""
     in1, in2, out1, out2 = t1.in_shape, t2.in_shape, t1.out_shape, t2.out_shape
+    # pair_label(L, R, q1, q2, s) = 2*G_R*(q1-1) + pair_offsets(R)[2*(q2-1)+s]:
+    # per t2 term, the input offsets for s = 0, 1 and the output offsets for
+    # the bits s^f2 (taken when f1 = 0) and their swap (when f1 = 1).
+    off_in, off_out = pair_offsets(in2), pair_offsets(out2)
+    step_in, step_out = 2 * in2.global_dim, 2 * out2.global_dim
+    by_f1 = ([], [])
+    for (s2, d2, f2), n2 in t2.nums.items():
+        qi, qo = 2 * s2 - 2, 2 * d2 - 2 + f2
+        by_f1[0].append((off_in[qi], off_in[qi + 1], off_out[qo], off_out[qo ^ 1], n2))
+        by_f1[1].append((off_in[qi], off_in[qi + 1], off_out[qo ^ 1], off_out[qo], n2))
     out: dict = {}
-    terms2 = t2.nums.items()
     for (s1, d1, f1), n1 in t1.nums.items():
-        for (s2, d2, f2), n2 in terms2:
+        a, b = step_in * (s1 - 1), step_out * (d1 - 1)
+        for i0, i1, o0, o1, n2 in by_f1[f1]:
+            # pair_label is injective in (s1, s2, s) and in (d1, d2, s^f1^f2),
+            # so each key is written once.
             n = n1 * n2
-            for s in (0, 1):
-                # pair_label is injective in (s1, s2, s) and in (d1, d2, s^f1^f2),
-                # so each key is written once.
-                out[(
-                    pair_label(in1, in2, s1, s2, s),
-                    pair_label(out1, out2, d1, d2, s ^ f1 ^ f2),
-                    f1,
-                )] = n
+            out[(a + i0, b + o0, f1)] = n
+            out[(a + i1, b + o1, f1)] = n
     # Positive weights; input (s1 s2)_s sums to row1(s1) * row2(s2) <= 1.
     return Transformation._from_nums(in1.compose(in2), out1.compose(out2),
                                      *reduce_dict(out, t1.den * t2.den))

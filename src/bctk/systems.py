@@ -11,6 +11,16 @@ The codec used here is ``Q(i, j, s) = 2*n2*(i - 1) + 2*j + s - 1``, which
 is a bijection ``[1..n1] x [1..n2] x {0,1} -> [1..2*n1*n2]`` for every pair
 of dimensions (the variant with stride ``2*n1`` fails to be injective when
 ``n1 < n2``).
+
+Pairing two composite labels has a closed form.  Folding the left label
+first leaves ``q1`` at stride ``2*G_R`` (``G_R`` the right global dimension)
+and the right label, with its section bits shifted by the pairing bit ``s``,
+as an offset that does not depend on the left shape::
+
+    pair_label(L, R, q1, q2, s) == 2*G_R*(q1 - 1) + pair_offsets(R)[2*(q2 - 1) + s]
+
+``pair_offsets(R)`` is a permutation of ``1..2*G_R``, the identity when ``R``
+is elementary.
 """
 
 from __future__ import annotations
@@ -196,22 +206,40 @@ def all_labels(shape: SystemShape) -> Iterator[PureLabel]:
 
 
 @lru_cache(maxsize=None)
+def pair_offsets(right: SystemShape) -> tuple[int, ...]:
+    """``pair_offsets(right)[2*(q2-1) + s]`` is the global index of ``(1 q2)_s``
+    on ``left + right`` for every non-trivial ``left``: ``right``'s label
+    folded from ``acc = 1``, its section bits shifted by ``s``."""
+    out = []
+    for q2 in range(1, right.global_dim + 1):
+        b = unflatten_label(right, q2)
+        for s in (0, 1):
+            acc, acc_dim = 1, 1
+            for idx, n, bit in zip(b.indices, right.elems,
+                                   (s, *(s ^ u for u in b.sections))):
+                acc = q_encode(acc_dim, n, acc, idx, bit)
+                acc_dim = 2 * acc_dim * n
+            out.append(acc)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def pair_label(left: SystemShape, right: SystemShape, q1: int, q2: int, s: int) -> int:
     """Global index on ``left + right`` of the grouping ``(q1 q2)_s``.
 
     Re-associating the grouping into canonical left-nested form appends the
     pairing bit and shifts every section bit of the right factor by it:
-    ``(x (y z)_u)_s = ((x y)_s z)_{s^u}``.
+    ``(x (y z)_u)_s = ((x y)_s z)_{s^u}``; the result is the closed form
+    ``2*G_R*(q1 - 1) + pair_offsets(right)[2*(q2 - 1) + s]``.
     """
     if left.is_trivial or right.is_trivial:
         raise ValueError("pair_label needs two non-trivial shapes")
-    a = unflatten_label(left, q1)
-    b = unflatten_label(right, q2)
+    for shape, q in ((left, q1), (right, q2)):
+        if not 1 <= q <= shape.global_dim:
+            raise ValueError(f"label q={q} out of range [1..{shape.global_dim}] for {shape}")
     if s not in (0, 1):
         raise ValueError("pairing bit must be 0 or 1")
-    indices = a.indices + b.indices
-    sections = a.sections + (s,) + tuple(s ^ u for u in b.sections)
-    return flatten_label(left.compose(right), PureLabel(indices, sections))
+    return 2 * right.global_dim * (q1 - 1) + pair_offsets(right)[2 * (q2 - 1) + s]
 
 
 @lru_cache(maxsize=None)

@@ -609,15 +609,21 @@ def suite_atomicity(cfg: RunConfig) -> Report:
         anc = SystemShape((k,))
         in_big, out_big = in_shape.compose(anc), out_shape.compose(anc)
         n, m = in_shape.global_dim, out_shape.global_dim
+        probes = []
+        for q, j, s in product(range(1, n + 1), range(1, k + 1), (0, 1)):
+            lab = unflatten_label(in_big, pair_label(in_shape, anc, q, j, s))
+            probes.append((q, j, s, label_text(lab), bct.pure_state(in_big, lab)))
+        targets = {
+            (dst, j, s): bct.pure_state(
+                out_big, unflatten_label(out_big, pair_label(out_shape, anc, dst, j, s)))
+            for dst, j, s in product(range(1, m + 1), range(1, k + 1), (0, 1))
+        }
         for src, dst, flip in product(range(1, n + 1), range(1, m + 1), (0, 1)):
             lifted = par_with_identity(atomic(in_shape, out_shape, src, dst, flip), anc)
             got, want = {}, {}
-            for q, j, s in product(range(1, n + 1), range(1, k + 1), (0, 1)):
-                lab = unflatten_label(in_big, pair_label(in_shape, anc, q, j, s))
-                got[label_text(lab)] = bct.apply(lifted, bct.pure_state(in_big, lab))
-                want_q = pair_label(out_shape, anc, dst, j, s ^ flip)
-                want[label_text(lab)] = bct.pure_state(
-                    out_big, unflatten_label(out_big, want_q)).scale(1 if q == src else 0)
+            for q, j, s, text, rho in probes:
+                got[text] = bct.apply(lifted, rho)
+                want[text] = targets[dst, j, s ^ flip].scale(1 if q == src else 0)
             report.check([*prefix, src, dst, flip], got, want)
     for idx in range(cfg.trials):
         rng = trial_rng(cfg, "atomicity", idx)
@@ -644,15 +650,14 @@ def suite_swap(cfg: RunConfig) -> Report:
     for n, m, k in product((2, 3), repeat=3):
         left, right, anc = SystemShape((n,)), SystemShape((m,)), SystemShape((k,))
         lifted = par_with_identity(_swap_under_test(cfg, left, right), anc)
+        in_big, out_big = left.compose(right).compose(anc), right.compose(left).compose(anc)
         got, want = {}, {}
         for i, j, kk, s, t in product(
             range(1, n + 1), range(1, m + 1), range(1, k + 1), (0, 1), (0, 1)
         ):
             lab = PureLabel((i, j, kk), (s, t))
-            got[label_text(lab)] = bct.apply(
-                lifted, bct.pure_state(left.compose(right).compose(anc), lab))
-            want[label_text(lab)] = bct.pure_state(right.compose(left).compose(anc),
-                                                   PureLabel((j, i, kk), (s, s ^ t)))
+            got[label_text(lab)] = bct.apply(lifted, bct.pure_state(in_big, lab))
+            want[label_text(lab)] = bct.pure_state(out_big, PureLabel((j, i, kk), (s, s ^ t)))
         report.check(["swap-defining-relation", n, m, k], got, want)
     for n, m in product((2, 3, 4), repeat=2):
         left, right = SystemShape((n,)), SystemShape((m,))

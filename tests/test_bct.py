@@ -598,15 +598,13 @@ def _swap_sandwich(t1, t2):
     return compose_seq(right_first, _explicit_lift(t1, t2.out_shape))
 
 
-def _rand_shape(rng):
-    return SystemShape(tuple(rng.choice((2, 3)) for _ in range(rng.randint(1, 2))))
+def _rand_shape(rng, max_factors=2, min_factors=1):
+    return SystemShape(tuple(rng.choice((2, 3))
+                             for _ in range(rng.randint(min_factors, max_factors))))
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_compose_par_matches_swap_sandwich(seed):
-    rng = random.Random(seed)
-    a, b, c, d, anc = (_rand_shape(rng) for _ in range(5))
+def _check_compose_par_against_sandwich(rng, c, d):
+    a, b, anc = (_rand_shape(rng) for _ in range(3))
     t1 = _rand_tensor(rng, a, b, channel=rng.random() < 0.5)
     t2 = _rand_tensor(rng, c, d, channel=rng.random() < 0.5)
     assert compose_par(t1, t2) == _swap_sandwich(t1, t2)
@@ -614,6 +612,23 @@ def test_compose_par_matches_swap_sandwich(seed):
     assert par_with_identity(t1, anc) == lift
     # the oracle skips validation; its result must pass it
     assert Transformation(lift.in_shape, lift.out_shape, lift.coeffs) == lift
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_compose_par_matches_swap_sandwich(seed):
+    # t2's shapes carry up to three factors: only for two or more are the
+    # pair offsets that compose_par inlines not the identity.
+    rng = random.Random(seed)
+    c, d = _rand_shape(rng, max_factors=3), _rand_shape(rng, max_factors=3)
+    _check_compose_par_against_sandwich(rng, c, d)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_compose_par_matches_swap_sandwich_on_composite_right_factors(seed):
+    rng = random.Random(seed)
+    c, d = (_rand_shape(rng, max_factors=3, min_factors=2) for _ in range(2))
+    _check_compose_par_against_sandwich(rng, c, d)
 
 
 # -- kernel results built without re-validation --------------------------------

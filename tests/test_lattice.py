@@ -357,6 +357,18 @@ def test_zero_objects_have_denominator_one():
     assert m.add(m.scale(-1)).den == 1
 
 
+def test_scale_by_zero_is_the_zero_vector_over_one():
+    s3 = SystemShape((3,))
+    for v in (State(s3, (1, 2, 0), den=5), Effect(s3, (1, 4, 3), den=7)):
+        assert v.den > 1
+        zero = type(v)(s3, [0] * 3)
+        for p in (0, Fraction(0)):
+            scaled = v.scale(p)
+            assert type(scaled) is type(v) and scaled.den == 1
+            assert scaled.nums == (0, 0, 0)
+            assert scaled == zero and hash(scaled) == hash(zero)
+
+
 def test_coprime_chain_grows_only_with_its_true_value():
     # Fifty channels on one elementary system, step k with denominator p_k in
     # a cycle of coprime values; every step is reduced, so the denominator is

@@ -14,6 +14,7 @@ from bctk.systems import (
     flatten_label,
     flatten_right_nested,
     pair_label,
+    pair_offsets,
     q_decode,
     q_encode,
     reassoc_inverse,
@@ -21,6 +22,8 @@ from bctk.systems import (
     split_label,
     unflatten_label,
 )
+
+from kernel_helpers import pair_label_fold
 
 
 def test_dimension_rule_examples():
@@ -145,6 +148,51 @@ def test_pair_label_on_elementary_factors_is_q():
     left, right = SystemShape((3,)), SystemShape((4,))
     for i, j, s in product(range(1, 4), range(1, 5), (0, 1)):
         assert pair_label(left, right, i, j, s) == q_encode(3, 4, i, j, s)
+
+
+# Every shape with one to three factors in {2, 3, 4}.
+SMALL_SHAPES = [SystemShape(e) for p in (1, 2, 3) for e in product((2, 3, 4), repeat=p)]
+
+
+def test_pair_label_closed_form_matches_the_label_fold():
+    # Every shape pair whose composite has global dimension <= 512: 46,186 points.
+    for left, right in product(SMALL_SHAPES, repeat=2):
+        if 2 * left.global_dim * right.global_dim > 512:
+            continue
+        points = list(product(range(1, left.global_dim + 1),
+                              range(1, right.global_dim + 1), (0, 1)))
+        # the uncached body, so the test leaves pair_label's cache as it was
+        assert ([pair_label.__wrapped__(left, right, *p) for p in points]
+                == [pair_label_fold(left, right, *p) for p in points]), (left, right)
+
+
+def test_pair_offsets_is_a_permutation_and_the_identity_on_elementary_shapes():
+    for right in SMALL_SHAPES:
+        offsets = pair_offsets(right)
+        # the offsets are the labels (1 q2)_s, whatever the left shape
+        assert offsets == tuple(pair_label_fold(SystemShape((2,)), right, 1, q2, s)
+                                for q2 in range(1, right.global_dim + 1) for s in (0, 1))
+        assert sorted(offsets) == list(range(1, 2 * right.global_dim + 1)), right
+        if right.num_factors == 1:
+            assert offsets == tuple(range(1, 2 * right.global_dim + 1))
+
+
+@pytest.mark.parametrize("args", [
+    (TRIVIAL, SystemShape((2,)), 1, 1, 0),
+    (SystemShape((2,)), TRIVIAL, 1, 1, 0),
+    (SystemShape((2, 3)), SystemShape((2,)), 13, 1, 0),
+    (SystemShape((2, 3)), SystemShape((2,)), 0, 1, 0),
+    (SystemShape((2,)), SystemShape((3, 2)), 1, 13, 0),
+    (SystemShape((2,)), SystemShape((3,)), 1, 0, 1),
+    (SystemShape((2,)), SystemShape((3,)), 3, 4, 2),
+    (SystemShape((2,)), SystemShape((3,)), 1, 1, 2),
+])
+def test_pair_label_rejects_what_the_label_fold_rejects(args):
+    with pytest.raises(ValueError) as fold_error:
+        pair_label_fold(*args)
+    with pytest.raises(ValueError) as error:
+        pair_label(*args)
+    assert str(error.value) == str(fold_error.value)
 
 
 def test_pair_split_round_trip():

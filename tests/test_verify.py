@@ -1,5 +1,6 @@
 """``Report.check``: one trial per call and a flat witness down to a leaf."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from fractions import Fraction
 import bctk
 from bctk import bct, verify
 from bctk.classical import ClassicalMap
-from bctk.systems import SystemShape
+from bctk.scalars import reduce_dict
+from bctk.systems import SystemShape, pair_label
+from bctk.bct import Transformation
 from bctk.verify import Report, RunConfig
 
 S2 = SystemShape((2,))
@@ -103,3 +106,32 @@ def test_corrupted_swap_failures_end_at_a_numeric_leaf():
             assert all(type(p) in (int, str) for p in failure["witness"]), failure
             for side in ("lhs", "rhs"):
                 assert [type(v) for v in failure[side]] == [int, int], failure
+
+
+def _compose_par_dropping_f1_at_d2_2(t1, t2):
+    """Kernel mutant: ``compose_par`` whose output pairing bit loses ``t1``'s
+    section shift wherever ``t2``'s term lands on label 2."""
+    in1, in2, out1, out2 = t1.in_shape, t2.in_shape, t1.out_shape, t2.out_shape
+    out = {}
+    for (s1, d1, f1), n1 in t1.nums.items():
+        for (s2, d2, f2), n2 in t2.nums.items():
+            shift = f2 if d2 == 2 else f1 ^ f2
+            for s in (0, 1):
+                out[(pair_label(in1, in2, s1, s2, s),
+                     pair_label(out1, out2, d1, d2, s ^ shift), f1)] = n1 * n2
+    return Transformation._from_nums(in1.compose(in2), out1.compose(out2),
+                                     *reduce_dict(out, t1.den * t2.den))
+
+
+def test_atomicity_failures_under_a_kernel_mutation_are_pinned(monkeypatch):
+    # Every failure, not only the first ten, so the pin covers each law's
+    # witnesses and their order; measured before the fixed loops built their
+    # probes and targets once per law.
+    monkeypatch.setattr(bct, "compose_par", _compose_par_dropping_f1_at_d2_2)
+    monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
+    report = verify.suite_atomicity(RunConfig(seed=20260809, trials=20, max_dim=3)).to_json()
+    assert (report["trials"], len(report["failures"]), report["max_abs_dev"]) == (376, 180, 1.0)
+    assert report["failures"][0] == {"witness": ["atomic-law", 2, 2, 2, 1, 1, 1, "((1,2);0)", 3],
+                                     "lhs": [1, 1], "rhs": [0, 1]}
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "62d98b09523c0e353562588b7ca5547572f9d2b1dda67be21d58ca1c89d94c6d"
