@@ -189,7 +189,7 @@ class Report:
         """Count one trial of ``lhs == rhs``.  On a mismatch, extend the
         witness with the path to the first differing leaf and keep the two
         leaves; ``max_abs_dev`` rises to their distance, or to 1 when a leaf
-        is not a number (a boolean, a shape, a missing key)."""
+        is not a number (a boolean, a shape, a missing key, a denominator)."""
         self.trials += 1
         if lhs == rhs:
             return
@@ -225,36 +225,41 @@ def _first_difference(a, b):
     Dicts are walked by key (a tuple key adds all its parts to the path),
     sequences by index, maps by cell, states and effects by flattened label
     and transformations by ``(src, dst, flip)`` term; a differing shape or
-    length is itself the leaf."""
+    length is itself the leaf.  Two such values that agree on every leaf
+    differ in representation only, as when a kernel result is not in lowest
+    terms: the path then ends at ``"den"``, with both denominators as text."""
     path: list = []
     while True:
         if isinstance(a, (State, Effect)) and type(a) is type(b):
             if a.shape != b.shape:
                 return path + ["shape"], str(a.shape), str(b.shape)
-            q = next(q for q, (x, y) in enumerate(zip(a.weights, b.weights), 1) if x != y)
-            return path + [q], a.weights[q - 1], b.weights[q - 1]
-        if isinstance(a, ClassicalMap) and isinstance(b, ClassicalMap):
+            leaves = (([q], x, y) for q, (x, y) in enumerate(zip(a.weights, b.weights), 1)
+                      if x != y)
+        elif isinstance(a, ClassicalMap) and isinstance(b, ClassicalMap):
             if a.shape != b.shape:
                 return path + ["shape"], list(a.shape), list(b.shape)
-            r, c, x, y = next(a.differences(b))
-            return path + [r, c], x, y
-        if isinstance(a, Transformation) and isinstance(b, Transformation):
+            leaves = (([r, c], x, y) for r, c, x, y in a.differences(b))
+        elif isinstance(a, Transformation) and isinstance(b, Transformation):
             if (a.in_shape, a.out_shape) != (b.in_shape, b.out_shape):
                 return (path + ["shape"], f"{a.in_shape}->{a.out_shape}",
                         f"{b.in_shape}->{b.out_shape}")
-            x, y = a.coeffs, b.coeffs
-            key = min(k for k in x.keys() | y.keys() if x.get(k, 0) != y.get(k, 0))
-            return path + list(key), x.get(key, 0), y.get(key, 0)
-        if isinstance(a, dict) and isinstance(b, dict):
+            ca, cb = a.coeffs, b.coeffs
+            leaves = ((list(k), ca.get(k, 0), cb.get(k, 0)) for k in sorted(ca.keys() | cb.keys())
+                      if ca.get(k, 0) != cb.get(k, 0))
+        elif isinstance(a, dict) and isinstance(b, dict):
             key = next(k for k in {**a, **b} if a.get(k) != b.get(k))
             path.extend(key if type(key) is tuple else (key,))
             a, b = a.get(key), b.get(key)
+            continue
         elif isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)) and len(a) == len(b):
             i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
             path.append(i)
             a, b = a[i], b[i]
+            continue
         else:
             return path, a, b
+        steps, x, y = next(leaves, (["den"], str(a.den), str(b.den)))
+        return path + steps, x, y
 
 
 def _corrupt_swap(sw: Transformation) -> Transformation:

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import bctk
-from bctk import bct, verify
+from bctk import bct, ontic, verify
 from bctk.classical import ClassicalMap
 from bctk.scalars import reduce_dict
 from bctk.systems import SystemShape, pair_label
@@ -81,6 +81,29 @@ def test_a_transformation_mismatch_names_its_term():
     assert report.failures == [{"witness": ["t", 1, 2, 0], "lhs": [0, 1], "rhs": [1, 1]}]
 
 
+def test_a_map_not_in_lowest_terms_ends_at_its_denominator():
+    report = Report(suite="t")
+    report.check(["m"], ClassicalMap._from_nums(1, 2, {(0, 1): 2}, 4),
+                 ClassicalMap._from_nums(1, 2, {(0, 1): 1}, 2))
+    assert report.failures == [{"witness": ["m", "den"], "lhs": "4", "rhs": "2"}]
+    assert report.max_abs_dev == 1
+
+
+def test_a_transformation_not_in_lowest_terms_ends_at_its_denominator():
+    report = Report(suite="t")
+    half = Transformation._from_nums(S2, S2, {(1, 2, 1): 1}, 2)
+    report.check(["t"], {"x": half}, {"x": Transformation._from_nums(S2, S2, {(1, 2, 1): 3}, 6)})
+    assert report.failures == [{"witness": ["t", "x", "den"], "lhs": "2", "rhs": "6"}]
+    assert report.max_abs_dev == 1
+
+
+def test_a_state_not_in_lowest_terms_ends_at_its_denominator():
+    report = Report(suite="t")
+    report.check(["s"], [bct.State._from_nums(S2, (2, 0), 4)], [bct.pure_state(S2, 1).scale(Fraction(1, 2))])
+    assert report.failures == [{"witness": ["s", 0, "den"], "lhs": "4", "rhs": "2"}]
+    assert report.max_abs_dev == 1
+
+
 def test_package_exports_the_report_without_loading_the_suites():
     assert bctk.Report is verify.Report
     proc = subprocess.run(
@@ -123,15 +146,58 @@ def _compose_par_dropping_f1_at_d2_2(t1, t2):
                                      *reduce_dict(out, t1.den * t2.den))
 
 
+_ONTIC_MAP = ontic.ontic_map
+
+
+def _ontic_map_dropping_its_last_term(t):
+    """Kernel mutant: ``ontic_map`` of ``t`` without its largest term key, in
+    lowest terms, whenever ``t`` has two terms or more."""
+    terms = sorted(t.nums.items())
+    if len(terms) > 1:
+        t = Transformation._from_nums(t.in_shape, t.out_shape,
+                                      *reduce_dict(dict(terms[:-1]), t.den))
+    return _ONTIC_MAP(t)
+
+
+# Each mutant is patched into its kernel module and into verify's alias of it;
+# every report it breaks is pinned as (trials, failures, sha256).
+_MUTANT_PINS = (
+    (bct, "compose_par", _compose_par_dropping_f1_at_d2_2, {
+        "diagram": (78, 30, "883c2b9adc3a8fdf800ae47b89389fc6f723e0861e8ffb1b897f0745b3c0ab49"),
+        "swap": (66, 26, "121625c2037adee3ad066c60a78988a1f8ece541b9102ebb6aacd4635401366e"),
+    }),
+    (ontic, "ontic_map", _ontic_map_dropping_its_last_term, {
+        "linearity": (64, 17, "65fa21597a54a3b50dae5ae40db5e6542595d2fc3d6d165547c442fe2dca7401"),
+        "diagram": (78, 43, "c678c7f2f997179c681bfe26e1109f6667789db52c83f35fc1db8c9019033531"),
+        "probability": (544, 27, "259353bb0a6dfaa2aef68dd35a35017998096eb93c0d971826362477c9000e76"),
+        "determinacy": (164, 80, "e7d870b60ccc132188b54ade8e0e182197ea5277fab733a076c09cd69d92ddb3"),
+    }),
+)
+
+
+def _digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def test_atomicity_failures_under_a_kernel_mutation_are_pinned(monkeypatch):
-    # Every failure, not only the first ten, so the pin covers each law's
-    # witnesses and their order; measured before the fixed loops built their
-    # probes and targets once per law.
-    monkeypatch.setattr(bct, "compose_par", _compose_par_dropping_f1_at_d2_2)
+    # Every failure, not only the first ten, so the pins cover each law's
+    # witnesses and their order.  A passing report carries no witness, so
+    # these pins are what holds the witness paths of the laws; the atomicity
+    # pin was measured before the fixed loops built their probes and targets
+    # once per law, and the others before the laws became functions.
     monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
-    report = verify.suite_atomicity(RunConfig(seed=20260809, trials=20, max_dim=3)).to_json()
+    cfg = RunConfig(seed=20260809, trials=20, max_dim=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(bct, "compose_par", _compose_par_dropping_f1_at_d2_2)
+        report = verify.suite_atomicity(cfg).to_json()
     assert (report["trials"], len(report["failures"]), report["max_abs_dev"]) == (376, 180, 1.0)
     assert report["failures"][0] == {"witness": ["atomic-law", 2, 2, 2, 1, 1, 1, "((1,2);0)", 3],
                                      "lhs": [1, 1], "rhs": [0, 1]}
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == "62d98b09523c0e353562588b7ca5547572f9d2b1dda67be21d58ca1c89d94c6d"
+    assert _digest(report) == "62d98b09523c0e353562588b7ca5547572f9d2b1dda67be21d58ca1c89d94c6d"
+    for module, name, mutant, pins in _MUTANT_PINS:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, mutant)
+            patch.setattr(verify, name, mutant)
+            reports = {suite: verify.SUITES[suite](cfg).to_json() for suite in pins}
+        got = {suite: (r["trials"], len(r["failures"]), _digest(r)) for suite, r in reports.items()}
+        assert got == pins, name
