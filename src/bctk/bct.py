@@ -188,12 +188,6 @@ def deterministic_effect(shape: SystemShape) -> Effect:
     return Effect._from_nums(shape, (1,) * shape.global_dim, 1)
 
 
-def uniform_state(shape: SystemShape) -> State:
-    n = shape.global_dim
-    # n entries 1/n: nonnegative, summing to 1, and gcd(n, 1) == 1.
-    return State._from_nums(shape, (1,) * n, n)
-
-
 def pair(e: Effect, rho: State):
     """The probability ``(e|rho)``."""
     if e.shape != rho.shape:
@@ -532,29 +526,24 @@ def fuse_map(left: SystemShape, right: SystemShape) -> Transformation:
     elementary systems this is the bipartite-to-single merger sending
     ``|(i j)_s)`` to ``|q_encode(i, j, s))``.
     """
-    if left.is_trivial or right.is_trivial:
-        raise ValueError("fuse_map needs two non-trivial systems")
-    composite = left.compose(right)
-    # A relabelling: one weight-1 term per input.
-    return Transformation._from_nums(
-        composite,
-        composite.fused(),
-        {(q, q, 0): 1 for q in range(1, composite.global_dim + 1)},
-        1,
-    )
+    return _fusion(left, right, "fuse_map", inverse=False)
 
 
 def unfuse_map(left: SystemShape, right: SystemShape) -> Transformation:
+    """The inverse of :func:`fuse_map`: the fused system back to the composite."""
+    return _fusion(left, right, "unfuse_map", inverse=True)
+
+
+def _fusion(left: SystemShape, right: SystemShape, name: str, inverse: bool) -> Transformation:
+    """The relabelling from ``left (x) right`` to its fused single system, or
+    back when ``inverse``; ``name`` is the public function, for the error."""
     if left.is_trivial or right.is_trivial:
-        raise ValueError("unfuse_map needs two non-trivial systems")
+        raise ValueError(f"{name} needs two non-trivial systems")
     composite = left.compose(right)
+    ends = (composite.fused(), composite) if inverse else (composite, composite.fused())
     # A relabelling: one weight-1 term per input.
-    return Transformation._from_nums(
-        composite.fused(),
-        composite,
-        {(q, q, 0): 1 for q in range(1, composite.global_dim + 1)},
-        1,
-    )
+    nums = {(q, q, 0): 1 for q in range(1, composite.global_dim + 1)}
+    return Transformation._from_nums(*ends, nums, 1)
 
 
 def boxed_effect_left(e: Effect, right: SystemShape) -> Transformation:

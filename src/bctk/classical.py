@@ -20,9 +20,9 @@ Exact ``int``/``Fraction`` values enter through ``ClassicalMap(rows)``,
 :meth:`ClassicalMap.from_json`, ``state``/``effect``/``scalar``/``scale``
 and the trusted ``_from_cells``, each converting once through
 :func:`~bctk.scalars.lattice`.  They leave through ``cells``, ``m[r, c]``,
-:meth:`~ClassicalMap.nonzero`, ``scalar_value``, ``column_sums``,
-:func:`choi_close` and :meth:`~ClassicalMap.to_json`, as an ``int`` when
-integral and a ``Fraction`` otherwise; no kernel operation reads them.
+:meth:`~ClassicalMap.nonzero`, ``scalar_value``, :func:`choi_close` and
+:meth:`~ClassicalMap.to_json`, as an ``int`` when integral and a ``Fraction``
+otherwise; no kernel operation reads them.
 :meth:`ClassicalMap.nonzero` yields cells in row-major order.
 :meth:`ClassicalMap.to_json_text` is the one dense writer: it prints the
 row-major entry list as JSON text, one shared ``[0, 1]`` string for every
@@ -106,10 +106,6 @@ class ClassicalMap:
     @classmethod
     def scalar(cls, value) -> "ClassicalMap":
         return cls._from_cells(1, 1, {(0, 0): value} if value != 0 else {})
-
-    @classmethod
-    def uniform_state(cls, dim: int) -> "ClassicalMap":
-        return cls._from_nums(dim, 1, {(i, 0): 1 for i in range(dim)}, dim)
 
     # -- basic structure ----------------------------------------------
 
@@ -218,10 +214,6 @@ class ClassicalMap:
         for (_, c), n in self.nums.items():
             sums[c] += n
         return sums
-
-    def column_sums(self):
-        den = self.den
-        return [exact(s, den) for s in self._column_nums()]
 
     def is_substochastic(self) -> bool:
         den = self.den

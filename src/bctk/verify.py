@@ -7,6 +7,20 @@ identical reports byte for byte, independent of execution order.
 Every check goes through one call, :meth:`Report.check`: it counts one trial
 and, on a mismatch, records a flat witness that ends at the first differing
 label, cell or term.
+
+A law is a module-level function ``law_*``: it takes built values, returns
+the two sides ``(lhs, rhs)`` of one equation and is written once for two
+drivers; :data:`LAWS` names the checks that it backs.  A random loop draws
+the arguments, always in the same order, and checks one call per trial.  A
+fixed loop checks a whole family through :func:`_check_family`: one check
+over the dicts of both sides, keyed by the family's arguments.  The codec
+checks stay inline, as does a check of one value against a closed form, an
+oracle, a predicate or a round trip that only one suite makes.
+
+Laws and suites reach the kernel only through module globals, such as the
+aliases ``compose_seq`` and ``ontic_map`` and the modules ``bct``,
+``classical`` and ``ontic``, never through a function kept in a closure or a
+tuple: the benchmark tracer counts calls by patching exactly those names.
 """
 
 from __future__ import annotations
@@ -128,37 +142,35 @@ def rand_effect(rng: random.Random, shape: SystemShape) -> Effect:
                   den=WEIGHT_GRID)
 
 
-def rand_tensor(rng: random.Random, in_shape: SystemShape, out_shape: SystemShape,
-                channel: bool = False) -> Transformation:
-    """A random valid transformation with at most three terms per input."""
-    n_out = out_shape.global_dim
-    coeffs: dict = {}
-    for src in range(1, in_shape.global_dim + 1):
-        k = rng.randint(1, 3) if channel else rng.randint(0, 3)
+def _rand_terms(rng: random.Random, n_in: int, n_out: int, k_min: int, k_max: int,
+                normalised: bool):
+    """Random terms ``((src, dst, flip), count)`` over WEIGHT_GRID: each input
+    spreads a random distribution over ``k_min..k_max`` targets; zeros are dropped."""
+    for src in range(1, n_in + 1):
+        k = rng.randint(k_min, k_max)
         if k == 0:
             continue
         targets = set()
         while len(targets) < k:
             targets.add((rng.randint(1, n_out), rng.randint(0, 1)))
-        counts = _grid_counts(rng, k, normalised=channel)
-        for (dst, flip), c in zip(sorted(targets), counts):
+        for (dst, flip), c in zip(sorted(targets), _grid_counts(rng, k, normalised)):
             if c != 0:
-                coeffs[(src, dst, flip)] = c
-    return Transformation(in_shape, out_shape, coeffs, den=WEIGHT_GRID)
+                yield (src, dst, flip), c
 
 
-def rand_channel(rng: random.Random, in_shape: SystemShape,
-                 out_shape: SystemShape) -> Transformation:
-    return rand_tensor(rng, in_shape, out_shape, channel=True)
+def rand_tensor(rng: random.Random, in_shape: SystemShape, out_shape: SystemShape,
+                channel: bool = False) -> Transformation:
+    """A random valid transformation with at most three terms per input."""
+    terms = _rand_terms(rng, in_shape.global_dim, out_shape.global_dim,
+                        1 if channel else 0, 3, normalised=channel)
+    return Transformation(in_shape, out_shape, dict(terms), den=WEIGHT_GRID)
 
 
 def rand_instrument(rng: random.Random, in_shape: SystemShape,
                     out_shape: SystemShape) -> Instrument:
     """Split a random channel into three members by scaling with a random simplex."""
-    channel = rand_channel(rng, in_shape, out_shape)
-    probs = rand_distribution(rng, 3, normalised=True)
-    members = tuple(channel.scale(p) for p in probs)
-    return Instrument(members)
+    channel = rand_tensor(rng, in_shape, out_shape, channel=True)
+    return Instrument(tuple(channel.scale(p) for p in rand_distribution(rng, 3)))
 
 
 def rand_reversible(rng: random.Random, n: int) -> ReversibleSpec:
@@ -265,40 +277,111 @@ def _first_difference(a, b):
 def _corrupt_swap(sw: Transformation) -> Transformation:
     """Test fixture: clear the section shift of one swap term."""
     coeffs = dict(sw.coeffs)
-    for key in sorted(coeffs):
-        src, dst, flip = key
-        if flip == 1:
-            w = coeffs.pop(key)
-            coeffs[(src, dst, 0)] = coeffs.get((src, dst, 0), 0) + w
-            break
+    key = min(k for k in coeffs if k[2] == 1)
+    src, dst, _ = key
+    coeffs[(src, dst, 0)] = coeffs.get((src, dst, 0), 0) + coeffs.pop(key)
     return Transformation(sw.in_shape, sw.out_shape, coeffs)
 
 
 def _swap_under_test(cfg: RunConfig, left: SystemShape, right: SystemShape):
     sw = bct.swap(left, right)
-    if cfg.corrupt == "swap":
-        sw = _corrupt_swap(sw)
-    return sw
+    return _corrupt_swap(sw) if cfg.corrupt == "swap" else sw
 
 
 # ---------------------------------------------------------------------------
-# the suites
+# the laws and the suites
 # ---------------------------------------------------------------------------
+
+
+def _state_image(rho: State, image: ClassicalMap) -> ClassicalMap:
+    """The model's image of ``rho`` moved on by the classical map ``image``."""
+    return classical.compose_seq(ontic_state(rho), image)
+
+
+def law_probe(t: Transformation, rho: State, target: State, weight=1):
+    """``t`` sends the pure probe ``rho`` to ``weight`` times ``target``."""
+    return bct.apply(t, rho), target.scale(weight)
+
+
+def law_swap_states(rho: State, sigma: State):
+    """Swap exchanges the factors of a product state."""
+    return (bct.apply(bct.swap(rho.shape, sigma.shape), bct.par_states(rho, sigma)),
+            bct.par_states(sigma, rho))
+
+
+def law_swap_sliding(t1: Transformation, t2: Transformation):
+    """``t1 (x) t2`` then a swap equals a swap then ``t2 (x) t1``."""
+    return (compose_seq(compose_par(t1, t2), bct.swap(t1.out_shape, t2.out_shape)),
+            compose_seq(bct.swap(t1.in_shape, t2.in_shape), compose_par(t2, t1)))
+
+
+def law_merge_pinning(fuse: Transformation, mu: ClassicalMap, rho: State):
+    """The image of a merged state is the image of the state, merged by ``mu``."""
+    return ontic_state(bct.apply(fuse, rho)), _state_image(rho, mu)
+
+
+def law_seq(t1: Transformation, t2: Transformation):
+    """The model preserves sequential composition."""
+    return ontic_map(compose_seq(t1, t2)), classical.compose_seq(ontic_map(t1), ontic_map(t2))
+
+
+def law_par(t1: Transformation, t2: Transformation, both: Transformation):
+    """The model preserves parallel composition: ``both`` is ``t1 (x) t2``."""
+    return ontic_map(both), classical.compose_par(ontic_map(t1), ontic_map(t2))
+
+
+def law_bifunctorial(t1: Transformation, t2: Transformation, both: Transformation):
+    """``both = t1 (x) t2`` equals ``t1 (x) id``, a swap, ``t2 (x) id``, a swap."""
+    first = _explicit_lift(t1, t2.in_shape)
+    second = compose_seq(bct.swap(t1.out_shape, t2.in_shape), _explicit_lift(t2, t1.out_shape))
+    return both, compose_seq(first, compose_seq(second, bct.swap(t2.out_shape, t1.out_shape)))
+
+
+def law_pairing(t: Transformation, rho: State, eff: Effect):
+    """Empirical adequacy: ``eff(t(rho))`` equals its pairing in the model."""
+    image = _state_image(rho, ontic_map(t))
+    return (bct.pair(eff, bct.apply(t, rho)),
+            classical.compose_seq(image, ontic_effect(eff)).scalar_value())
+
+
+# The checks that each law backs, under the names the reports give them.
+LAWS = {
+    law_probe: ("atomic-law", "composite-atomic-law", "atomic-law-weighted",
+                "swap-defining-relation", "local-effect"),
+    law_swap_states: ("swap-product", "swap-mixed-product"),
+    law_swap_sliding: ("swap-sliding",),
+    law_merge_pinning: ("merge-pinning",),
+    law_seq: ("seq",),
+    law_par: ("par",),
+    law_bifunctorial: ("bifunctorial",),
+    law_pairing: ("pairing",),
+}
+
+
+def _check_family(report: Report, witness: list, law, family: dict) -> None:
+    """One check of ``law`` on a fixed family: ``family`` maps a key to the
+    law's arguments, and each side is the dict of that side by key."""
+    lhs, rhs = {}, {}
+    for key, args in family.items():
+        lhs[key], rhs[key] = law(*args)
+    report.check(witness, lhs, rhs)
+
+
+def _check_codec(report: Report, code: str, where: list, keys: list, decoded: list,
+                 codes: list) -> None:
+    """Each key decodes back to itself, and the codes are exactly ``1..len(codes)``."""
+    report.check([f"{code}-roundtrip", *where], dict(zip(keys, decoded)), dict(zip(keys, keys)))
+    report.check([f"{code}-bijective", *where], sorted(codes), list(range(1, len(codes) + 1)))
 
 
 def suite_codec(cfg: RunConfig) -> Report:
     """Label codec: bijectivity, round trips, regrouping invariance."""
     report = Report(suite="codec", seed=cfg.seed)
     top = min(cfg.max_dim, 4)
-    for n1 in range(2, top + 1):
-        for n2 in range(2, top + 1):
-            points = list(product(range(1, n1 + 1), range(1, n2 + 1), (0, 1)))
-            codes = [q_encode(n1, n2, *p) for p in points]
-            report.check(["q-roundtrip", n1, n2],
-                         {p: q_decode(n1, n2, q) for p, q in zip(points, codes)},
-                         {p: p for p in points})
-            report.check(["q-bijective", n1, n2], sorted(codes),
-                         list(range(1, 2 * n1 * n2 + 1)))
+    for n1, n2 in product(range(2, top + 1), repeat=2):
+        points = list(product(range(1, n1 + 1), range(1, n2 + 1), (0, 1)))
+        codes = [q_encode(n1, n2, *p) for p in points]
+        _check_codec(report, "q", [n1, n2], points, [q_decode(n1, n2, q) for q in codes], codes)
     shapes = (
         [SystemShape((n,)) for n in range(2, top + 1)]
         + [SystemShape((a, b)) for a in range(2, top + 1) for b in range(2, top + 1)]
@@ -307,23 +390,14 @@ def suite_codec(cfg: RunConfig) -> Report:
     for shape in shapes:
         labels = list(all_labels(shape))
         codes = [flatten_label(shape, lab) for lab in labels]
-        report.check(["flatten-roundtrip", str(shape)],
-                     {label_text(lab): label_text(unflatten_label(shape, q))
-                      for lab, q in zip(labels, codes)},
-                     {label_text(lab): label_text(lab) for lab in labels})
-        report.check(["flatten-bijective", str(shape)], sorted(codes),
-                     list(range(1, shape.global_dim + 1)))
+        _check_codec(report, "flatten", [str(shape)], [label_text(lab) for lab in labels],
+                     [label_text(unflatten_label(shape, q)) for q in codes], codes)
     for n1, n2, n3 in product((2, 3), repeat=3):
-        shape = SystemShape((n1, n2, n3))
-        labels = list(all_labels(shape))
+        labels = list(all_labels(SystemShape((n1, n2, n3))))
         regrouped = [reassoc_label(n1, n2, n3, lab) for lab in labels]
-        report.check(["reassoc-roundtrip", n1, n2, n3],
-                     {label_text(lab): label_text(reassoc_inverse(n1, n2, n3, r))
-                      for lab, r in zip(labels, regrouped)},
-                     {label_text(lab): label_text(lab) for lab in labels})
-        report.check(["reassoc-bijective", n1, n2, n3],
-                     sorted(flatten_right_nested(n1, n2, n3, r) for r in regrouped),
-                     list(range(1, shape.global_dim + 1)))
+        _check_codec(report, "reassoc", [n1, n2, n3], [label_text(lab) for lab in labels],
+                     [label_text(reassoc_inverse(n1, n2, n3, r)) for r in regrouped],
+                     [flatten_right_nested(n1, n2, n3, r) for r in regrouped])
     for idx in range(cfg.trials):
         rng = trial_rng(cfg, "codec", idx)
         left = rand_shape(rng, cfg.max_dim)
@@ -378,48 +452,30 @@ def _probe_rank(n: int, m: int) -> int:
     Full rank means no two distinct coefficient maps agree on every pure
     state/effect probe with a binary ancilla: an exhaustive collision search.
     """
-    n_shape, m_shape = SystemShape((n,)), SystemShape((m,))
-    anc = SystemShape((2,))
-    probes_in = [bct.pure_state(n_shape.compose(anc), lab)
-                 for lab in all_labels(n_shape.compose(anc))]
-    probes_out = [bct.pure_effect(m_shape.compose(anc), lab)
-                  for lab in all_labels(m_shape.compose(anc))]
+    n_shape, m_shape, anc = SystemShape((n,)), SystemShape((m,)), SystemShape((2,))
+    n_big, m_big = n_shape.compose(anc), m_shape.compose(anc)
+    probes_in = [bct.pure_state(n_big, lab) for lab in all_labels(n_big)]
+    probes_out = [bct.pure_effect(m_big, lab) for lab in all_labels(m_big)]
     rows = []
-    for src in range(1, n + 1):
-        for dst in range(1, m + 1):
-            for flip in (0, 1):
-                gen = par_with_identity(atomic(n_shape, m_shape, src, dst, flip), anc)
-                row = []
-                for rho in probes_in:
-                    moved = bct.apply(gen, rho)
-                    for eff in probes_out:
-                        row.append(Fraction(bct.pair(eff, moved)))
-                rows.append(row)
+    for src, dst, flip in product(range(1, n + 1), range(1, m + 1), (0, 1)):
+        gen = par_with_identity(atomic(n_shape, m_shape, src, dst, flip), anc)
+        moved = [bct.apply(gen, rho) for rho in probes_in]
+        rows.append([Fraction(bct.pair(eff, v)) for v in moved for eff in probes_out])
     return _rank(rows)
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
-    if not mat:
-        return 0
-    rank = 0
-    cols = len(mat[0])
-    pivot_col = 0
-    row_idx = 0
-    while row_idx < len(mat) and pivot_col < cols:
-        pivot = next((k for k in range(row_idx, len(mat)) if mat[k][pivot_col] != 0), None)
-        if pivot is None:
-            pivot_col += 1
+    """Rank over the rationals: each nonzero row, taken in turn, clears its
+    leading column from the rows still pending."""
+    pending, rank = list(rows), 0
+    while pending:
+        row = pending.pop()
+        col = next((c for c, x in enumerate(row) if x != 0), None)
+        if col is None:
             continue
-        mat[row_idx], mat[pivot] = mat[pivot], mat[row_idx]
-        lead = mat[row_idx][pivot_col]
-        for k in range(row_idx + 1, len(mat)):
-            if mat[k][pivot_col] != 0:
-                factor = mat[k][pivot_col] / lead
-                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[row_idx])]
         rank += 1
-        row_idx += 1
-        pivot_col += 1
+        pending = [r if r[col] == 0 else [a - r[col] / row[col] * b for a, b in zip(r, row)]
+                   for r in pending]
     return rank
 
 
@@ -457,43 +513,23 @@ def suite_diagram(cfg: RunConfig) -> Report:
         mu = ontic.merge_perm(n1, n2)
         report.check(["merge-image", n1, n2], ontic_map(fuse), mu)
         composite = left.compose(right)
-        states = {label_text(lab): bct.pure_state(composite, lab)
-                  for lab in all_labels(composite)}
-        report.check(["merge-pinning", n1, n2],
-                     {lab: ontic_state(bct.apply(fuse, rho)) for lab, rho in states.items()},
-                     {lab: classical.compose_seq(ontic_state(rho), mu)
-                      for lab, rho in states.items()})
+        _check_family(report, ["merge-pinning", n1, n2], law_merge_pinning,
+                      {label_text(lab): (fuse, mu, bct.pure_state(composite, lab))
+                       for lab in all_labels(composite)})
         report.check(["merge-invertible", n1, n2],
                      compose_seq(fuse, bct.unfuse_map(left, right)), bct.identity(composite))
     for idx in range(cfg.trials):
         rng = trial_rng(cfg, "diagram", idx)
-        a = rand_shape(rng, cfg.max_dim)
-        b = rand_shape(rng, cfg.max_dim)
-        c = rand_shape(rng, cfg.max_dim)
+        a, b, c = [rand_shape(rng, cfg.max_dim) for _ in range(3)]
         t1 = rand_tensor(rng, a, b)
         t2 = rand_tensor(rng, b, c)
-        report.check(["seq", idx], ontic_map(compose_seq(t1, t2)),
-                     classical.compose_seq(ontic_map(t1), ontic_map(t2)))
-        pa = rand_shape(rng, cfg.max_dim, max_ontic=16)
-        pb = rand_shape(rng, cfg.max_dim, max_ontic=16)
-        pc = rand_shape(rng, cfg.max_dim, max_ontic=16)
-        pd = rand_shape(rng, cfg.max_dim, max_ontic=16)
-        t1 = rand_channel(rng, pa, pb)
-        t2 = rand_channel(rng, pc, pd)
+        report.check(["seq", idx], *law_seq(t1, t2))
+        pa, pb, pc, pd = [rand_shape(rng, cfg.max_dim, max_ontic=16) for _ in range(4)]
+        t1 = rand_tensor(rng, pa, pb, channel=True)
+        t2 = rand_tensor(rng, pc, pd, channel=True)
         both = compose_par(t1, t2)
-        report.check(["par", idx], ontic_map(both),
-                     classical.compose_par(ontic_map(t1), ontic_map(t2)))
-        other_order = compose_seq(
-            _explicit_lift(t1, t2.in_shape),
-            compose_seq(
-                compose_seq(
-                    bct.swap(t1.out_shape, t2.in_shape),
-                    _explicit_lift(t2, t1.out_shape),
-                ),
-                bct.swap(t2.out_shape, t1.out_shape),
-            ),
-        )
-        report.check(["bifunctorial", idx], both, other_order)
+        report.check(["par", idx], *law_par(t1, t2, both))
+        report.check(["bifunctorial", idx], *law_bifunctorial(t1, t2, both))
     return report
 
 
@@ -510,8 +546,7 @@ def suite_probability(cfg: RunConfig) -> Report:
             for lab_s in labels:
                 rho = bct.pure_state(shape, lab_s)
                 key = (label_text(lab_e), label_text(lab_s))
-                table[key] = (bct.pair(eff, rho),
-                              classical.compose_seq(ontic_state(rho), img_e).scalar_value())
+                table[key] = (bct.pair(eff, rho), _state_image(rho, img_e).scalar_value())
                 expected[key] = (1, 1) if lab_e == lab_s else (0, 0)
         report.check(["delta-table", n, m], table, expected)
         n_shape, m_shape = SystemShape((n,)), SystemShape((m,))
@@ -525,9 +560,8 @@ def suite_probability(cfg: RunConfig) -> Report:
                 where = [n, m, i_prime, label_text(lab)]
                 rho = bct.pure_state(shape, lab)
                 want = bct.pure_state(m_shape, j).scale(1 if i == i_prime else 0)
-                report.check(["local-effect", *where], bct.apply(boxed, rho), want)
-                report.check(["local-effect-image", *where],
-                             classical.compose_seq(ontic_state(rho), boxed_img),
+                report.check(["local-effect", *where], *law_probe(boxed, rho, want))
+                report.check(["local-effect-image", *where], _state_image(rho, boxed_img),
                              ontic_state(want))
                 eff = bct.pure_effect(shape, lab)
                 half = Fraction(1, 2) if i == i_prime else 0
@@ -546,9 +580,7 @@ def suite_probability(cfg: RunConfig) -> Report:
         lifted = par_with_identity(t, anc) if not anc.is_trivial else t
         rho = rand_state(rng, a.compose(anc))
         eff = rand_effect(rng, b.compose(anc))
-        image = classical.compose_seq(ontic_state(rho), ontic_map(lifted))
-        report.check(["pairing", idx], bct.pair(eff, bct.apply(lifted, rho)),
-                     classical.compose_seq(image, ontic_effect(eff)).scalar_value())
+        report.check(["pairing", idx], *law_pairing(lifted, rho, eff))
     return report
 
 
@@ -564,7 +596,7 @@ def suite_determinacy(cfg: RunConfig) -> Report:
         rng = trial_rng(cfg, "determinacy", idx)
         a = rand_shape(rng, cfg.max_dim)
         b = rand_shape(rng, cfg.max_dim)
-        channel = rand_channel(rng, a, b)
+        channel = rand_tensor(rng, a, b, channel=True)
         loose = rand_tensor(rng, a, b)
         for kind, t in (("channel", channel), ("loose", loose)):
             # Valid maps have substochastic images; channels exactly the stochastic ones.
@@ -607,10 +639,10 @@ def suite_atomicity(cfg: RunConfig) -> Report:
     """The ancilla law of atomic generators, elementary and composite."""
     report = Report(suite="atomicity", seed=cfg.seed)
     comp = SystemShape((2, 2))
-    laws = [(SystemShape((n,)), SystemShape((m,)), k, ["atomic-law", n, m, k])
+    families = [(SystemShape((n,)), SystemShape((m,)), k, ["atomic-law", n, m, k])
             for n, m, k in product((2, 3), repeat=3)]
-    laws += [(comp, comp, k, ["composite-atomic-law", k]) for k in (2, 3)]
-    for in_shape, out_shape, k, prefix in laws:
+    families += [(comp, comp, k, ["composite-atomic-law", k]) for k in (2, 3)]
+    for in_shape, out_shape, k, prefix in families:
         anc = SystemShape((k,))
         in_big, out_big = in_shape.compose(anc), out_shape.compose(anc)
         n, m = in_shape.global_dim, out_shape.global_dim
@@ -625,11 +657,9 @@ def suite_atomicity(cfg: RunConfig) -> Report:
         }
         for src, dst, flip in product(range(1, n + 1), range(1, m + 1), (0, 1)):
             lifted = par_with_identity(atomic(in_shape, out_shape, src, dst, flip), anc)
-            got, want = {}, {}
-            for q, j, s, text, rho in probes:
-                got[text] = bct.apply(lifted, rho)
-                want[text] = targets[dst, j, s ^ flip].scale(1 if q == src else 0)
-            report.check([*prefix, src, dst, flip], got, want)
+            _check_family(report, [*prefix, src, dst, flip], law_probe,
+                          {text: (lifted, rho, targets[dst, j, s ^ flip], 1 if q == src else 0)
+                           for q, j, s, text, rho in probes})
     for idx in range(cfg.trials):
         rng = trial_rng(cfg, "atomicity", idx)
         n = rng.randint(2, cfg.max_dim)
@@ -641,11 +671,9 @@ def suite_atomicity(cfg: RunConfig) -> Report:
         lifted = par_with_identity(atomic(n_shape, m_shape, src, dst, flip, weight), anc)
         i, j, s = rng.randint(1, n), rng.randint(1, k), rng.randint(0, 1)
         rho = bct.pure_state(n_shape.compose(anc), PureLabel((i, j), (s,)))
-        got = bct.apply(lifted, rho)
-        want = bct.pure_state(m_shape.compose(anc), PureLabel((dst, j), (s ^ flip,))).scale(
-            weight if i == src else 0
-        )
-        report.check(["atomic-law-weighted", idx], got, want)
+        target = bct.pure_state(m_shape.compose(anc), PureLabel((dst, j), (s ^ flip,)))
+        report.check(["atomic-law-weighted", idx],
+                     *law_probe(lifted, rho, target, weight if i == src else 0))
     return report
 
 
@@ -656,43 +684,30 @@ def suite_swap(cfg: RunConfig) -> Report:
         left, right, anc = SystemShape((n,)), SystemShape((m,)), SystemShape((k,))
         lifted = par_with_identity(_swap_under_test(cfg, left, right), anc)
         in_big, out_big = left.compose(right).compose(anc), right.compose(left).compose(anc)
-        got, want = {}, {}
-        for i, j, kk, s, t in product(
-            range(1, n + 1), range(1, m + 1), range(1, k + 1), (0, 1), (0, 1)
-        ):
+        family = {}
+        for i, j, kk, s, t in product(range(1, n + 1), range(1, m + 1), range(1, k + 1),
+                                      (0, 1), (0, 1)):
             lab = PureLabel((i, j, kk), (s, t))
-            got[label_text(lab)] = bct.apply(lifted, bct.pure_state(in_big, lab))
-            want[label_text(lab)] = bct.pure_state(out_big, PureLabel((j, i, kk), (s, s ^ t)))
-        report.check(["swap-defining-relation", n, m, k], got, want)
+            want = bct.pure_state(out_big, PureLabel((j, i, kk), (s, s ^ t)))
+            family[label_text(lab)] = (lifted, bct.pure_state(in_big, lab), want)
+        _check_family(report, ["swap-defining-relation", n, m, k], law_probe, family)
     for n, m in product((2, 3, 4), repeat=2):
         left, right = SystemShape((n,)), SystemShape((m,))
         report.check(["swap-involution", n, m],
                      compose_seq(bct.swap(left, right), bct.swap(right, left)),
                      bct.identity(left.compose(right)))
-        inputs = list(product(range(1, n + 1), range(1, m + 1)))
-        report.check(
-            ["swap-product", n, m],
-            {(i, j): bct.apply(bct.swap(left, right),
-                               bct.par_states(bct.pure_state(left, i), bct.pure_state(right, j)))
-             for i, j in inputs},
-            {(i, j): bct.par_states(bct.pure_state(right, j), bct.pure_state(left, i))
-             for i, j in inputs},
-        )
+        _check_family(report, ["swap-product", n, m], law_swap_states,
+                      {(i, j): (bct.pure_state(left, i), bct.pure_state(right, j))
+                       for i, j in product(range(1, n + 1), range(1, m + 1))})
     for idx in range(cfg.trials):
         rng = trial_rng(cfg, "swap", idx)
-        a = rand_shape(rng, cfg.max_dim, max_factors=1)
-        b = rand_shape(rng, cfg.max_dim, max_factors=1)
-        c = rand_shape(rng, cfg.max_dim, max_factors=1)
-        d = rand_shape(rng, cfg.max_dim, max_factors=1)
+        a, b, c, d = [rand_shape(rng, cfg.max_dim, max_factors=1) for _ in range(4)]
         t1 = rand_tensor(rng, a, b)
         t2 = rand_tensor(rng, c, d)
-        report.check(["swap-sliding", idx],
-                     compose_seq(compose_par(t1, t2), bct.swap(b, d)),
-                     compose_seq(bct.swap(a, c), compose_par(t2, t1)))
+        report.check(["swap-sliding", idx], *law_swap_sliding(t1, t2))
         rho = rand_state(rng, a)
         sigma = rand_state(rng, c)
-        got = bct.apply(bct.swap(a, c), bct.par_states(rho, sigma))
-        report.check(["swap-mixed-product", idx], got, bct.par_states(sigma, rho))
+        report.check(["swap-mixed-product", idx], *law_swap_states(rho, sigma))
     return report
 
 
@@ -728,70 +743,49 @@ def random_circuit_source(rng: random.Random, max_dim: int = 3) -> str:
     """A random closed circuit as DSL text: a state, channel stages, an effect."""
     n = rng.randint(2, max_dim)
     m = rng.randint(2, max_dim)
+    shape = SystemShape((n, m))
     lines = [
         f"system a = elem {n}",
         f"system b = elem {m}",
         "system ab = a * b",
+        f"state rho : ab = {_dist_terms(rng, shape)}",
     ]
-    shape = SystemShape((n, m))
-    lines.append(f"state rho : ab = {_dist_terms(rng, shape)}")
     n_gates = rng.randint(1, 2)
-    stage_names = []
     for g in range(n_gates):
         choice = rng.random()
         if choice < 0.4:
             lines.append(f"gate g{g} : ab -> ab = {_atomic_body(rng, 2 * n * m)}")
         elif choice < 0.6:
-            perm = list(range(1, 2 * n * m + 1))
-            rng.shuffle(perm)
-            bits = ",".join(str(rng.randint(0, 1)) for _ in perm)
-            lines.append(
-                f"gate g{g} : ab -> ab = rev {','.join(str(v) for v in perm)} {bits}"
-            )
+            spec = rand_reversible(rng, 2 * n * m)
+            perm, bits = ",".join(map(str, spec.perm)), ",".join(map(str, spec.bits))
+            lines.append(f"gate g{g} : ab -> ab = rev {perm} {bits}")
         else:
             lines.append(f"gate g{g} : ab -> ab = id")
-        stage_names.append(f"g{g}")
     lines.append(f"effect e : ab = {_effect_terms(rng, shape)}")
-    stages = " ; ".join(["rho"] + stage_names + ["e"])
+    stages = " ; ".join(["rho", *(f"g{g}" for g in range(n_gates)), "e"])
     lines.append(f"circuit main = {stages}")
     lines.append("eval main")
     return "\n".join(lines) + "\n"
 
 
+def _vector_terms(shape: SystemShape, weights) -> str:
+    """``w label + ...`` over the nonzero weights, or ``""`` when there are none."""
+    return " + ".join(f"{number_text(w)} {label_text(unflatten_label(shape, q))}"
+                      for q, w in enumerate(weights, start=1) if w != 0)
+
+
 def _dist_terms(rng: random.Random, shape: SystemShape) -> str:
-    weights = rand_distribution(rng, shape.global_dim, normalised=True)
-    parts = [
-        f"{number_text(w)} {label_text(unflatten_label(shape, q))}"
-        for q, w in enumerate(weights, start=1)
-        if w != 0
-    ]
-    return " + ".join(parts) if parts else f"1 {label_text(unflatten_label(shape, 1))}"
+    # A normalised distribution has a nonzero weight, so the text is never empty.
+    return _vector_terms(shape, rand_distribution(rng, shape.global_dim))
 
 
 def _effect_terms(rng: random.Random, shape: SystemShape) -> str:
     if rng.random() < 0.3:
         return "discard"
-    parts = []
-    for q in range(1, shape.global_dim + 1):
-        w = Fraction(rng.randint(0, WEIGHT_GRID), WEIGHT_GRID)
-        if w != 0:
-            parts.append(f"{number_text(w)} {label_text(unflatten_label(shape, q))}")
-    return " + ".join(parts) if parts else "discard"
+    return _vector_terms(shape, rand_effect(rng, shape).weights) or "discard"
 
 
 def _atomic_body(rng: random.Random, dim: int) -> str:
-    parts = []
-    for src in range(1, dim + 1):
-        k = rng.randint(0, 2)
-        if k == 0:
-            continue
-        targets = set()
-        while len(targets) < k:
-            targets.add((rng.randint(1, dim), rng.randint(0, 1)))
-        weights = rand_distribution(rng, k, normalised=False)
-        for (dst, flip), w in zip(sorted(targets), weights):
-            if w != 0:
-                parts.append(f"atomic {src} -> {dst} tau {flip} w {number_text(w)}")
-    if not parts:
-        parts.append("atomic 1 -> 1 tau 0 w 1")
-    return " + ".join(parts)
+    parts = [f"atomic {src} -> {dst} tau {flip} w {number_text(Fraction(c, WEIGHT_GRID))}"
+             for (src, dst, flip), c in _rand_terms(rng, dim, dim, 0, 2, normalised=False)]
+    return " + ".join(parts) if parts else "atomic 1 -> 1 tau 0 w 1"

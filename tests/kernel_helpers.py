@@ -1,7 +1,8 @@
 """Small constructions that only the tests need, kept out of the kernel."""
 
-from bctk.bct import Instrument, Transformation, coarse_grain
+from bctk.bct import Instrument, State, Transformation, coarse_grain
 from bctk.classical import ClassicalMap
+from bctk.scalars import exact
 from bctk.systems import PureLabel, SystemShape, flatten_label, unflatten_label
 
 
@@ -13,6 +14,23 @@ def point_state(dim: int, index: int) -> ClassicalMap:
 def point_effect(dim: int, index: int) -> ClassicalMap:
     """The classical point effect ``(index|`` (1-based)."""
     return ClassicalMap._from_nums(1, dim, {(0, index - 1): 1}, 1)
+
+
+def classical_uniform_state(dim: int) -> ClassicalMap:
+    """The classical state with ``dim`` entries ``1/dim``."""
+    return ClassicalMap._from_nums(dim, 1, {(i, 0): 1 for i in range(dim)}, dim)
+
+
+def uniform_state(shape: SystemShape) -> State:
+    """The BCT state with weight ``1/n`` on each of the ``n`` labels of ``shape``."""
+    n = shape.global_dim
+    # n entries 1/n: nonnegative, summing to 1, and gcd(n, 1) == 1.
+    return State._from_nums(shape, (1,) * n, n)
+
+
+def column_sums(m: ClassicalMap) -> list:
+    """The exact column sums of ``m``."""
+    return [exact(s, m.den) for s in m._column_nums()]
 
 
 def transpose(m: ClassicalMap) -> ClassicalMap:

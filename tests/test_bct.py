@@ -41,7 +41,7 @@ from bctk.systems import (
     TRIVIAL, PureLabel, SystemShape, all_labels, q_decode, q_encode)
 from bctk.verify import _explicit_lift
 
-from kernel_helpers import instrument_is_valid, is_zero
+from kernel_helpers import instrument_is_valid, is_zero, uniform_state
 
 S2 = SystemShape((2,))
 S3 = SystemShape((3,))
@@ -373,6 +373,13 @@ def test_fuse_round_trip():
         )
 
 
+def test_fuse_and_unfuse_name_themselves_on_a_trivial_factor():
+    for build in (fuse_map, unfuse_map):
+        for left, right in ((S2, TRIVIAL), (TRIVIAL, S3)):
+            with pytest.raises(ValueError, match=f"^{build.__name__} needs two non-trivial"):
+                build(left, right)
+
+
 def test_fuse_keeps_mixed_weights():
     rng = random.Random(23)
     rho = State(S2.compose(S3), _dist(rng, 12))
@@ -673,7 +680,7 @@ TRUSTED_PATHS = {
     "pure_state": lambda rng, a, b, c: pure_state(a, _rand_label(rng, a)),
     "pure_effect": lambda rng, a, b, c: pure_effect(a, _rand_label(rng, a)),
     "deterministic_effect": lambda rng, a, b, c: deterministic_effect(a),
-    "uniform_state": lambda rng, a, b, c: bct.uniform_state(a),
+    "uniform_state": lambda rng, a, b, c: uniform_state(a),
 }
 
 

@@ -10,7 +10,9 @@ from hypothesis import example, given, seed, settings, strategies as st
 from bctk.classical import ClassicalMap, choi_close, compose_par, compose_seq
 from bctk.scalars import number_json
 
-from kernel_helpers import point_effect, point_state, transpose
+from kernel_helpers import (
+    classical_uniform_state, column_sums, point_effect, point_state, transpose,
+)
 
 
 def permutation_map(perm) -> ClassicalMap:
@@ -72,7 +74,7 @@ def test_parallel_point_states():
 
 
 def test_parallel_uniform_states():
-    u = ClassicalMap.uniform_state(2)
+    u = classical_uniform_state(2)
     both = compose_par(u, u)
     assert both == ClassicalMap([[Fraction(1, 4)]] * 4)
 
@@ -310,7 +312,7 @@ def test_linear_structure_matches_dense_oracle(data):
     _assert_matches(m.add(ClassicalMap((-a).tolist())), a - a)
     _assert_matches(m.scale(factor), a * factor)
     _assert_matches(transpose(m), a.T)
-    assert m.column_sums() == [sum(a[:, c], 0) for c in range(a.shape[1])]
+    assert column_sums(m) == [sum(a[:, c], 0) for c in range(a.shape[1])]
     rows, cols = np.nonzero(a != b)
     assert list(m.differences(ClassicalMap(b.tolist()))) == [
         (r, c, a[r, c], b[r, c]) for r, c in zip(rows.tolist(), cols.tolist())]

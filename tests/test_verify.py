@@ -99,7 +99,8 @@ def test_a_transformation_not_in_lowest_terms_ends_at_its_denominator():
 
 def test_a_state_not_in_lowest_terms_ends_at_its_denominator():
     report = Report(suite="t")
-    report.check(["s"], [bct.State._from_nums(S2, (2, 0), 4)], [bct.pure_state(S2, 1).scale(Fraction(1, 2))])
+    half = bct.pure_state(S2, 1).scale(Fraction(1, 2))
+    report.check(["s"], [bct.State._from_nums(S2, (2, 0), 4)], [half])
     assert report.failures == [{"witness": ["s", 0, "den"], "lhs": "4", "rhs": "2"}]
     assert report.max_abs_dev == 1
 
@@ -129,6 +130,24 @@ def test_corrupted_swap_failures_end_at_a_numeric_leaf():
             assert all(type(p) in (int, str) for p in failure["witness"]), failure
             for side in ("lhs", "rhs"):
                 assert [type(v) for v in failure[side]] == [int, int], failure
+
+
+def test_each_law_fails_exactly_its_own_checks(monkeypatch):
+    # The fixed and the random loops reach a law through verify's globals, so
+    # a stub law fails every check that the table gives it, in both loops,
+    # and no other: a check that kept its own copy of the law, or a law that
+    # no loop calls, shows here.
+    monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
+    names = [name for checks in verify.LAWS.values() for name in checks]
+    assert len(names) == len(set(names))
+    cfg = RunConfig(seed=3, trials=2, max_dim=3)
+    for law, checks in verify.LAWS.items():
+        assert getattr(verify, law.__name__) is law
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, law.__name__, lambda *args: (0, 1))
+            reports = verify.run_suites("all", cfg)
+        failed = {f["witness"][0] for report in reports for f in report.failures}
+        assert failed == set(checks), law.__name__
 
 
 def _compose_par_dropping_f1_at_d2_2(t1, t2):
@@ -169,8 +188,10 @@ _MUTANT_PINS = (
     (ontic, "ontic_map", _ontic_map_dropping_its_last_term, {
         "linearity": (64, 17, "65fa21597a54a3b50dae5ae40db5e6542595d2fc3d6d165547c442fe2dca7401"),
         "diagram": (78, 43, "c678c7f2f997179c681bfe26e1109f6667789db52c83f35fc1db8c9019033531"),
-        "probability": (544, 27, "259353bb0a6dfaa2aef68dd35a35017998096eb93c0d971826362477c9000e76"),
-        "determinacy": (164, 80, "e7d870b60ccc132188b54ade8e0e182197ea5277fab733a076c09cd69d92ddb3"),
+        "probability": (544, 27,
+                        "259353bb0a6dfaa2aef68dd35a35017998096eb93c0d971826362477c9000e76"),
+        "determinacy": (164, 80,
+                        "e7d870b60ccc132188b54ade8e0e182197ea5277fab733a076c09cd69d92ddb3"),
     }),
 )
 
