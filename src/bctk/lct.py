@@ -33,10 +33,13 @@ from operator import mul
 
 from .classical import ClassicalMap, choi_close
 from .scalars import (
+    cut_counts,
     exact,
     lattice,
     number_from_json,
     number_json,
+    randint,
+    randints,
     ratio_json,
     reduce_dict,
     reduce_tuple,
@@ -427,12 +430,11 @@ def bct_style_candidate(inst: LctInstance) -> CandidateModel:
 
 def random_candidate(rng: random.Random, inst: LctInstance) -> CandidateModel:
     """A seeded random candidate: ``L1, L2`` in 2..6, weights multiples of 1/16."""
-    L1 = rng.randint(2, 6)
-    L2 = rng.randint(2, 6)
+    L1 = randint(rng, 2, 6)
+    L2 = randint(rng, 2, 6)
     dim = L1 * L2
-    cuts = sorted(rng.randint(0, 16) for _ in range(dim - 1))
-    counts = tuple(b - a for a, b in zip([0] + cuts, cuts + [16]))
-    b_counts = tuple(rng.randint(0, 16) for _ in range(dim))
+    counts = tuple(cut_counts(rng, dim, 16))
+    b_counts = tuple(randints(rng, 0, 16, dim))
     # Counts over 16: nonnegative and summing to 16, and each in [0, 16].
     return CandidateModel._from_nums(L1, L2, reduce_tuple(counts, 16),
                                      reduce_tuple(b_counts, 16))

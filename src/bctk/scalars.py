@@ -12,6 +12,11 @@ numerators over one positive denominator, in lowest terms.
 :func:`reduce_dict`/:func:`reduce_tuple` bring a kernel result to lowest
 terms, and :func:`exact` and :func:`ratio_json` read one lattice value back
 out.
+
+Seeded integer draws go through :func:`randint`, :func:`randints` and
+:func:`cut_counts`: they return what ``random.Random.randint`` returns, from
+the same ``getrandbits`` calls in the same order, so a seed gives the same
+values and leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -128,3 +133,49 @@ def ratio_json(num: int, den: int) -> list:
         return [num, 1]
     g = math.gcd(num, den)
     return [num // g, den // g]
+
+
+# ---------------------------------------------------------------------------
+# seeded draws
+# ---------------------------------------------------------------------------
+
+
+def randint(rng, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` without the Python frames of ``randrange``.
+
+    This is CPython's ``_randbelow_with_getrandbits``: with ``n = b - a + 1``
+    it draws ``getrandbits(n.bit_length())`` until the value is below ``n``,
+    so even ``randint(rng, 0, 0)`` uses up at least one ``getrandbits(1)``.
+    """
+    n = b - a + 1
+    if n < 1:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
+def randints(rng, a: int, b: int, count: int) -> list[int]:
+    """``[randint(rng, a, b) for _ in range(count)]`` in one frame."""
+    n = b - a + 1
+    if n < 1:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(a + r)
+    return out
+
+
+def cut_counts(rng, n: int, total: int) -> list[int]:
+    """``n`` nonnegative counts summing to ``total``: the gaps between
+    ``n - 1`` sorted cut points, each ``randint(rng, 0, total)``."""
+    cuts = randints(rng, 0, total, n - 1)
+    cuts.sort()
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]

@@ -2,7 +2,11 @@
 
 Every suite draws its randomness from per-trial generators derived by
 hashing ``(seed, suite, index)``, so identical configurations produce
-identical reports byte for byte, independent of execution order.
+identical reports byte for byte, independent of execution order.  Integer
+draws go through ``scalars.randint``/``randints``/``cut_counts``, which read
+``getrandbits`` as ``random.Random.randint`` does, so the stream is the
+stdlib's without its Python frames; ``choice``, ``shuffle`` and ``random``
+stay on the stdlib.
 
 Every check goes through one call, :meth:`Report.check`: it counts one trial
 and, on a mismatch, records a flat witness that ends at the first differing
@@ -46,7 +50,7 @@ from .bct import (
 )
 from .classical import ClassicalMap
 from .ontic import ontic_effect, ontic_map, ontic_state
-from .scalars import number_json, number_text
+from .scalars import cut_counts, number_json, number_text, randint, randints
 from .systems import (
     PureLabel,
     SystemShape,
@@ -114,9 +118,7 @@ def trial_rng(cfg: RunConfig, suite: str, index: int) -> random.Random:
 
 def _grid_counts(rng: random.Random, n: int, normalised: bool) -> list[int]:
     """Numerators over WEIGHT_GRID of a random distribution, via integer cut points."""
-    total = WEIGHT_GRID if normalised else rng.randint(0, WEIGHT_GRID)
-    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
-    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return cut_counts(rng, n, WEIGHT_GRID if normalised else randint(rng, 0, WEIGHT_GRID))
 
 
 def rand_distribution(rng: random.Random, n: int, normalised: bool = True) -> tuple:
@@ -127,8 +129,8 @@ def rand_distribution(rng: random.Random, n: int, normalised: bool = True) -> tu
 def rand_shape(rng: random.Random, max_dim: int, max_factors: int = 2,
                max_ontic: int = 64) -> SystemShape:
     while True:
-        p = rng.randint(1, max_factors)
-        shape = SystemShape(tuple(rng.randint(2, max_dim) for _ in range(p)))
+        p = randint(rng, 1, max_factors)
+        shape = SystemShape(tuple(randints(rng, 2, max_dim, p)))
         if shape.ontic_dim <= max_ontic:
             return shape
 
@@ -138,24 +140,25 @@ def rand_state(rng: random.Random, shape: SystemShape) -> State:
 
 
 def rand_effect(rng: random.Random, shape: SystemShape) -> Effect:
-    return Effect(shape, [rng.randint(0, WEIGHT_GRID) for _ in range(shape.global_dim)],
-                  den=WEIGHT_GRID)
+    return Effect(shape, randints(rng, 0, WEIGHT_GRID, shape.global_dim), den=WEIGHT_GRID)
 
 
 def _rand_terms(rng: random.Random, n_in: int, n_out: int, k_min: int, k_max: int,
-                normalised: bool):
-    """Random terms ``((src, dst, flip), count)`` over WEIGHT_GRID: each input
+                normalised: bool) -> dict:
+    """Random counts ``{(src, dst, flip): count}`` over WEIGHT_GRID: each input
     spreads a random distribution over ``k_min..k_max`` targets; zeros are dropped."""
+    terms = {}
     for src in range(1, n_in + 1):
-        k = rng.randint(k_min, k_max)
+        k = randint(rng, k_min, k_max)
         if k == 0:
             continue
         targets = set()
         while len(targets) < k:
-            targets.add((rng.randint(1, n_out), rng.randint(0, 1)))
+            targets.add((randint(rng, 1, n_out), randint(rng, 0, 1)))
         for (dst, flip), c in zip(sorted(targets), _grid_counts(rng, k, normalised)):
             if c != 0:
-                yield (src, dst, flip), c
+                terms[src, dst, flip] = c
+    return terms
 
 
 def rand_tensor(rng: random.Random, in_shape: SystemShape, out_shape: SystemShape,
@@ -163,7 +166,7 @@ def rand_tensor(rng: random.Random, in_shape: SystemShape, out_shape: SystemShap
     """A random valid transformation with at most three terms per input."""
     terms = _rand_terms(rng, in_shape.global_dim, out_shape.global_dim,
                         1 if channel else 0, 3, normalised=channel)
-    return Transformation(in_shape, out_shape, dict(terms), den=WEIGHT_GRID)
+    return Transformation(in_shape, out_shape, terms, den=WEIGHT_GRID)
 
 
 def rand_instrument(rng: random.Random, in_shape: SystemShape,
@@ -176,7 +179,7 @@ def rand_instrument(rng: random.Random, in_shape: SystemShape,
 def rand_reversible(rng: random.Random, n: int) -> ReversibleSpec:
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    bits = tuple(rng.randint(0, 1) for _ in range(n))
+    bits = tuple(randints(rng, 0, 1, n))
     return ReversibleSpec(tuple(perm), bits)
 
 
@@ -402,9 +405,9 @@ def suite_codec(cfg: RunConfig) -> Report:
         rng = trial_rng(cfg, "codec", idx)
         left = rand_shape(rng, cfg.max_dim)
         right = rand_shape(rng, cfg.max_dim)
-        q1 = rng.randint(1, left.global_dim)
-        q2 = rng.randint(1, right.global_dim)
-        s = rng.randint(0, 1)
+        q1 = randint(rng, 1, left.global_dim)
+        q2 = randint(rng, 1, right.global_dim)
+        s = randint(rng, 0, 1)
         q = pair_label(left, right, q1, q2, s)
         report.check(["pair-split", str(left), str(right), q1, q2, s],
                      split_label(left, right, q), (q1, q2, s))
@@ -609,7 +612,7 @@ def suite_determinacy(cfg: RunConfig) -> Report:
         pulled = bct.pull(bct.deterministic_effect(b), channel)
         det = bct.deterministic_effect(a)
         report.check(["causality", idx], pulled == det, channel.is_channel())
-        n = rng.randint(2, 6)
+        n = randint(rng, 2, 6)
         spec = rand_reversible(rng, n)
         shape = SystemShape((n,))
         rev = bct.reversible(shape, spec)
@@ -662,14 +665,14 @@ def suite_atomicity(cfg: RunConfig) -> Report:
                            for q, j, s, text, rho in probes})
     for idx in range(cfg.trials):
         rng = trial_rng(cfg, "atomicity", idx)
-        n = rng.randint(2, cfg.max_dim)
-        m = rng.randint(2, cfg.max_dim)
-        k = rng.randint(2, 3)
+        n = randint(rng, 2, cfg.max_dim)
+        m = randint(rng, 2, cfg.max_dim)
+        k = randint(rng, 2, 3)
         n_shape, m_shape, anc = SystemShape((n,)), SystemShape((m,)), SystemShape((k,))
-        src, dst, flip = rng.randint(1, n), rng.randint(1, m), rng.randint(0, 1)
-        weight = Fraction(rng.randint(1, WEIGHT_GRID), WEIGHT_GRID)
+        src, dst, flip = randint(rng, 1, n), randint(rng, 1, m), randint(rng, 0, 1)
+        weight = Fraction(randint(rng, 1, WEIGHT_GRID), WEIGHT_GRID)
         lifted = par_with_identity(atomic(n_shape, m_shape, src, dst, flip, weight), anc)
-        i, j, s = rng.randint(1, n), rng.randint(1, k), rng.randint(0, 1)
+        i, j, s = randint(rng, 1, n), randint(rng, 1, k), randint(rng, 0, 1)
         rho = bct.pure_state(n_shape.compose(anc), PureLabel((i, j), (s,)))
         target = bct.pure_state(m_shape.compose(anc), PureLabel((dst, j), (s ^ flip,)))
         report.check(["atomic-law-weighted", idx],
@@ -724,14 +727,15 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(names, cfg: RunConfig) -> list[Report]:
+    """Run the named suites (or ``"all"``) in order.  Every name is checked
+    before any suite runs, so ``ValueError`` from a suite is never a name's."""
     if isinstance(names, str):
         names = SUITE_NAMES if names == "all" else (names,)
-    reports = []
+    names = tuple(names)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        reports.append(SUITES[name](cfg))
-    return reports
+    return [SUITES[name](cfg) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +745,8 @@ def run_suites(names, cfg: RunConfig) -> list[Report]:
 
 def random_circuit_source(rng: random.Random, max_dim: int = 3) -> str:
     """A random closed circuit as DSL text: a state, channel stages, an effect."""
-    n = rng.randint(2, max_dim)
-    m = rng.randint(2, max_dim)
+    n = randint(rng, 2, max_dim)
+    m = randint(rng, 2, max_dim)
     shape = SystemShape((n, m))
     lines = [
         f"system a = elem {n}",
@@ -750,7 +754,7 @@ def random_circuit_source(rng: random.Random, max_dim: int = 3) -> str:
         "system ab = a * b",
         f"state rho : ab = {_dist_terms(rng, shape)}",
     ]
-    n_gates = rng.randint(1, 2)
+    n_gates = randint(rng, 1, 2)
     for g in range(n_gates):
         choice = rng.random()
         if choice < 0.4:
@@ -786,6 +790,7 @@ def _effect_terms(rng: random.Random, shape: SystemShape) -> str:
 
 
 def _atomic_body(rng: random.Random, dim: int) -> str:
+    terms = _rand_terms(rng, dim, dim, 0, 2, normalised=False)
     parts = [f"atomic {src} -> {dst} tau {flip} w {number_text(Fraction(c, WEIGHT_GRID))}"
-             for (src, dst, flip), c in _rand_terms(rng, dim, dim, 0, 2, normalised=False)]
+             for (src, dst, flip), c in terms.items()]
     return " + ".join(parts) if parts else "atomic 1 -> 1 tau 0 w 1"

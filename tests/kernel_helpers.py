@@ -1,9 +1,13 @@
 """Small constructions that only the tests need, kept out of the kernel."""
 
-from bctk.bct import Instrument, State, Transformation, coarse_grain
+from fractions import Fraction
+
+from bctk.bct import Effect, Instrument, State, Transformation, coarse_grain
 from bctk.classical import ClassicalMap
-from bctk.scalars import exact
+from bctk.lct import CandidateModel
+from bctk.scalars import exact, number_text, reduce_tuple
 from bctk.systems import PureLabel, SystemShape, flatten_label, unflatten_label
+from bctk.verify import _vector_terms
 
 
 def point_state(dim: int, index: int) -> ClassicalMap:
@@ -59,3 +63,109 @@ def pair_label_fold(left: SystemShape, right: SystemShape, q1: int, q2: int, s: 
     indices = a.indices + b.indices
     sections = a.sections + (s,) + tuple(s ^ u for u in b.sections)
     return flatten_label(left.compose(right), PureLabel(indices, sections))
+
+
+# ---------------------------------------------------------------------------
+# randint-based generators: oracles for the draws of ``verify`` and ``lct``
+# ---------------------------------------------------------------------------
+
+_GRID = 16  # verify.WEIGHT_GRID; lct's candidate weights are over 16 too
+
+
+def _grid_counts_oracle(rng, n, normalised):
+    total = _GRID if normalised else rng.randint(0, _GRID)
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def rand_distribution_oracle(rng, n, normalised=True):
+    return tuple(Fraction(c, _GRID) for c in _grid_counts_oracle(rng, n, normalised))
+
+
+def rand_shape_oracle(rng, max_dim, max_factors=2, max_ontic=64):
+    while True:
+        p = rng.randint(1, max_factors)
+        shape = SystemShape(tuple(rng.randint(2, max_dim) for _ in range(p)))
+        if shape.ontic_dim <= max_ontic:
+            return shape
+
+
+def rand_state_oracle(rng, shape):
+    return State(shape, _grid_counts_oracle(rng, shape.global_dim, False), den=_GRID)
+
+
+def rand_effect_oracle(rng, shape):
+    return Effect(shape, [rng.randint(0, _GRID) for _ in range(shape.global_dim)], den=_GRID)
+
+
+def _rand_terms_oracle(rng, n_in, n_out, k_min, k_max, normalised):
+    for src in range(1, n_in + 1):
+        k = rng.randint(k_min, k_max)
+        if k == 0:
+            continue
+        targets = set()
+        while len(targets) < k:
+            targets.add((rng.randint(1, n_out), rng.randint(0, 1)))
+        for (dst, flip), c in zip(sorted(targets), _grid_counts_oracle(rng, k, normalised)):
+            if c != 0:
+                yield (src, dst, flip), c
+
+
+def rand_tensor_oracle(rng, in_shape, out_shape, channel=False):
+    terms = _rand_terms_oracle(rng, in_shape.global_dim, out_shape.global_dim,
+                               1 if channel else 0, 3, channel)
+    return Transformation(in_shape, out_shape, dict(terms), den=_GRID)
+
+
+def rand_instrument_oracle(rng, in_shape, out_shape):
+    channel = rand_tensor_oracle(rng, in_shape, out_shape, channel=True)
+    return Instrument(tuple(channel.scale(p) for p in rand_distribution_oracle(rng, 3)))
+
+
+def random_circuit_source_oracle(rng, max_dim=3):
+    n = rng.randint(2, max_dim)
+    m = rng.randint(2, max_dim)
+    shape = SystemShape((n, m))
+    rho = _vector_terms(shape, rand_distribution_oracle(rng, shape.global_dim))
+    lines = [
+        f"system a = elem {n}",
+        f"system b = elem {m}",
+        "system ab = a * b",
+        f"state rho : ab = {rho}",
+    ]
+    n_gates = rng.randint(1, 2)
+    for g in range(n_gates):
+        choice = rng.random()
+        if choice < 0.4:
+            parts = [f"atomic {src} -> {dst} tau {flip} w {number_text(Fraction(c, _GRID))}"
+                     for (src, dst, flip), c
+                     in _rand_terms_oracle(rng, 2 * n * m, 2 * n * m, 0, 2, False)]
+            body = " + ".join(parts) if parts else "atomic 1 -> 1 tau 0 w 1"
+            lines.append(f"gate g{g} : ab -> ab = {body}")
+        elif choice < 0.6:
+            perm = list(range(1, 2 * n * m + 1))
+            rng.shuffle(perm)
+            bits = [rng.randint(0, 1) for _ in perm]
+            lines.append(f"gate g{g} : ab -> ab = rev {','.join(map(str, perm))} "
+                         f"{','.join(map(str, bits))}")
+        else:
+            lines.append(f"gate g{g} : ab -> ab = id")
+    if rng.random() < 0.3:
+        effect = "discard"
+    else:
+        effect = _vector_terms(shape, rand_effect_oracle(rng, shape).weights) or "discard"
+    lines.append(f"effect e : ab = {effect}")
+    stages = " ; ".join(["rho", *(f"g{g}" for g in range(n_gates)), "e"])
+    lines.append(f"circuit main = {stages}")
+    lines.append("eval main")
+    return "\n".join(lines) + "\n"
+
+
+def random_candidate_oracle(rng, inst):
+    L1 = rng.randint(2, 6)
+    L2 = rng.randint(2, 6)
+    dim = L1 * L2
+    cuts = sorted(rng.randint(0, 16) for _ in range(dim - 1))
+    counts = tuple(b - a for a, b in zip([0] + cuts, cuts + [16]))
+    b_counts = tuple(rng.randint(0, 16) for _ in range(dim))
+    return CandidateModel._from_nums(L1, L2, reduce_tuple(counts, 16), reduce_tuple(b_counts, 16))

@@ -93,6 +93,29 @@ def test_verify_reports_are_byte_identical_for_equal_configs():
     assert third.stdout != first.stdout
 
 
+def _kernel_fault(cfg):
+    raise ValueError("kernel fault inside a suite")
+
+
+def test_verify_lets_a_kernel_fault_in_a_suite_propagate(monkeypatch, capsys):
+    # A ValueError from inside a suite is a fault of the program, not bad
+    # input: it must not become exit 1 with the message as a diagnostic.
+    monkeypatch.setitem(verify.SUITES, "codec", _kernel_fault)
+    with pytest.raises(ValueError, match="kernel fault inside a suite"):
+        cli.main(["verify", "--suite", "codec", "--trials", "1"])
+    assert capsys.readouterr().err == ""
+
+
+def test_run_suites_checks_every_name_before_running_one(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "codec", lambda cfg: ran.append(cfg))
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run_suites(["codec", "bogus"], verify.RunConfig(trials=1))
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run_suites("bogus", verify.RunConfig(trials=1))
+    assert ran == []
+
+
 def _corrupted_swap_report(suite):
     proc = run_cli("verify", "--suite", suite, "--trials", "2", "--max-dim", "3",
                    "--corrupt", "swap")

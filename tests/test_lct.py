@@ -383,10 +383,13 @@ def test_seeded_random_candidates_match_the_fraction_oracle(inst):
 
 
 class _EvenDraws(random.Random):
-    """Draws only even integers, so every count over 16 has a common factor."""
+    """Draws only even integers, so every count over 16 has a common factor.
 
-    def randint(self, a, b):
-        return 2 * super().randint(-(-a // 2), b // 2)
+    The draws come straight from ``getrandbits``; clearing its low bit makes
+    every accepted value even, since each range here starts at 0 or 2."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) & ~1
 
 
 def test_random_candidate_reduces_counts_with_a_common_factor():
