@@ -31,7 +31,9 @@ by a weight in ``[0, 1]`` builds its result the same way, and by ``0`` it
 returns the zero vector over ``den == 1`` directly.
 
 The per-shape constants ``identity``, ``swap`` and the pure states and
-effects are built once and cached.  They are shared, so a cached
+effects are built once and cached, keyed by the interned shape (one
+:class:`~bctk.systems.SystemShape` object per shape, so a lookup is an
+identity check).  They are shared, so a cached
 transformation's ``nums`` is a read-only ``MappingProxyType``.  ``t.coeffs``,
 ``v.weights``, ``nonzero()``, ``pair`` and ``to_json`` read values back out,
 as an ``int`` when integral and a ``Fraction`` otherwise, and no kernel

@@ -3,7 +3,10 @@
 Systems are ordered lists of elementary dimensions.  A composite of two
 non-trivial systems of dimensions ``n`` and ``m`` has dimension ``2*n*m``,
 so a shape with ``p`` non-trivial factors has global dimension
-``2**(p-1) * n1 * ... * np``.  Pure states of composites carry one hidden
+``2**(p-1) * n1 * ... * np``.  Shapes are interned: equal stripped
+dimension tuples give the same :class:`SystemShape` object, so ``==`` and
+``hash`` on shapes are identity, and every cache keyed by a shape is keyed
+by that one object.  Pure states of composites carry one hidden
 section bit per pairing; the canonical grouping is left-nested and every
 label is flattened to a global index through the pair codec ``q_encode``.
 
@@ -26,29 +29,61 @@ is elementary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 from typing import Iterator
 
 
-@dataclass(frozen=True)
 class SystemShape:
     """An ordered tuple of elementary dimensions; ``()`` is the trivial system.
 
     Trivial factors (dimension 1) are stripped on construction, so composing
-    with the trivial system is a no-op by representation.
+    with the trivial system is a no-op by representation.  Shapes are
+    interned: ``SystemShape(elems)`` validates ``elems`` and returns the one
+    instance for the stripped tuple, so ``==`` and ``hash`` are the identity
+    ones inherited from ``object``.  ``global_dim`` and ``ontic_dim`` are
+    computed once, when a shape is first built.
     """
 
-    elems: tuple[int, ...] = ()
+    __slots__ = ("elems", "global_dim", "ontic_dim")
+    # one instance per stripped tuple, kept for the life of the process
+    _interned: dict[tuple[int, ...], "SystemShape"] = {}
 
-    def __post_init__(self):
+    def __new__(cls, elems: tuple[int, ...] = ()) -> "SystemShape":
         cleaned = []
-        for n in self.elems:
+        for n in elems:
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"elementary dimension must be a positive int, got {n!r}")
             if n > 1:
                 cleaned.append(n)
-        object.__setattr__(self, "elems", tuple(cleaned))
+        return cls._intern(tuple(cleaned))
+
+    @classmethod
+    def _intern(cls, elems: tuple[int, ...]) -> "SystemShape":
+        """The instance for ``elems``, which must already be stripped and valid."""
+        shape = cls._interned.get(elems)
+        if shape is None:
+            shape = object.__new__(cls)
+            set_field = object.__setattr__
+            set_field(shape, "elems", elems)
+            # Dimension of the simplex of states: ``2**(p-1) * prod(n_i)``.
+            set_field(shape, "global_dim", 2 ** (len(elems) - 1) * prod(elems) if elems else 1)
+            # Dimension of the classical space the ontological model assigns.
+            set_field(shape, "ontic_dim", prod(2 * n for n in elems))
+            shape = cls._interned.setdefault(elems, shape)
+        return shape
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a SystemShape")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a SystemShape")
+
+    def __reduce__(self):
+        return SystemShape, (self.elems,)
+
+    def __repr__(self) -> str:
+        return f"SystemShape(elems={self.elems!r})"
 
     @property
     def is_trivial(self) -> bool:
@@ -58,26 +93,14 @@ class SystemShape:
     def num_factors(self) -> int:
         return len(self.elems)
 
-    @cached_property
-    def global_dim(self) -> int:
-        """Dimension of the simplex of states: ``2**(p-1) * prod(n_i)``."""
-        if not self.elems:
-            return 1
-        return 2 ** (len(self.elems) - 1) * prod(self.elems)
-
-    @cached_property
-    def ontic_dim(self) -> int:
-        """Dimension of the classical space the ontological model assigns."""
-        return prod(2 * n for n in self.elems)
-
     def compose(self, other: "SystemShape") -> "SystemShape":
-        return SystemShape(self.elems + other.elems)
+        return SystemShape._intern(self.elems + other.elems)
 
     def fused(self) -> "SystemShape":
         """The single system of the same global dimension."""
         if self.is_trivial:
             return self
-        return SystemShape((self.global_dim,))
+        return SystemShape._intern((self.global_dim,))
 
     def __str__(self) -> str:
         if self.is_trivial:

@@ -324,6 +324,26 @@ def test_verify_report_bytes_are_pinned():
     assert digest == "5091044035997dad0eccc5a375fb28b044627d59eb54365f38c5f8c9992c4fe7"
 
 
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # Shapes hash by identity and strings by a per-process seed, so no output
+    # may depend on hash order.
+    commands = [
+        ("verify", "--suite", "all", "--trials", "20", "--max-dim", "3", "--seed", "20260809"),
+        ("lct", "refute", "--random", "50"),
+    ]
+    for args in commands:
+        outputs = []
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run([sys.executable, "-m", "bctk", *args], capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], args
+        if args[0] == "verify":
+            assert (hashlib.sha256(outputs[0].encode()).hexdigest()
+                    == "5091044035997dad0eccc5a375fb28b044627d59eb54365f38c5f8c9992c4fe7")
+
+
 def test_eval_and_embed_bytes_are_pinned(tmp_path, capsys):
     # Measured before kernel results stopped being re-validated; pins the
     # apply/pull/compose_seq paths that eval takes and the gate images embed prints.

@@ -1,9 +1,16 @@
 """Shapes, the dimension rule, and the label codec."""
 
+import copy
+import pickle
+from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
+from bctk import bct, ontic, systems
+from bctk.bct import Transformation
+from bctk.ontic import ontic_map
 from bctk.systems import (
     PureLabel,
     RightNestedLabel,
@@ -59,6 +66,97 @@ def test_shape_rejects_bad_dimensions():
         SystemShape((0,))
     with pytest.raises(ValueError):
         SystemShape((-2,))
+
+
+def test_shapes_are_interned_by_their_stripped_dimensions():
+    assert SystemShape((1, 3, 1)) is SystemShape((3,))
+    assert SystemShape([2, 3]) is SystemShape(elems=(2, 3)) is SystemShape((2, 1, 3))
+    assert SystemShape(()) is SystemShape((1, 1)) is SystemShape() is TRIVIAL
+    assert SystemShape((2,)).compose(SystemShape((3, 4))) is SystemShape((2, 3, 4))
+    assert TRIVIAL.compose(SystemShape((2,))) is SystemShape((2,))
+    assert SystemShape((2, 3)).fused() is SystemShape((12,))
+    assert TRIVIAL.fused() is TRIVIAL
+    assert SystemShape((2, 3)) is not SystemShape((3, 2))
+    assert SystemShape((6,)) is not SystemShape((2, 3))
+
+
+# ``2.0`` and ``Fraction(2)`` hash and compare like ``2``: a lookup by the raw
+# tuple would return the interned ``(2,)`` without the type check.
+@pytest.mark.parametrize("bad", [0, -2, 2.0, Fraction(2), "2", None])
+def test_bad_dimensions_raise_before_and_after_the_good_shape_is_interned(bad):
+    text = f"elementary dimension must be a positive int, got {bad!r}"
+    with pytest.raises(ValueError) as error:
+        SystemShape((bad,))
+    assert str(error.value) == text
+    SystemShape((2,))
+    for elems in ((bad,), (2, bad), (bad, 2)):
+        with pytest.raises(ValueError) as error:
+            SystemShape(elems)
+        assert str(error.value) == text
+
+
+def test_shape_is_frozen():
+    shape = SystemShape((2, 3))
+    with pytest.raises(AttributeError):
+        shape.elems = (2,)
+    with pytest.raises(AttributeError):
+        shape.global_dim = 5
+    with pytest.raises(AttributeError):
+        del shape.elems
+    with pytest.raises(AttributeError):
+        shape.extra = 1
+    assert shape.elems == (2, 3) and shape.global_dim == 12
+
+
+def test_pickle_and_copy_return_the_interned_shape():
+    for shape in (TRIVIAL, SystemShape((2,)), SystemShape((2, 3, 4))):
+        assert pickle.loads(pickle.dumps(shape)) is shape
+        assert copy.copy(shape) is shape
+        assert copy.deepcopy(shape) is shape
+        assert copy.deepcopy([shape, shape]) == [shape, shape]
+
+
+def test_shape_repr_and_str():
+    assert repr(SystemShape((2, 3))) == "SystemShape(elems=(2, 3))"
+    assert repr(TRIVIAL) == "SystemShape(elems=())"
+    assert str(SystemShape((1, 2, 3))) == "(2,3)"
+    assert str(TRIVIAL) == "I"
+
+
+def test_dimensions_of_every_small_shape():
+    for p in (1, 2, 3):
+        for elems in product(range(1, 5), repeat=p):
+            shape = SystemShape(elems)
+            kept = [n for n in elems if n > 1]
+            assert shape.global_dim == (2 ** (len(kept) - 1) * prod(kept) if kept else 1)
+            assert shape.ontic_dim == prod(2 * n for n in kept)
+            assert shape.num_factors == len(kept)
+
+
+def test_shape_equality_and_hash_are_object_identity():
+    # The speed of every shape-keyed cache and shape comparison rests on this.
+    assert SystemShape.__eq__ is object.__eq__
+    assert SystemShape.__hash__ is object.__hash__
+
+
+def test_a_rebuilt_shape_hits_the_kernel_caches():
+    left, right = SystemShape((2, 3)), SystemShape((3,))
+    again_left, again_right = SystemShape(tuple(left.elems)), SystemShape(list(right.elems))
+    assert bct.identity(again_left) is bct.identity(left)
+    assert bct.swap(again_left, again_right) is bct.swap(left, right)
+    assert systems.pair_offsets(again_left) is systems.pair_offsets(left)
+    assert ontic.fused_index(again_left) is ontic.fused_index(left)
+
+
+def test_values_on_separately_built_shapes_compare_and_hash_equal():
+    t = bct.atomic(SystemShape((2, 3)), SystemShape((2,)), 4, 2, 1).add(
+        bct.atomic(SystemShape((2, 3)), SystemShape((2,)), 5, 1, 0).scale(Fraction(1, 3)))
+    back = Transformation.from_json(t.to_json())
+    assert back == t and hash(back) == hash(t)
+    u = bct.atomic(SystemShape([2, 1, 3]), SystemShape((1, 2)), 4, 2, 1).add(
+        bct.atomic(SystemShape((2, 3)), SystemShape((2,)), 5, 1, 0).scale(Fraction(1, 3)))
+    assert u == t and hash(u) == hash(t)
+    assert ontic_map(u) == ontic_map(t) and hash(ontic_map(u)) == hash(ontic_map(t))
 
 
 def test_q_encode_printed_examples():
