@@ -39,15 +39,17 @@ Labels use 1-based indices with explicit section bits: ``(2)``,
 ``((1,2);0)``, ``(((1,2);0,3);1)``.
 
 A line reaches its declaration by one of two paths.  The fast path,
-:func:`_fast_line`, takes the ``state``/``effect`` lines with weighted
-labels and the ``atomic`` gate lines written in the compact single-space
-form of :func:`pretty` and ``verify.random_circuit_source``: one
-``fullmatch`` checks the line, one ``finditer`` reads its terms, and the
-result equals the token parser's.  Both paths read a name and a number
-through the same two patterns, ``_NAME`` and ``_NUM``.  Every other line
-goes to the token parser: a comment, other whitespace, a label with more
-factors than a system within :data:`MAX_ONTIC_DIM` has, a number that does
-not convert.  Diagnostics come only from the token parser.  It tokenizes a
+:func:`_fast_line`, takes every line written in the compact single-space
+form of :func:`pretty` and ``verify.random_circuit_source``: the line's
+first word picks one anchored regex, one ``fullmatch`` checks the whole
+line, one ``finditer`` reads the terms of a vector or an atomic gate or the
+boxes of a circuit, and the result equals the token parser's.  Both paths
+read a name and a number through the same two patterns, ``_NAME`` and
+``_NUM``; the fast path builds each distinct weight and label text once.
+Every other line goes to the token parser: a comment, other whitespace, a
+label with more factors than a system within :data:`MAX_ONTIC_DIM` has, a
+number that does not convert, and any line the token parser refuses.
+Diagnostics come only from the token parser.  It tokenizes a
 line in one ``finditer`` pass into plain ``(kind, text, col, end_col)``
 tuples with 1-based columns, and a :class:`SourceSpan` is built only where
 an AST node keeps one or a diagnostic needs one.  A character that starts
@@ -449,25 +451,10 @@ _LABEL = "(?:" + "|".join(
     r"\(" * p + "[0-9]+" + r",[0-9]+\);[01]" * (p - 1) + r"\)"
     for p in range(1, _MAX_LABEL_FACTORS + 1)
 ) + ")"
-_VECTOR_TERM = rf"(?:{_NUM} )?{_LABEL}"
+_VECTOR_TERMS = rf"(?:{_NUM} )?{_LABEL}(?: \+ (?:{_NUM} )?{_LABEL})*"
 _ATOMIC_TERM = rf"[0-9]+ -> [0-9]+ tau [0-9]+ w {_NUM}"
+_INTS = "[0-9]+(?:,[0-9]+)*"
 _ONE = Fraction(1)
-
-
-@lru_cache(maxsize=None)
-def _fast_patterns() -> tuple:
-    """The line regex, then the vector and atomic term regexes, which
-    capture a term's parts.  Compiled on first use, so that a command that
-    reads no DSL does not compile them at start-up."""
-    return (
-        re.compile(
-            rf"(state|effect) ({_NAME}) : ({_NAME}) = ({_VECTOR_TERM}(?: \+ {_VECTOR_TERM})*)"
-            rf"|gate ({_NAME}) : ({_NAME}) -> ({_NAME}) = "
-            rf"(atomic {_ATOMIC_TERM}(?: \+ (?:atomic )?{_ATOMIC_TERM})*)"
-        ),
-        re.compile(rf"(?:({_NUM}) )?({_LABEL})"),
-        re.compile(rf"([0-9]+) -> ([0-9]+) tau ([0-9]+) w ({_NUM})"),
-    )
 
 
 @lru_cache(maxsize=1024)
@@ -478,37 +465,123 @@ def _fast_label(text: str) -> PureLabel:
     return PureLabel((ints[0], *ints[1::2]), tuple(ints[2::2]))
 
 
+@lru_cache(maxsize=1024)
+def _fast_weight(text: str) -> Fraction:
+    """The weight a ``_NUM`` text reads as.  Cached: the weights of a file,
+    and of every file ``random_circuit_source`` writes, come from a few
+    texts."""
+    return parse_number(text)
+
+
+def _fast_system(m, _, lineno: int) -> SystemDecl:
+    name, elem, left, right = m.groups()
+    span = SourceSpan(lineno, 1, 7)
+    if elem is not None:
+        return SystemDecl(name, elem=int(elem), parts=None, span=span)
+    return SystemDecl(name, elem=None, parts=(left, right), span=span)
+
+
+def _fast_vector(m, term_re, lineno: int) -> VectorDecl:
+    keyword, name, system, rhs = m.groups()
+    terms = None
+    if rhs != "discard":
+        terms = []
+        for t in term_re.finditer(m.string, m.start(4)):
+            weight, label = t.groups()
+            terms.append(VectorTerm(
+                _ONE if weight is None else _fast_weight(weight), _fast_label(label),
+                SourceSpan(lineno, t.start(2) + 1, t.end(2) + 1)))
+        terms = tuple(terms)
+    return VectorDecl(keyword, name, system, terms, SourceSpan(lineno, 1, len(keyword) + 1))
+
+
+def _fast_gate(m, term_re, lineno: int) -> GateDecl:
+    name, in_system, out_system, ident, pair, a, b, perm, bits, _ = m.groups()
+    if ident is not None:
+        body = GateBody(kind="id")
+    elif pair is not None:
+        body = GateBody(kind=pair, args=(a, b))
+    elif perm is not None:
+        body = GateBody(kind="rev", perm=tuple(map(int, perm.split(","))),
+                        bits=tuple(map(int, bits.split(","))))
+    else:
+        body = GateBody(kind="atomic", terms=tuple(
+            bct.AtomicTerm(int(src), int(dst), int(flip), _fast_weight(weight))
+            for src, dst, flip, weight in term_re.findall(m.string, m.start(10))
+        ))
+    return GateDecl(name, in_system, out_system, body, SourceSpan(lineno, 1, 5))
+
+
+def _fast_circuit(m, box_re, lineno: int) -> CircuitDecl:
+    stages, row = [], []
+    for b in box_re.finditer(m.string, m.start(2)):
+        if b.group(1) == ";":
+            stages.append(tuple(row))
+            row = []
+        row.append(BoxRef(b.group(2), SourceSpan(lineno, b.start(2) + 1, b.end(2) + 1)))
+    stages.append(tuple(row))
+    return CircuitDecl(m.group(1), tuple(stages), SourceSpan(lineno, 1, 8))
+
+
+def _fast_eval(m, _, lineno: int) -> EvalDirective:
+    return EvalDirective(m.group(1), SourceSpan(lineno, 1, 5))
+
+
+@lru_cache(maxsize=None)
+def _fast_patterns() -> dict:
+    """Per declaration keyword: the line regex, the regex that reads the
+    line's repeated part (a vector term, an atomic term or a circuit box,
+    capturing its parts) or None, and the builder.  Compiled on first use,
+    so that a command that reads no DSL does not compile them at start-up.
+
+    A ``system`` line's left operand is never ``elem``, and only an
+    ``effect`` is ``discard``: the token parser reads those as the other
+    form and refuses them.
+    """
+    pair_gates = "|".join(_PAIR_GATES)
+    vector_term = rf"(?:({_NUM}) )?({_LABEL})"
+    forms = {
+        "system": (rf"system ({_NAME}) = (?:elem ([0-9]+)|(?!elem )({_NAME}) \* ({_NAME}))",
+                   None, _fast_system),
+        "state": (rf"(state) ({_NAME}) : ({_NAME}) = ({_VECTOR_TERMS})",
+                  vector_term, _fast_vector),
+        "effect": (rf"(effect) ({_NAME}) : ({_NAME}) = (discard|{_VECTOR_TERMS})",
+                   vector_term, _fast_vector),
+        "gate": (rf"gate ({_NAME}) : ({_NAME}) -> ({_NAME}) = (?:(id)"
+                 rf"|({pair_gates}) ({_NAME}) ({_NAME})|rev ({_INTS}) ({_INTS})"
+                 rf"|(atomic {_ATOMIC_TERM}(?: \+ (?:atomic )?{_ATOMIC_TERM})*))",
+                 rf"([0-9]+) -> ([0-9]+) tau ([0-9]+) w ({_NUM})", _fast_gate),
+        "circuit": (rf"circuit ({_NAME}) = ({_NAME}(?: [|;] {_NAME})*)",
+                    rf"(?: ([|;]) )?({_NAME})", _fast_circuit),
+        "eval": (rf"eval ({_NAME})", None, _fast_eval),
+    }
+    return {
+        keyword: (re.compile(line), part and re.compile(part), build)
+        for keyword, (line, part, build) in forms.items()
+    }
+
+
 def _fast_line(line: str, lineno: int):
-    """The declaration of a vector line or an atomic gate line written in the
-    compact single-space form of :func:`pretty`, or None.
+    """The declaration of a line written in the compact single-space form of
+    :func:`pretty`, or None.  The line's first word picks the one regex that
+    must match all of it.
 
     The result equals ``_parse_line(_tokenize_line(line, lineno), lineno)``.
-    None means the token parser takes the line: any other form or kind of
-    line, and a number that does not convert.
+    None means the token parser takes the line: a comment, other whitespace,
+    a label with more factors than ``_LABEL`` reads, an unknown keyword, any
+    line the token parser refuses, and a number that does not convert.
     """
-    line_re, vector_re, atomic_re = _fast_patterns()
+    form = _fast_patterns().get(line.partition(" ")[0])
+    if form is None:
+        return None
+    line_re, part_re, build = form
     m = line_re.fullmatch(line)
     if m is None:
         return None
-    keyword, name, system, _, gate, in_system, out_system, _ = m.groups()
     try:
-        if keyword is not None:
-            terms = []
-            for t in vector_re.finditer(line, m.start(4)):
-                weight, label = t.groups()
-                terms.append(VectorTerm(
-                    _ONE if weight is None else parse_number(weight), _fast_label(label),
-                    SourceSpan(lineno, t.start(2) + 1, t.end(2) + 1)))
-            return VectorDecl(keyword, name, system, tuple(terms),
-                              SourceSpan(lineno, 1, len(keyword) + 1))
-        terms = tuple(
-            bct.AtomicTerm(int(src), int(dst), int(flip), parse_number(weight))
-            for src, dst, flip, weight in atomic_re.findall(line, m.start(8))
-        )
+        return build(m, part_re, lineno)
     except ValueError:  # 1/0, or more digits than int() accepts
         return None
-    return GateDecl(name=gate, in_system=in_system, out_system=out_system,
-                    body=GateBody(kind="atomic", terms=terms), span=SourceSpan(lineno, 1, 5))
 
 
 # ---------------------------------------------------------------------------

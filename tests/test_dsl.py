@@ -407,7 +407,7 @@ def test_every_stage_sequence_is_refused_once_or_agrees(stages):
 
 
 # ---------------------------------------------------------------------------
-# the fast path for vector and atomic-gate lines against the token parser
+# the fast path against the token parser
 # ---------------------------------------------------------------------------
 
 
@@ -448,16 +448,10 @@ def _fast_corpus() -> tuple:
     return tuple(sources)
 
 
-def _is_fast_kind(line: str) -> bool:
-    head = line.split(" ", 1)[0]
-    if head in ("state", "effect"):
-        return not line.endswith("= discard")
-    return head == "gate" and " = atomic " in line
-
-
 # Hand-written lines in the compact form that the corpus does not reach:
-# decimal weights, atomic terms without the optional keyword, and labels of
-# every factor count up to the bound.
+# decimal weights, atomic terms without the optional keyword, labels of every
+# factor count up to the bound, every pair gate, a circuit with parallel rows,
+# and names that are keywords.
 _FAST_LINES = [
     "state s : a = 0.25 (1) + 0.75 (2)",
     "effect e : abc = (((1,2);0,3);1) + 1/3 (((2,1);1,1);0)",
@@ -465,6 +459,17 @@ _FAST_LINES = [
     "gate t : a -> a = atomic 1 -> 2 tau 1 w 1/2 + 2 -> 2 tau 0 w 1",
     "gate t : a -> a = atomic 1 -> 2 tau 1 w 0.5 + 2 -> 1 tau 0 w 1 + atomic 2 -> 2 tau 1 w 0",
     "state discard : atomic = 07 (010) + 3/006 ((01,2);1)",
+    "gate s : ab -> ba = swap a b",
+    "gate n : ab -> f = nu a b",
+    "gate n : f -> ab = nu_inv a b",
+    "gate r : a -> a = rev 007,1 0,01",
+    "circuit c = x | y ; t | w ; e",
+    "system elem = elem 2",
+    "system rev = a * elem",
+    "gate id : a -> a = id",
+    "gate swap : id -> rev = swap nu nu_inv",
+    "effect discard : effect = discard",
+    "eval rev",
 ]
 
 
@@ -480,18 +485,23 @@ def test_label_factor_bound_is_derived_from_the_ontic_cap():
         assert (fast is not None) == (factors <= bound)
 
 
-def test_every_vector_and_atomic_line_of_the_corpus_takes_the_fast_path():
-    lines = [line for src in _fast_corpus() for line in src.splitlines()]
-    fast = [line for line in lines if _is_fast_kind(line)] + _FAST_LINES
-    assert len(fast) > 2000
-    for lineno, line in enumerate(fast, start=1):
+def test_every_line_of_the_corpus_takes_the_fast_path():
+    # The corpus holds each source and its pretty form.
+    lines = [line for src in _fast_corpus() for line in src.splitlines()] + _FAST_LINES
+    assert len(lines) > 10000
+    for lineno, line in enumerate(lines, start=1):
         decl = dsl._fast_line(line, lineno)
         assert decl is not None, line
         # repr also compares the types of the weights, Fraction against int.
         assert repr(decl) == repr(_token_decl(line, lineno)), line
-    for line in lines:
-        if not _is_fast_kind(line):
-            assert dsl._fast_line(line, 1) is None, line
+
+
+def test_the_corpus_never_reaches_the_tokenizer():
+    # A change that sends a line kind back to the token parser fails here.
+    with mock.patch.object(dsl, "_tokenize_line", wraps=dsl._tokenize_line) as tokenize:
+        for src in _fast_corpus():
+            dsl.parse(src)
+    assert tokenize.call_count == 0
 
 
 def test_corpus_parses_alike_on_both_paths():
@@ -520,6 +530,8 @@ def _replace_match(pattern: str, replacement):
     return mutate
 
 
+_NAME_RE = r"(?<![A-Za-z0-9_])[A-Za-z_][A-Za-z0-9_]*"
+
 _MUTATIONS = {
     "tab": _replace_match(" ", "\t"),
     "double space": _replace_match(" ", "  "),
@@ -534,6 +546,11 @@ _MUTATIONS = {
     "trailing #": lambda line, pick: line + ("#" if pick % 2 else " # note"),
     "leading space": lambda line, pick: " " + line,
     "atomic dropped": _replace_match(r" \+ atomic ", " + "),
+    **{f"name {keyword}": _replace_match(_NAME_RE, keyword)
+       for keyword in ("elem", "discard", "id", "rev", "atomic")},
+    "dropped *": _replace_match(r" \*", ""),
+    "; and | swapped": _replace_match(r"[;|]", lambda sep: "|" if sep == ";" else ";"),
+    "doubled rev comma": _replace_match(r",(?=[0-9]+(?:,[0-9]+)*(?: |$))", ",,"),
 }
 
 
@@ -544,12 +561,15 @@ def test_mutated_lines_agree_with_the_token_parser(data):
     sources = _fast_corpus()
     src = sources[data.draw(st.integers(0, len(sources) - 1), label="source")]
     lines = src.split("\n")
-    candidates = [i for i, line in enumerate(lines) if _is_fast_kind(line)]
-    index = data.draw(st.sampled_from(candidates), label="line")
     name = data.draw(st.sampled_from(sorted(_MUTATIONS)), label="mutation")
-    mutated = _MUTATIONS[name](lines[index], data.draw(st.integers(0, 200), label="pick"))
-    if mutated is None:
+    pick = data.draw(st.integers(0, 200), label="pick")
+    # Any line of the source that the mutation changes.
+    candidates = {i: new for i, line in enumerate(lines)
+                  if (new := _MUTATIONS[name](line, pick)) not in (None, line)}
+    if not candidates:
         return
+    index = data.draw(st.sampled_from(sorted(candidates)), label="line")
+    mutated = candidates[index]
     lineno = index + 1
     fast = dsl._fast_line(mutated, lineno)
     assert fast is None or fast == _token_decl(mutated, lineno), (name, mutated)
@@ -570,6 +590,15 @@ def test_fast_path_diagnostics_come_from_the_token_parser():
          "sections=(0, 1, 0, 1)) does not fit shape (2,2)"),
         ("gate g : ab -> ab = atomic 1 -> 2 tau 0 w 1/0", "4:43: zero denominator in '1/0'"),
         ("effect e : ab = 1 ((1,1);0) # comment +", None),
+        # A line a looser fast path would take.
+        ("system c = elem * a", "4:17: expected 'number', got '*'"),
+        ("state s : ab = discard", "4:16: expected '(', got 'discard'"),
+        ("gate g : ab -> ab = swap a", "4:27: expected 'ident', got 'end of line'"),
+        ("gate g : a -> a = rev 2,,1 0,1", "4:25: expected 'number', got ','"),
+        ("circuit c = s | ; e", "4:17: expected 'ident', got ';'"),
+        ("system c = elem " + "9" * 5000,
+         "4:17: Exceeds the limit (4300 digits) for integer string conversion: value has "
+         "5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
     ]:
         result = _parse_or_diagnostics(head + line + "\n")
         if diagnostic is None:
