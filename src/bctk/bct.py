@@ -13,17 +13,18 @@ Weights live on an integer lattice.  A :class:`Transformation` stores
 :class:`State`/:class:`Effect` stores ``nums``, a tuple of ``int``; each
 object has one denominator ``den >= 1`` with ``gcd(den, *nums) == 1`` (an
 empty object has ``den == 1``), so ``==`` and ``hash`` compare plain fields.
-Products multiply denominators and sums add numerators; every kernel result
-is reduced once, by :func:`~bctk.scalars.reduce_dict` or
-:func:`~bctk.scalars.reduce_tuple`, which cost nothing when ``den == 1``.
+Products multiply denominators; every kernel result is reduced once, by
+:func:`~bctk.scalars.reduce_dict` or :func:`~bctk.scalars.reduce_tuple`,
+which cost nothing when ``den == 1``.
 
 Values enter and leave the lattice only at the edges.  The public
 constructors (``Transformation(...)``, ``Transformation.from_json``,
-``State(...)``, ``Effect(...)``) and the operations that take arbitrary
-weights (``scale``, ``add``, ``atomic``, ``recompose``) take exact
-``int``/``Fraction`` values, convert them once through
-:func:`~bctk.scalars.lattice` and check every weight in integers.  An
-optional ``den`` gives the values as numerators over ``den``.  Kernel
+``State(...)``, ``Effect(...)``), ``atomic``, ``recompose`` and
+``_Vector.scale`` take exact ``int``/``Fraction`` values, convert them once
+through :func:`~bctk.scalars.lattice` and check every weight in integers.
+An optional ``den`` gives the values as numerators over ``den``.
+``Transformation.scale`` and ``add`` compute with :mod:`~bctk.scalars`'
+sparse arithmetic, then pass the result through that same check.  Kernel
 operations build their results through ``Transformation._from_nums`` and
 ``_Vector._from_nums``, which check nothing: each such result is valid by
 construction, for the reason given at its call site.  ``_Vector.scale``
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm
 from types import MappingProxyType
 
 from .scalars import (
@@ -59,6 +59,8 @@ from .scalars import (
     ratio_json,
     reduce_dict,
     reduce_tuple,
+    sparse_add,
+    sparse_scale,
 )
 from .systems import (
     SystemShape,
@@ -311,12 +313,8 @@ class Transformation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transformation):
             return NotImplemented
-        return (
-            self.in_shape == other.in_shape
-            and self.out_shape == other.out_shape
-            and self.den == other.den
-            and self.nums == other.nums
-        )
+        return ((self.in_shape, self.out_shape, self.den, self.nums)
+                == (other.in_shape, other.out_shape, other.den, other.nums))
 
     def __hash__(self):
         return hash((self.in_shape, self.out_shape, self.den, frozenset(self.nums.items())))
@@ -336,21 +334,14 @@ class Transformation:
         return len(rows) == self.in_shape.global_dim and all(s == den for s in rows.values())
 
     def scale(self, p) -> "Transformation":
-        (pn,), pd = lattice((p,))
-        return Transformation(
-            self.in_shape, self.out_shape, {k: pn * n for k, n in self.nums.items()},
-            den=self.den * pd,
-        )
+        return Transformation(self.in_shape, self.out_shape,
+                              *sparse_scale(self.nums, self.den, p))
 
     def add(self, other: "Transformation") -> "Transformation":
         if self.in_shape != other.in_shape or self.out_shape != other.out_shape:
             raise ValueError("can only add transformations of equal shape")
-        den = lcm(self.den, other.den)
-        k1, k2 = den // self.den, den // other.den
-        merged = {k: k1 * n for k, n in self.nums.items()}
-        for k, n in other.nums.items():
-            merged[k] = merged.get(k, 0) + k2 * n
-        return Transformation(self.in_shape, self.out_shape, merged, den=den)
+        return Transformation(self.in_shape, self.out_shape,
+                              *sparse_add(self.nums, self.den, other.nums, other.den))
 
     def to_json(self) -> dict:
         den = self.den
@@ -630,7 +621,8 @@ def reversible(shape: SystemShape, spec: ReversibleSpec) -> Transformation:
 
 @dataclass(frozen=True)
 class Instrument:
-    """An outcome-indexed family whose full coarse-graining is a channel."""
+    """A nonempty outcome-indexed family of transformations of one shape, one
+    outcome label per member.  The members need not sum to a channel."""
 
     members: tuple
     outcomes: tuple = field(default=())

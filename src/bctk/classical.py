@@ -12,9 +12,9 @@ to a nonzero ``int`` over one denominator ``den >= 1``, with
 ``gcd(den, *nums) == 1`` (an empty map has ``den == 1``).  A zero is never
 stored, so equality is a comparison of plain fields.  The images of the
 ontological model are relabellings, almost all zeros, and every product here
-runs over the nonzero cells only; products multiply denominators, sums add
-numerators, and each result is reduced once by
-:func:`~bctk.scalars.reduce_dict`.
+runs over the nonzero cells only, multiplies denominators and is reduced
+once by :func:`~bctk.scalars.reduce_dict`.  ``add``, ``scale`` and
+``differences`` are :mod:`~bctk.scalars`' sparse arithmetic on the cells.
 
 Exact ``int``/``Fraction`` values enter through ``ClassicalMap(rows)``,
 :meth:`ClassicalMap.from_json`, ``state``/``effect``/``scalar``/``scale``
@@ -37,9 +37,9 @@ it, and the ``test`` extra installs it.
 from __future__ import annotations
 
 import json
-from math import lcm
 
-from .scalars import exact, lattice, number_from_json, ratio_json, reduce_dict
+from .scalars import (exact, lattice, number_from_json, ratio_json, reduce_dict, sparse_add,
+                      sparse_differences, sparse_scale)
 
 
 def _cell_nums(cells: dict) -> tuple[dict, int]:
@@ -167,26 +167,14 @@ class ClassicalMap:
         return f"ClassicalMap({rows!r})"
 
     def scale(self, factor) -> "ClassicalMap":
-        (fn,), fd = lattice((factor,))
-        if fn == 0:
-            return ClassicalMap.zero(self.out_dim, self.in_dim)
-        return ClassicalMap._from_nums(
-            self.out_dim, self.in_dim,
-            *reduce_dict({rc: n * fn for rc, n in self.nums.items()}, self.den * fd))
+        return ClassicalMap._from_nums(self.out_dim, self.in_dim,
+                                       *sparse_scale(self.nums, self.den, factor))
 
     def add(self, other: "ClassicalMap") -> "ClassicalMap":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in map addition")
-        den = lcm(self.den, other.den)
-        k1, k2 = den // self.den, den // other.den
-        nums = {rc: k1 * n for rc, n in self.nums.items()}
-        for rc, n in other.nums.items():
-            total = nums.get(rc, 0) + k2 * n
-            if total != 0:
-                nums[rc] = total
-            else:
-                del nums[rc]
-        return ClassicalMap._from_nums(self.out_dim, self.in_dim, *reduce_dict(nums, den))
+        return ClassicalMap._from_nums(self.out_dim, self.in_dim,
+                                       *sparse_add(self.nums, self.den, other.nums, other.den))
 
     def nonzero(self):
         """Iterate ``(row, col, value)`` over nonzero entries in row-major order."""
@@ -197,12 +185,8 @@ class ClassicalMap:
     def differences(self, other: "ClassicalMap"):
         """Iterate ``(row, col, mine, theirs)`` over the cells where two maps
         of one shape differ, in row-major order."""
-        mine, theirs = self.nums, other.nums
-        d1, d2 = self.den, other.den
-        for r, c in sorted(mine.keys() | theirs.keys()):
-            a, b = mine.get((r, c), 0), theirs.get((r, c), 0)
-            if a * d2 != b * d1:
-                yield r, c, exact(a, d1), exact(b, d2)
+        return ((r, c, mine, theirs) for (r, c), mine, theirs
+                in sparse_differences(self.nums, self.den, other.nums, other.den))
 
     # -- predicates ----------------------------------------------------
 

@@ -66,11 +66,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
 
 from . import bct, classical, ontic
 from .bct import Effect, State, Transformation
-from .scalars import number_json, number_text, parse_number
+from .scalars import lattice, number_json, number_text, parse_number
 from .systems import PureLabel, SystemShape, flatten_label, label_text
 
 # Largest ontic dimension of a declared system or of a circuit wire.  Images
@@ -590,17 +589,16 @@ def _fast_line(line: str, lineno: int):
 
 
 def _vector_weights(shape: SystemShape, terms, diags, kind: str) -> tuple[list, int]:
-    """The summed term weights per pure label, as integer numerators over
-    the lcm of the terms' denominators."""
-    den = lcm(*(term.weight.denominator for term in terms))
+    """The summed term weights per pure label, as numerators over one denominator."""
+    values, den = lattice(term.weight for term in terms)
     nums = [0] * shape.global_dim
-    for term in terms:
+    for term, n in zip(terms, values):
         try:
             q = flatten_label(shape, term.label)
         except ValueError as exc:
             diags.append(Diagnostic(term.span, f"{kind} label does not fit system: {exc}"))
             continue
-        nums[q - 1] += term.weight.numerator * (den // term.weight.denominator)
+        nums[q - 1] += n
     return nums, den
 
 

@@ -11,7 +11,9 @@ numerators over one positive denominator, in lowest terms.
 :func:`lattice` is the one conversion of exact values onto it,
 :func:`reduce_dict`/:func:`reduce_tuple` bring a kernel result to lowest
 terms, and :func:`exact` and :func:`ratio_json` read one lattice value back
-out.
+out.  :func:`sparse_add`, :func:`sparse_scale` and :func:`sparse_differences`
+add, scale and compare sparse values, a dict of nonzero numerators over one
+denominator, as transformation terms and classical map cells are stored.
 
 Seeded integer draws go through :func:`randint`, :func:`randints` and
 :func:`cut_counts`: they return what ``random.Random.randint`` returns, from
@@ -117,6 +119,31 @@ def reduce_tuple(nums: tuple, den: int) -> tuple[tuple, int]:
     if g == 1:
         return nums, den
     return tuple(v // g for v in nums), den // g
+
+
+def sparse_add(n1: dict, d1: int, n2: dict, d2: int) -> tuple[dict, int]:
+    """``n1 / d1 + n2 / d2`` in lowest terms; a cancelled key is dropped."""
+    den = math.lcm(d1, d2)
+    k1, k2 = den // d1, den // d2
+    nums = {k: k1 * n for k, n in n1.items()}
+    for k, n in n2.items():
+        nums[k] = nums.get(k, 0) + k2 * n
+    return reduce_dict({k: n for k, n in nums.items() if n != 0}, den)
+
+
+def sparse_scale(nums: dict, den: int, p) -> tuple[dict, int]:
+    """``nums / den`` times the exact scalar ``p``, in lowest terms."""
+    (pn,), pd = lattice((p,))
+    return reduce_dict({k: n * pn for k, n in nums.items()} if pn != 0 else {}, den * pd)
+
+
+def sparse_differences(n1: dict, d1: int, n2: dict, d2: int):
+    """Iterate ``(key, mine, theirs)``, read out by :func:`exact`, at each
+    sorted key where ``n1 / d1`` and ``n2 / d2`` differ."""
+    for k in sorted(n1.keys() | n2.keys()):
+        a, b = n1.get(k, 0), n2.get(k, 0)
+        if a * d2 != b * d1:
+            yield k, exact(a, d1), exact(b, d2)
 
 
 def exact(num: int, den: int):

@@ -50,7 +50,7 @@ from .bct import (
 )
 from .classical import ClassicalMap
 from .ontic import ontic_effect, ontic_map, ontic_state
-from .scalars import cut_counts, number_json, number_text, randint, randints
+from .scalars import cut_counts, number_json, number_text, randint, randints, sparse_differences
 from .systems import (
     PureLabel,
     SystemShape,
@@ -253,14 +253,12 @@ def _first_difference(a, b):
         elif isinstance(a, ClassicalMap) and isinstance(b, ClassicalMap):
             if a.shape != b.shape:
                 return path + ["shape"], list(a.shape), list(b.shape)
-            leaves = (([r, c], x, y) for r, c, x, y in a.differences(b))
+            leaves = sparse_differences(a.nums, a.den, b.nums, b.den)
         elif isinstance(a, Transformation) and isinstance(b, Transformation):
             if (a.in_shape, a.out_shape) != (b.in_shape, b.out_shape):
                 return (path + ["shape"], f"{a.in_shape}->{a.out_shape}",
                         f"{b.in_shape}->{b.out_shape}")
-            ca, cb = a.coeffs, b.coeffs
-            leaves = ((list(k), ca.get(k, 0), cb.get(k, 0)) for k in sorted(ca.keys() | cb.keys())
-                      if ca.get(k, 0) != cb.get(k, 0))
+            leaves = sparse_differences(a.nums, a.den, b.nums, b.den)
         elif isinstance(a, dict) and isinstance(b, dict):
             key = next(k for k in {**a, **b} if a.get(k) != b.get(k))
             path.extend(key if type(key) is tuple else (key,))
@@ -274,7 +272,7 @@ def _first_difference(a, b):
         else:
             return path, a, b
         steps, x, y = next(leaves, (["den"], str(a.den), str(b.den)))
-        return path + steps, x, y
+        return path + list(steps), x, y
 
 
 def _corrupt_swap(sw: Transformation) -> Transformation:

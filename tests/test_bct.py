@@ -219,10 +219,17 @@ def test_validity_rejects_bad_coefficients():
                                               {"i0": 1, "l": 2, "tau": 1, "w": [1, 2]}]}
     with pytest.raises(ValueError):
         Transformation.from_json(over)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^coefficients for input 1 sum to 2 > 1 \(not substochastic\)$"):
         identity(S2).scale(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^conical coefficients must be nonnegative$"):
+        identity(S2).scale(-1)
+    with pytest.raises(TypeError, match=r"^not an exact number: 2\.0$"):
+        identity(S2).scale(2.0)
+    with pytest.raises(ValueError, match=r"^coefficients for input 1 sum to 5/4 > 1 "):
         atomic(S2, S2, 1, 1, 0, HALF).add(atomic(S2, S2, 1, 2, 0, Fraction(3, 4)))
+    with pytest.raises(ValueError, match="^can only add transformations of equal shape$"):
+        identity(S2).add(identity(S3))
     for build in (lambda: identity(TRIVIAL), lambda: zero(TRIVIAL, S2),
                   lambda: zero(S2, TRIVIAL),
                   lambda: reversible(TRIVIAL, ReversibleSpec((1,), (0,)))):

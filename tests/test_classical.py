@@ -415,6 +415,10 @@ def test_cancelling_add_stores_no_zero():
     total = m.add(m.scale(-1))
     assert total.cells == {}
     assert total == ClassicalMap.zero(2, 2)
+    with pytest.raises(ValueError, match="^shape mismatch in map addition$"):
+        m.add(ClassicalMap.identity(3))
+    with pytest.raises(TypeError, match=r"^not an exact number: 2\.0$"):
+        m.scale(2.0)
 
 
 def test_constructor_rejects_non_2d_input():

@@ -7,18 +7,22 @@ objects draw their weights with denominators from 1 to 97, so coprime
 denominators meet in every product and sum.
 """
 
+import ast
 import math
 import random
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import bctk
 from bctk import bct, classical, ontic
 from bctk.bct import Effect, State, Transformation
 from bctk.classical import ClassicalMap
+from bctk.scalars import lattice, reduce_dict, sparse_add, sparse_differences, sparse_scale
 from bctk.systems import SystemShape, all_labels, pair_label
 
 from kernel_helpers import column_sums, transpose
@@ -321,6 +325,74 @@ def test_classical_kernel_matches_the_fraction_oracle(s):
     assert classical.choi_close(square) == sum(
         (v for (r, c), v in square.cells.items() if r == c), 0)
     assert ClassicalMap.from_json(f.to_json()) == f
+
+
+# ---------------------------------------------------------------------------
+# the sparse arithmetic of scalars
+# ---------------------------------------------------------------------------
+
+_CELL = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_VALUE = st.builds(Fraction, st.integers(-97, 97), st.integers(1, 97))
+_VALUES = st.dictionaries(_CELL, _VALUE, max_size=10)
+
+
+def _sparse(values: dict, spread: int) -> tuple[dict, int]:
+    """The nonzero ``values`` as ``(nums, den)``, both multiplied by ``spread``,
+    so an operand need not be in lowest terms."""
+    nonzero = {k: v for k, v in values.items() if v != 0}
+    nums, den = lattice(nonzero.values())
+    return {k: spread * n for k, n in zip(nonzero, nums)}, spread * den
+
+
+def _check_sparse(result, values: dict) -> None:
+    """``result`` is ``values`` without its zeros, in lowest terms."""
+    nums, den = result
+    want = {k: v for k, v in values.items() if v != 0}
+    assert {k: Fraction(n, den) for k, n in nums.items()} == want
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert den == math.lcm(*(v.denominator for v in want.values()))
+    assert math.gcd(den, *nums.values()) == 1
+
+
+@seed(20261103)
+@given(_VALUES, _VALUES, _VALUE, st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_sparse_arithmetic_matches_fraction_dicts(a, b, p, s1, s2):
+    n1, d1 = _sparse(a, s1)
+    n2, d2 = _sparse(b, s2)
+    before = (dict(n1), d1, dict(n2), d2)
+    total = {k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()}
+    _check_sparse(sparse_add(n1, d1, n2, d2), total)
+    assert sparse_add(n1, d1, {k: -n for k, n in n1.items()}, d1) == ({}, 1)
+    for factor in (p, -p, 0, Fraction(0), 1, -1, 3):
+        _check_sparse(sparse_scale(n1, d1, factor), {k: v * factor for k, v in a.items()})
+    diffs = list(sparse_differences(n1, d1, n2, d2))
+    keys = [k for k, _, _ in diffs]
+    assert keys == sorted(keys)
+    assert diffs == [(k, a.get(k, 0), b.get(k, 0)) for k in sorted(a.keys() | b.keys())
+                     if a.get(k, 0) != b.get(k, 0)]
+    assert list(sparse_differences(n1, d1, *reduce_dict(dict(n1), d1))) == []
+    assert (dict(n1), d1, dict(n2), d2) == before
+    f = ClassicalMap._from_nums(4, 4, *reduce_dict(n1, d1))
+    g = ClassicalMap._from_nums(4, 4, *reduce_dict(n2, d2))
+    assert list(f.differences(g)) == [(r, c, x, y) for (r, c), x, y in diffs]
+
+
+def test_only_scalars_takes_lcm_and_gcd_from_math():
+    """Lattice values are merged and reduced in :mod:`bctk.scalars` alone."""
+    users = set()
+    for path in sorted(Path(bctk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                taken = {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math"):
+                taken = {node.attr}
+            else:
+                continue
+            if taken & {"lcm", "gcd"}:
+                users.add(path.stem)
+    assert users == {"scalars"}
 
 
 # ---------------------------------------------------------------------------
