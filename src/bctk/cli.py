@@ -8,6 +8,13 @@ go to stderr, one line each.  Every number is exact: flags and JSON are read
 through :mod:`bctk.scalars`, so a JSON float ``0.25`` means ``1/4``, and an
 integer flag takes an optional sign and ASCII digits only.
 
+``bctk eval FILE`` and ``bctk embed FILE --gate NAME``, where neither FILE
+nor NAME starts with ``-``, are read without building a parser: for such
+words argparse has one reading, so :func:`_plain_args` returns the very
+namespace it would, and the command prints the same bytes and exit code.
+Every other command line, and so every usage error and help text, goes
+through argparse.
+
 ``bctk lct`` takes the instance flags ``--d1/--d2/--dl/--kappa`` with either
 action.  Only ``refute`` takes a candidate source, one of ``--candidate``,
 ``--model`` or ``--random N``, and it takes ``--seed`` only with
@@ -360,12 +367,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse returns for ``eval FILE`` or ``embed FILE
+    --gate NAME`` when no word after the command starts with ``-``; ``None``
+    for any other command line."""
+    if len(argv) == 2 and argv[0] == "eval" and not argv[1].startswith("-"):
+        return argparse.Namespace(command="eval", file=argv[1], name=None, func=cmd_eval)
+    if (len(argv) == 4 and argv[0] == "embed" and argv[2] == "--gate"
+            and not argv[1].startswith("-") and not argv[3].startswith("-")):
+        return argparse.Namespace(command="embed", file=argv[1], gate=argv[3],
+                                  func=cmd_embed)
+    return None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the named command's parser is built: a usage error prints no usage
-    # line and a subparser's prog is fixed when it is added, so every byte of
-    # output is what the full parser would print.
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # ``eval FILE`` and ``embed FILE --gate NAME`` skip argparse: a word that
+    # does not start with "-" is always a value to it, so the namespace, and
+    # with it every byte of output, is the one the parser would give.  Any
+    # other line builds only the named command's parser: a usage error prints
+    # no usage line and a subparser's prog is fixed when it is added, so every
+    # byte of output is what the full parser would print.
+    args = _plain_args(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: exit codes, JSON output, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -9,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from bctk import bct, cli, dsl, lct, ontic, verify
 from bctk.classical import ClassicalMap
@@ -344,7 +347,15 @@ def test_outputs_do_not_depend_on_the_hash_seed():
                     == "5091044035997dad0eccc5a375fb28b044627d59eb54365f38c5f8c9992c4fe7")
 
 
-def test_eval_and_embed_bytes_are_pinned(tmp_path, capsys):
+@pytest.fixture(params=["plain", "argparse"])
+def argv_reader(request, monkeypatch):
+    """Runs a test once with ``eval FILE`` and ``embed FILE --gate NAME`` read
+    by ``cli._plain_args``, and once with every command line read by argparse."""
+    if request.param == "argparse":
+        monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+
+
+def test_eval_and_embed_bytes_are_pinned(tmp_path, capsys, argv_reader):
     # Measured before kernel results stopped being re-validated; pins the
     # apply/pull/compose_seq paths that eval takes and the gate images embed prints.
     digest = hashlib.sha256()
@@ -354,7 +365,9 @@ def test_eval_and_embed_bytes_are_pinned(tmp_path, capsys):
         path.write_text(verify.random_circuit_source(rng, max_dim=4))
         for args in (["eval", str(path)], ["embed", str(path), "--gate", "g0"]):
             code = cli.main(args)
-            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+            out, err = capsys.readouterr()
+            assert err == "", args
+            digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == "128f04812d65f1c63b73be6929adfb496741e9a0271ba906e7da713c072945cf"
 
 
@@ -407,7 +420,8 @@ eval single
 """
 
 
-def test_open_circuit_eval_and_embed_bytes_are_pinned(tmp_path, capsys):
+def test_open_circuit_eval_and_embed_bytes_are_pinned(tmp_path, capsys, monkeypatch,
+                                                     argv_reader):
     # Measured before the evaluators folded checked stages instead of the AST.
     path = tmp_path / "open.bct"
     path.write_text(OPEN_CIRCUITS)
@@ -418,8 +432,30 @@ def test_open_circuit_eval_and_embed_bytes_are_pinned(tmp_path, capsys):
     digest = hashlib.sha256()
     for args in runs:
         code = cli.main(args)
-        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        out, err = capsys.readouterr()
+        assert err == "", args
+        digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == "dc172be06374a87556289056f40088ffd138985df8204a3de21fc26f898586b1"
+    # Files that cannot be read or parsed, and gates the file does not
+    # declare: one stderr line, no stdout, exit 1, by the bare names given.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.bct").write_bytes(b"system a = elem 2\n# caf\xe9\n")
+    (tmp_path / "bad.bct").write_text("system a = elem 2\ncircuit p = ghost\n")
+    missing = "cannot read missing.bct: [Errno 2] No such file or directory: 'missing.bct'\n"
+    latin1 = ("cannot read latin1.bct: 'utf-8' codec can't decode byte 0xe9 in position 23: "
+              "invalid continuation byte\n")
+    for args, err in (
+        (["eval", "missing.bct"], missing),
+        (["embed", "missing.bct", "--gate", "t"], missing),
+        (["eval", "latin1.bct"], latin1),
+        (["embed", "latin1.bct", "--gate", "t"], latin1),
+        (["eval", "bad.bct"], "bad.bct:2:13: unknown box 'ghost'\n"),
+        (["embed", "bad.bct", "--gate", "t"], "bad.bct:2:13: unknown box 'ghost'\n"),
+        (["embed", "open.bct", "--gate", "nosuch"], "unknown gate 'nosuch'\n"),
+        (["embed", "open.bct", "--gate", ""], "unknown gate ''\n"),
+    ):
+        assert cli.main(args) == 1, args
+        assert capsys.readouterr() == ("", err), args
 
 
 def _old_dump_text(payload) -> str:
@@ -716,7 +752,19 @@ PARSER_CORPUS = [
     ["lct", "refute", "--model", "a", "--random", "3"],
     ["verify", "--trials", "-1"], ["verify", "--max-dim", str(verify.MAX_DIM + 1)],
     ["eval", "c.bct", "--bogus"], ["verify", "extra"],
+    # Next to the two lines ``cli._plain_args`` reads: empty and space-led
+    # words are values, dash-led ones, "--", extra words and spellings of
+    # ``--gate`` other than the exact flag before the value are left to argparse.
+    ["eval", ""], ["eval", " -x"], ["eval", "-"], ["eval", "-1"], ["eval", "--", "c.bct"],
+    ["eval", "c.bct", "extra"],
+    ["embed", "c.bct", "--gate", ""], ["embed", "c.bct", "--gate", "-g"],
+    ["embed", "c.bct", "--gate=g"], ["embed", "c.bct", "--ga", "g"],
+    ["embed", "--gate", "g", "c.bct"],
 ]
+
+# The entries of PARSER_CORPUS that ``cli._plain_args`` reads without a parser.
+PLAIN_ARGV = [["eval", "c.bct"], ["eval", ""], ["eval", " -x"],
+              ["embed", "c.bct", "--gate", "shift"], ["embed", "c.bct", "--gate", ""]]
 
 
 def _parse_outcome(parser, argv, capsys):
@@ -736,6 +784,46 @@ def test_one_command_parser_parses_as_the_full_parser(argv, capsys):
     assert single == full
 
 
+def _assert_plain_args_agree(argv, code, namespace):
+    """``_plain_args(argv)`` is ``None`` or the namespace argparse returned,
+    and ``None`` wherever argparse exited."""
+    plain = cli._plain_args(argv)
+    assert plain is None or (code is None and plain == namespace), argv
+    return plain
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_plain_args_is_none_or_the_full_parsers_namespace(argv, capsys):
+    code, _, _, namespace = _parse_outcome(cli.build_parser(), argv, capsys)
+    plain = _assert_plain_args_agree(argv, code, namespace)
+    assert (plain is not None) == (argv in PLAIN_ARGV), argv
+
+
+ARGV_WORD = st.sampled_from(["eval", "embed", "verify", "c.bct", "g", "", " -x", "-", "--",
+                             "-h", "--gate", "--gate=g", "--ga", "--name", "-1", "x y",
+                             "\u00e9"])
+# Any line of one to five words, and lines in the two plain shapes with any
+# word in each slot, so that the fast path fires on a good share of draws.
+ARGV_LINE = st.one_of(
+    st.lists(ARGV_WORD, min_size=1, max_size=5),
+    st.tuples(st.just("eval"), ARGV_WORD).map(list),
+    st.tuples(st.just("embed"), ARGV_WORD, st.just("--gate"), ARGV_WORD).map(list),
+)
+
+
+@seed(20261120)
+@settings(max_examples=300, deadline=None)
+@given(ARGV_LINE)
+def test_plain_args_agrees_with_argparse_on_drawn_command_lines(argv):
+    code = namespace = None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    _assert_plain_args_agree(argv, code, namespace)
+
+
 def test_main_builds_only_the_parser_its_command_names(circuit_file, monkeypatch, capsys):
     built = []
     init = cli._Parser.__init__
@@ -746,17 +834,51 @@ def test_main_builds_only_the_parser_its_command_names(circuit_file, monkeypatch
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     path = str(circuit_file)
-    for argv in (["eval", path], ["embed", path, "--gate", "shift"],
-                 ["verify", "--suite", "codec", "--trials", "1"], ["lct", "demo"]):
+    # ``eval FILE`` and ``embed FILE --gate NAME`` build no parser; any other
+    # line builds the top-level parser and the one subparser it names.
+    for argv, count in ((["eval", path], 0), (["embed", path, "--gate", "shift"], 0),
+                        (["eval", path, "--name", "p"], 2),
+                        (["embed", path, "--gate=shift"], 2),
+                        (["embed", "--gate", "shift", path], 2),
+                        (["verify", "--suite", "codec", "--trials", "1"], 2),
+                        (["lct", "demo"], 2)):
         built.clear()
         assert cli.main(argv) == 0, argv
-        assert len(built) == 2, argv
+        assert len(built) == count, argv
     for argv in ([], ["nosuch"]):
         built.clear()
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
         assert len(built) == 5, argv
+
+
+def test_the_entry_point_reads_plain_command_lines_without_a_parser(circuit_file, capsys):
+    # ``main()`` reads ``sys.argv``; under ``-c`` that is the script's arguments.
+    script = """if True:
+        import sys
+        from bctk import cli
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._Parser.__init__ = counting_init
+        code = cli.main()
+        print(len(built), file=sys.stderr)
+        sys.exit(code)
+    """
+    path = str(circuit_file)
+    for argv in (["eval", path], ["embed", path, "--gate", "shift"]):
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), argv
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "0\n"), argv
 
 
 def test_every_public_name_resolves():
