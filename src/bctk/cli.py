@@ -13,7 +13,7 @@ nor NAME starts with ``-``, are read without building a parser: for such
 words argparse has one reading, so :func:`_plain_args` returns the very
 namespace it would, and the command prints the same bytes and exit code.
 Every other command line, and so every usage error and help text, goes
-through argparse.
+through the one full parser that :func:`build_parser` builds afresh.
 
 ``bctk lct`` takes the instance flags ``--d1/--d2/--dl/--kappa`` with either
 action.  Only ``refute`` takes a candidate source, one of ``--candidate``,
@@ -301,13 +301,21 @@ def _integer(low: int | None = None, high: int | None = None):
     return parse
 
 
-def _eval_arguments(p: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``bctk`` parser with its four subcommands, in the order help lists them."""
+    parser = _Parser(
+        prog="bctk",
+        description="Evaluate process diagrams, verify the ontological model, "
+        "and run the latent-classical falsifier.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("eval", help="evaluate a circuit under both backends")
     p.add_argument("file")
     p.add_argument("--name", help="circuit to evaluate (default: eval directives)")
     p.set_defaults(func=cmd_eval)
 
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("verify", help="run consistency suites")
     p.add_argument("--suite", default="all", choices=list(verify.SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=_integer(), default=0)
     p.add_argument("--trials", type=_integer(0), default=200)
@@ -319,14 +327,12 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.set_defaults(func=cmd_verify)
 
-
-def _embed_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("embed", help="dump the classical image of a gate")
     p.add_argument("file")
     p.add_argument("--gate", required=True)
     p.set_defaults(func=cmd_embed)
 
-
-def _lct_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("lct", help="latent-classical demo and falsifier")
     p.add_argument("action", choices=["demo", "refute"])
     p.add_argument("--d1", type=_integer(), default=2)
     p.add_argument("--d2", type=_integer(), default=2)
@@ -342,28 +348,6 @@ def _lct_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=_integer(), help="seed of --random (default 0)")
     p.set_defaults(func=cmd_lct)
-
-
-# Subcommand name -> (help text, function adding that command's arguments).
-_COMMANDS = {
-    "eval": ("evaluate a circuit under both backends", _eval_arguments),
-    "verify": ("run consistency suites", _verify_arguments),
-    "embed": ("dump the classical image of a gate", _embed_arguments),
-    "lct": ("latent-classical demo and falsifier", _lct_arguments),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone if it names a subcommand, else of all four."""
-    parser = _Parser(
-        prog="bctk",
-        description="Evaluate process diagrams, verify the ontological model, "
-        "and run the latent-classical falsifier.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        help_text, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -384,11 +368,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # ``eval FILE`` and ``embed FILE --gate NAME`` skip argparse: a word that
     # does not start with "-" is always a value to it, so the namespace, and
-    # with it every byte of output, is the one the parser would give.  Any
-    # other line builds only the named command's parser: a usage error prints
-    # no usage line and a subparser's prog is fixed when it is added, so every
-    # byte of output is what the full parser would print.
-    args = _plain_args(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    # with it every byte of output, is the one the parser would give.
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -602,6 +602,11 @@ def _vector_weights(shape: SystemShape, terms, diags, kind: str) -> tuple[list, 
     return nums, den
 
 
+def _unknown_system(shapes: dict, *names: str) -> str | None:
+    """The diagnostic for the first of ``names`` not in ``shapes``, if any."""
+    return next((f"unknown system {name!r}" for name in names if name not in shapes), None)
+
+
 def _build_gate(decl: GateDecl, shapes: dict, diags) -> Transformation | None:
     in_shape = shapes[decl.in_system]
     out_shape = shapes[decl.out_system]
@@ -613,9 +618,8 @@ def _build_gate(decl: GateDecl, shapes: dict, diags) -> Transformation | None:
             return bct.identity(in_shape)
         if body.kind in _PAIR_GATES:
             a, b = body.args
-            if a not in shapes or b not in shapes:
-                missing = a if a not in shapes else b
-                raise ValueError(f"unknown system {missing!r}")
+            if unknown := _unknown_system(shapes, a, b):
+                raise ValueError(unknown)
             built = _PAIR_GATES[body.kind](shapes[a], shapes[b])
             if built.in_shape != in_shape or built.out_shape != out_shape:
                 raise ValueError(
@@ -743,9 +747,8 @@ def parse(text: str) -> CircuitAst:
                 shape = SystemShape((decl.elem,))
             else:
                 left, right = decl.parts
-                if left not in ast.shapes or right not in ast.shapes:
-                    missing = left if left not in ast.shapes else right
-                    diags.append(Diagnostic(decl.span, f"unknown system {missing!r}"))
+                if unknown := _unknown_system(ast.shapes, left, right):
+                    diags.append(Diagnostic(decl.span, unknown))
                     continue
                 shape = ast.shapes[left].compose(ast.shapes[right])
             if shape.ontic_dim > MAX_ONTIC_DIM:
@@ -755,8 +758,8 @@ def parse(text: str) -> CircuitAst:
                 raise DslError(diags)
             ast.shapes[decl.name] = shape
         elif isinstance(decl, VectorDecl):
-            if decl.system not in ast.shapes:
-                diags.append(Diagnostic(decl.span, f"unknown system {decl.system!r}"))
+            if unknown := _unknown_system(ast.shapes, decl.system):
+                diags.append(Diagnostic(decl.span, unknown))
                 continue
             shape = ast.shapes[decl.system]
             if decl.terms is None:
@@ -769,11 +772,8 @@ def parse(text: str) -> CircuitAst:
             except ValueError as exc:
                 diags.append(Diagnostic(decl.span, f"{decl.kind} {decl.name!r}: {exc}"))
         elif isinstance(decl, GateDecl):
-            if decl.in_system not in ast.shapes or decl.out_system not in ast.shapes:
-                missing = (
-                    decl.in_system if decl.in_system not in ast.shapes else decl.out_system
-                )
-                diags.append(Diagnostic(decl.span, f"unknown system {missing!r}"))
+            if unknown := _unknown_system(ast.shapes, decl.in_system, decl.out_system):
+                diags.append(Diagnostic(decl.span, unknown))
                 continue
             gate = _build_gate(decl, ast.shapes, diags)
             if gate is not None:

@@ -151,7 +151,6 @@ def image(x: State | Effect | Transformation) -> ClassicalMap:
     return ontic_map(x)
 
 
-@lru_cache(maxsize=None)
 def wire_swap_matrix(left: SystemShape, right: SystemShape) -> ClassicalMap:
     """Independent oracle: the permutation exchanging the two wire blocks."""
     points = wire_points(left.compose(right))

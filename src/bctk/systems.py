@@ -265,7 +265,6 @@ def pair_label(left: SystemShape, right: SystemShape, q1: int, q2: int, s: int) 
     return 2 * right.global_dim * (q1 - 1) + pair_offsets(right)[2 * (q2 - 1) + s]
 
 
-@lru_cache(maxsize=None)
 def split_label(left: SystemShape, right: SystemShape, q: int) -> tuple[int, int, int]:
     """Inverse of :func:`pair_label`: recover ``(q1, q2, s)``."""
     lab = unflatten_label(left.compose(right), q)

@@ -121,9 +121,9 @@ def _grid_counts(rng: random.Random, n: int, normalised: bool) -> list[int]:
     return cut_counts(rng, n, WEIGHT_GRID if normalised else randint(rng, 0, WEIGHT_GRID))
 
 
-def rand_distribution(rng: random.Random, n: int, normalised: bool = True) -> tuple:
+def rand_distribution(rng: random.Random, n: int) -> tuple:
     """An exact random distribution on the weight grid via integer cut points."""
-    return tuple(Fraction(c, WEIGHT_GRID) for c in _grid_counts(rng, n, normalised))
+    return tuple(Fraction(c, WEIGHT_GRID) for c in cut_counts(rng, n, WEIGHT_GRID))
 
 
 def rand_shape(rng: random.Random, max_dim: int, max_factors: int = 2,

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, JSON output, reproducibility."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -777,13 +778,6 @@ def _parse_outcome(parser, argv, capsys):
     return (code, *capsys.readouterr(), namespace)
 
 
-@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
-def test_one_command_parser_parses_as_the_full_parser(argv, capsys):
-    single = _parse_outcome(cli.build_parser(argv[0] if argv else None), argv, capsys)
-    full = _parse_outcome(cli.build_parser(), argv, capsys)
-    assert single == full
-
-
 def _assert_plain_args_agree(argv, code, namespace):
     """``_plain_args(argv)`` is ``None`` or the namespace argparse returned,
     and ``None`` wherever argparse exited."""
@@ -824,7 +818,15 @@ def test_plain_args_agrees_with_argparse_on_drawn_command_lines(argv):
     _assert_plain_args_agree(argv, code, namespace)
 
 
-def test_main_builds_only_the_parser_its_command_names(circuit_file, monkeypatch, capsys):
+def test_build_parser_offers_the_four_commands_in_help_order():
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert [(name, p.get_default("func")) for name, p in sub.choices.items()] == [
+        ("eval", cli.cmd_eval), ("verify", cli.cmd_verify),
+        ("embed", cli.cmd_embed), ("lct", cli.cmd_lct)]
+
+
+def test_main_builds_no_parser_or_the_full_one(circuit_file, monkeypatch, capsys):
     built = []
     init = cli._Parser.__init__
 
@@ -835,13 +837,13 @@ def test_main_builds_only_the_parser_its_command_names(circuit_file, monkeypatch
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     path = str(circuit_file)
     # ``eval FILE`` and ``embed FILE --gate NAME`` build no parser; any other
-    # line builds the top-level parser and the one subparser it names.
+    # line builds the top-level parser and all four subparsers.
     for argv, count in ((["eval", path], 0), (["embed", path, "--gate", "shift"], 0),
-                        (["eval", path, "--name", "p"], 2),
-                        (["embed", path, "--gate=shift"], 2),
-                        (["embed", "--gate", "shift", path], 2),
-                        (["verify", "--suite", "codec", "--trials", "1"], 2),
-                        (["lct", "demo"], 2)):
+                        (["eval", path, "--name", "p"], 5),
+                        (["embed", path, "--gate=shift"], 5),
+                        (["embed", "--gate", "shift", path], 5),
+                        (["verify", "--suite", "codec", "--trials", "1"], 5),
+                        (["lct", "demo"], 5)):
         built.clear()
         assert cli.main(argv) == 0, argv
         assert len(built) == count, argv

@@ -288,6 +288,26 @@ def test_state_and_effect_diagnostics_name_their_kind(line, diagnostic):
     assert [str(d) for d in err.value.diagnostics] == [diagnostic]
 
 
+@pytest.mark.parametrize("declared, line, diagnostic", [
+    (1, "system c = a * b", "2:1: unknown system 'b'"),
+    (1, "system c = b * a", "2:1: unknown system 'b'"),
+    (1, "gate g : a -> b = id", "2:1: unknown system 'b'"),
+    (1, "gate g : b -> a = id", "2:1: unknown system 'b'"),
+    (2, "gate g : aa -> aa = swap a b", "3:1: gate 'g': unknown system 'b'"),
+    (2, "gate g : aa -> aa = nu b a", "3:1: gate 'g': unknown system 'b'"),
+    (2, "gate g : aa -> aa = nu_inv a b", "3:1: gate 'g': unknown system 'b'"),
+    # With both names unknown, the first one is named.
+    (1, "system c = b * d", "2:1: unknown system 'b'"),
+    (1, "gate g : b -> d = id", "2:1: unknown system 'b'"),
+    (2, "gate g : aa -> aa = swap d b", "3:1: gate 'g': unknown system 'd'"),
+])
+def test_the_first_unknown_of_two_systems_is_named(declared, line, diagnostic):
+    systems = ["system a = elem 2", "system aa = a * a"][:declared]
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse("\n".join([*systems, line, ""]))
+    assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                  "\u2028", "\u2029"])
 def test_lines_end_at_newline_only(sep):

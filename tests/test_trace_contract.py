@@ -8,9 +8,14 @@ benchmark run, which tier-1 does not collect; this test reads the tracer's
 tables (and edits nothing under ``bench/``) so the break shows here first.
 """
 
+import ast
 import importlib
 import importlib.util
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +23,8 @@ import numpy as np
 from bctk import bct, classical, dsl, lct, ontic, verify
 from bctk.systems import SystemShape
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def _tracer():
@@ -107,3 +113,19 @@ def test_every_counted_map_result_has_a_dense_view():
         result = call()
         assert result.entries.size == result.out_dim * result.in_dim, name
         assert np.count_nonzero(result.entries) == len(list(result.nonzero())), name
+
+
+def test_the_benchmark_cold_start_runs():
+    # ``setup_s`` times ``python -c COLD_START BENCH``, which imports the
+    # CLI and calls ``build_parser()``; a change to either breaks it here.
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    cold_start = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and [t.id for t in node.targets] == ["COLD_START"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", cold_start, str(ROOT / "bench")],
+                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    numbers = json.loads(proc.stdout.splitlines()[-1])
+    assert len(numbers) == 3 and all(isinstance(x, (int, float)) for x in numbers), numbers
