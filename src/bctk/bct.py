@@ -412,9 +412,8 @@ def recompose(in_shape: SystemShape, out_shape: SystemShape,
 def compose_seq(t1: Transformation, t2: Transformation) -> Transformation:
     """``t1`` then ``t2``; weights multiply, section shifts add mod two."""
     if t1.out_shape != t2.in_shape:
-        raise ValueError(
-            f"cannot compose {t1.out_shape} -> into -> {t2.in_shape} transformation"
-        )
+        raise ValueError(f"cannot compose a transformation into {t1.out_shape} "
+                         f"with one from {t2.in_shape}")
     by_src: dict[int, list] = {}
     for (src, dst, flip), n in t2.nums.items():
         by_src.setdefault(src, []).append((dst, flip, n))

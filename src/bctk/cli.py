@@ -174,13 +174,6 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _instance_from_args(args) -> lct.LctInstance:
-    kappa = None
-    if args.kappa is not None:
-        kappa = tuple(parse_number(part) for part in args.kappa.split(","))
-    return lct.make_instance(args.d1, args.d2, args.dl, kappa)
-
-
 def _random_candidates(inst: lct.LctInstance, n: int, seed: int):
     """``(name, candidate)`` for the seeded random candidates, one at a time."""
     for idx in range(n):
@@ -201,27 +194,21 @@ def cmd_lct(args) -> int:
         _err("lct refute: --seed needs --random")
         return EXIT_INPUT
     try:
-        inst = _instance_from_args(args)
+        kappa = (None if args.kappa is None
+                 else tuple(parse_number(part) for part in args.kappa.split(",")))
+        inst = lct.make_instance(args.d1, args.d2, args.dl, kappa)
     except ValueError as exc:
         _err(str(exc))
         return EXIT_INPUT
     if args.action == "demo":
-        table = []
-        worst = 0
-        for i in range(1, inst.d1 + 1):
-            sigma = tuple(1 if k == i - 1 else 0 for k in range(inst.d1))
-            for j in range(1, inst.d2 + 1):
-                tau = tuple(1 if k == j - 1 else 0 for k in range(inst.d2))
-                value = lct.pairing_value(inst, lct.product_state(inst, sigma, tau))
-                worst = max(worst, abs(value))
-                table.append({"sigma": i, "tau": j, "value": number_json(value)})
-        pairing = inst.theory_pairing
+        rows, worst = lct.annihilation_table(inst)
         _dump(
             {
                 "instance": inst.to_json(),
-                "annihilation_table": table,
+                "annihilation_table": [{"sigma": i, "tau": j, "value": number_json(value)}
+                                       for i, j, value in rows],
                 "max_violation": number_json(worst),
-                "pairing": number_json(pairing),
+                "pairing": number_json(inst.theory_pairing),
             }
         )
         return EXIT_OK
@@ -241,22 +228,21 @@ def cmd_lct(args) -> int:
             return EXIT_INPUT
 
     certificates = []
-    fatal = 0
-    violations = 0
+    count = 0
     by_axiom: dict[str, int] = {}
     for name, cand in candidates:
         cert = lct.falsify(cand, inst)
-        if cert.fatal:
-            fatal += 1
-        else:
-            violations += 1
+        count += 1
+        if not cert.fatal:
             by_axiom[cert.violation] = by_axiom.get(cert.violation, 0) + 1
         if len(certificates) < 10:
             certificates.append({"candidate": name, "certificate": cert.to_json()})
+    violations = sum(by_axiom.values())
+    fatal = count - violations
     _dump(
         {
             "instance": inst.to_json(),
-            "candidates": fatal + violations,
+            "candidates": count,
             "violations": violations,
             "violations_by_axiom": by_axiom,
             "fatal_inconsistencies": fatal,

@@ -241,10 +241,9 @@ class _LineParser:
     def _here(self) -> SourceSpan:
         if self.pos < len(self.tokens):
             return self.span(self.tokens[self.pos])
-        if self.tokens:
-            end_col = self.tokens[-1][3]
-            return SourceSpan(self.lineno, end_col, end_col + 1)
-        return SourceSpan(self.lineno, 1, 2)
+        # ``parse`` skips empty lines, so there is always a last token.
+        end_col = self.tokens[-1][3]
+        return SourceSpan(self.lineno, end_col, end_col + 1)
 
     def fail(self, message: str, tok=None):
         """Raise at ``tok``, or at the next token when none is given."""

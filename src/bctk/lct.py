@@ -9,7 +9,10 @@ yet annihilates every product state.  Closing the jellyfish map built from
 pairing to the trace of that map, which kills every candidate classical
 embedding: either the jellyfish image fails to vanish (diagram preservation
 broken) or the model pairing is zero while the theory's is not (probability
-preservation broken).
+preservation broken).  :func:`falsify` names the first broken axiom in one
+:class:`ViolationCertificate`, whose ``fatal`` flag is derived from its
+``violation``; :func:`annihilation_table` checks the premise on every pure
+product.
 
 A :class:`CandidateModel` stores each of its vectors on the integer lattice
 of :mod:`bctk.scalars`: integer numerators over one positive denominator, in
@@ -141,6 +144,19 @@ def pairing_value(inst: LctInstance, beta):
     if len(beta) != inst.composite_dim:
         raise ValueError(f"beta needs {inst.composite_dim} entries")
     return sum((a * v for a, v in zip(annihilator(inst), beta)), 0)
+
+
+def annihilation_table(inst: LctInstance) -> tuple[list, object]:
+    """The no-go premise on every pure product: ``(i, j, (b | sigma_i (x)
+    tau_j))`` for the unit marginals ``sigma_i`` and ``tau_j`` (1-based), and
+    the largest absolute value, which the premise says is 0."""
+    rows = []
+    for i in range(inst.d1):
+        sigma = tuple(int(k == i) for k in range(inst.d1))
+        for j in range(inst.d2):
+            tau = tuple(int(k == j) for k in range(inst.d2))
+            rows.append((i + 1, j + 1, pairing_value(inst, product_state(inst, sigma, tau))))
+    return rows, max(abs(value) for _, _, value in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +300,15 @@ class CandidateModel:
         for key in ("L1", "L2", "xi_beta", "xi_b"):
             if key not in data:
                 raise ValueError(f"candidate lacks {key!r}")
-        vectors = {}
+        values = {}
         for key in ("xi_beta", "xi_b", "xi_sigma", "xi_tau"):
             if key in data:
                 if not isinstance(data[key], list):
                     raise ValueError(f"{key} must be a list of numbers")
-                vectors[key] = tuple(number_from_json(v) for v in data[key])
-        return cls(
-            L1=data["L1"],
-            L2=data["L2"],
-            theory_pairing=(
-                number_from_json(data["theory_pairing"])
-                if "theory_pairing" in data
-                else None
-            ),
-            **vectors,
-        )
+                values[key] = tuple(number_from_json(v) for v in data[key])
+        if "theory_pairing" in data:
+            values["theory_pairing"] = number_from_json(data["theory_pairing"])
+        return cls(L1=data["L1"], L2=data["L2"], **values)
 
 
 def jellyfish_matrix(cand: CandidateModel) -> ClassicalMap:
@@ -335,7 +344,8 @@ class ViolationCertificate:
 
     ``violation`` is one of ``jellyfish-nullity``, ``probability-preservation``
     or ``product-annihilation``; ``None`` flags the impossible case where a
-    candidate survives every check (a fatal inconsistency of the run itself).
+    candidate survives every check (a fatal inconsistency of the run itself),
+    and :attr:`fatal` is derived from it.
     """
 
     violation: str | None
@@ -343,14 +353,17 @@ class ViolationCertificate:
     lhs: object
     rhs: object
     trace_identity: object
-    fatal: bool = False
+
+    @property
+    def fatal(self) -> bool:
+        return self.violation is None
 
     def to_json(self) -> dict:
         return {
             "violation": self.violation,
             "witness": self.witness,
-            "lhs": number_json(self.lhs) if self.lhs is not None else None,
-            "rhs": number_json(self.rhs) if self.rhs is not None else None,
+            "lhs": number_json(self.lhs),
+            "rhs": number_json(self.rhs),
             "trace_identity": number_json(self.trace_identity),
             "fatal": self.fatal,
         }
@@ -362,53 +375,27 @@ def falsify(cand: CandidateModel, inst: LctInstance) -> ViolationCertificate:
     The trace identity ``choi_close(M) == xi_b . xi_beta`` holds for every
     candidate by pure algebra.  The theory demands both ``M == 0`` (the
     jellyfish map is null) and ``xi_b . xi_beta == (b|beta)``; with a
-    non-zero theory pairing the two cannot hold together.
+    non-zero theory pairing the two cannot hold together.  The certificate
+    names the first axiom broken, in the order product-annihilation,
+    jellyfish-nullity, probability-preservation.
     """
-    theory = cand.theory_pairing
-    if theory is None:
-        theory = inst.theory_pairing
+    theory = inst.theory_pairing if cand.theory_pairing is None else cand.theory_pairing
     m = jellyfish_matrix(cand)
-    trace = choi_close(m)
-
+    first = next(m.nonzero(), None)
+    product = 0
     if cand.sigma is not None:
         (b_nums, b_den), (s_nums, s_den), (t_nums, t_den) = cand.b, cand.sigma, cand.tau
-        product = sum(map(mul, b_nums, _kron(s_nums, t_nums)))
-        if product != 0:
-            return ViolationCertificate(
-                violation="product-annihilation",
-                witness="xi_b . (xi_sigma (x) xi_tau)",
-                lhs=exact(product, b_den * s_den * t_den),
-                rhs=0,
-                trace_identity=trace,
-            )
-
-    first = next(m.nonzero(), None)
-    if first is not None:
+        product = exact(sum(map(mul, b_nums, _kron(s_nums, t_nums))), b_den * s_den * t_den)
+    if product != 0:
+        verdict = "product-annihilation", "xi_b . (xi_sigma (x) xi_tau)", product, 0
+    elif first is not None:
         r, c, v = first
-        return ViolationCertificate(
-            violation="jellyfish-nullity",
-            witness=[r, c],
-            lhs=v,
-            rhs=0,
-            trace_identity=trace,
-        )
-    model = model_pairing(cand)
-    if model != theory:
-        return ViolationCertificate(
-            violation="probability-preservation",
-            witness="model pairing vs theory pairing",
-            lhs=model,
-            rhs=theory,
-            trace_identity=trace,
-        )
-    return ViolationCertificate(
-        violation=None,
-        witness="no axiom violated",
-        lhs=model,
-        rhs=theory,
-        trace_identity=trace,
-        fatal=True,
-    )
+        verdict = "jellyfish-nullity", [r, c], v, 0
+    else:
+        model = model_pairing(cand)
+        verdict = (("probability-preservation", "model pairing vs theory pairing", model, theory)
+                   if model != theory else (None, "no axiom violated", model, theory))
+    return ViolationCertificate(*verdict, trace_identity=choi_close(m))
 
 
 def bct_style_candidate(inst: LctInstance) -> CandidateModel:

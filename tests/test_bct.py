@@ -380,6 +380,32 @@ def test_fuse_round_trip():
         )
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: apply(identity(S2), pure_state(S3, 1)),
+     "transformation expects (2), state is on (3)"),
+    (lambda: pull(pure_effect(S3, 1), identity(S2)),
+     "transformation outputs (2), effect is on (3)"),
+    (lambda: swap(TRIVIAL, S2), "swap needs two non-trivial systems"),
+    (lambda: boxed_effect_left(bct.Effect(TRIVIAL, (HALF,)), S2),
+     "boxed_effect_left needs non-trivial systems"),
+    (lambda: boxed_state_left(State(TRIVIAL, (HALF,)), S2),
+     "boxed_state_left needs non-trivial systems"),
+    (lambda: reversible(S2, ReversibleSpec((1, 2, 3), (0, 0, 0))),
+     "spec permutes 3 labels, shape has 2"),
+    (lambda: Instrument(()), "an instrument needs at least one member"),
+    (lambda: Instrument((identity(S2), identity(S3))),
+     "instrument members must share input and output shapes"),
+    (lambda: Instrument((identity(S2), identity(S2)), ("a",)),
+     "one outcome label per member required"),
+    (lambda: compose_seq(identity(S2), identity(S3)),
+     "cannot compose a transformation into (2) with one from (3)"),
+])
+def test_kernel_refusals_name_their_cause(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_fuse_and_unfuse_name_themselves_on_a_trivial_factor():
     for build in (fuse_map, unfuse_map):
         for left, right in ((S2, TRIVIAL), (TRIVIAL, S3)):

@@ -421,6 +421,24 @@ def test_cancelling_add_stores_no_zero():
         m.scale(2.0)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ClassicalMap.identity(2).scalar_value(), ValueError,
+     "map of shape (2, 2) is not a scalar"),
+    (lambda: ClassicalMap.identity(2)[2, 0], IndexError,
+     "entry (2, 0) out of range for shape (2, 2)"),
+    (lambda: ClassicalMap.from_json({"out": -1, "in": 2, "entries": []}), ValueError,
+     "declared dimensions must be nonnegative integers"),
+    (lambda: ClassicalMap.from_json({"out": 2, "in": 2, "entries": [1]}), ValueError,
+     "entry count does not match declared dimensions"),
+    (lambda: compose_seq(ClassicalMap.zero(2, 2), ClassicalMap.zero(2, 3)), ValueError,
+     "cannot compose: intermediate dims 2 != 3"),
+])
+def test_map_refusals_name_their_cause(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_constructor_rejects_non_2d_input():
     for bad in ([], [1, 2], [[1, 2], [3]], [[[1]]], np.array([1, 2], dtype=object), 3):
         with pytest.raises(ValueError, match="2-d"):

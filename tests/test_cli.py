@@ -295,6 +295,14 @@ def test_lct_model_with_product_images_reaches_product_annihilation(tmp_path):
     assert cert["lhs"] == [1, 2]
 
 
+def test_lct_model_that_is_not_an_object_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("[]")
+    assert cli.main(["lct", "refute", "--model", "F"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "cannot load candidate F: a candidate must be a JSON object\n")
+
+
 def test_lct_model_with_one_product_image_exits_one(tmp_path):
     path = tmp_path / "half.json"
     path.write_text(json.dumps({

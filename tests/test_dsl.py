@@ -262,6 +262,8 @@ def test_bad_character_is_reported_at_itself(line, diagnostic):
 
 @pytest.mark.parametrize("source, diagnostic", [
     ("system a = elem 1/2", "1:17: expected an integer, got '1/2'"),
+    # An integer below 2 is refused for the whole line.
+    ("system a = elem 1", "1:1: elementary systems need dimension >= 2"),
     ("system a = elem 2\nsystem b = elem 2\nsystem ab = a * b\n"
      "state s : ab = ((1,1);2)", "4:23: section bit must be 0 or 1"),
 ])
@@ -281,6 +283,15 @@ _NOT_IN_A = "index 3 out of range [1..2] in label for (2)"
     ("state s : a = (3)", f"2:15: state label does not fit system: {_NOT_IN_A}"),
     ("effect e : a = (3)", f"2:16: effect label does not fit system: {_NOT_IN_A}"),
     ("effect e : b = discard", "2:1: unknown system 'b'"),
+    ("state s : a =", "2:14: expected a weighted label"),
+    ("state s : a = (1) +", "2:20: expected a weighted label"),
+    # The other line kinds, after the same declaration.
+    ("eval a extra", "2:8: trailing input 'extra'"),
+    ("gate g : a -> a =", "2:18: expected a gate body"),
+    ("system b = elem 3\ngate g : a -> b = id",
+     "3:1: gate 'g': identity gates need equal input and output systems"),
+    ("system b = elem 3\ngate g : a -> b = rev 1,2 0,0",
+     "3:1: gate 'g': reversible gates need equal input and output systems"),
 ])
 def test_state_and_effect_diagnostics_name_their_kind(line, diagnostic):
     with pytest.raises(dsl.DslError) as err:

@@ -5,20 +5,26 @@ oracle: the falsifier as it was when every candidate entry was its own
 ``Fraction``, written out in this file.
 """
 
+import ast
+import dataclasses
 import math
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import bctk
 from bctk.classical import ClassicalMap, choi_close
 from bctk.lct import (
     MAX_COMPOSITE_DIM,
     MAX_L2,
     CandidateModel,
     LctInstance,
+    ViolationCertificate,
+    annihilation_table,
     annihilator,
     bct_style_candidate,
     beta_state,
@@ -72,6 +78,15 @@ def test_annihilation_of_all_pure_products():
             for j in range(d2):
                 tau = tuple(1 if k == j else 0 for k in range(d2))
                 assert pairing_value(inst, product_state(inst, sigma, tau)) == 0
+        assert annihilation_table(inst) == (
+            [(i, j, 0) for i in range(1, d1 + 1) for j in range(1, d2 + 1)], 0)
+
+
+def test_annihilation_table_reports_its_largest_value():
+    # An effect that is not orthogonal to kappa: every pure product pairs to 1.
+    inst = LctInstance(2, 3, 2, kappa=(1, 0), kappa_perp=(1, 1), kappa_bar=(0, 1))
+    rows, worst = annihilation_table(inst)
+    assert [value for _, _, value in rows] == [1] * 6 and worst == 1
 
 
 def test_annihilation_of_uniform_product():
@@ -161,6 +176,46 @@ def test_fabricated_no_violation_candidate_is_flagged_fatal():
     )
     cert = falsify(cand, make_instance())
     assert cert.fatal and cert.violation is None
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_instance(2, 2, 3, (1, 0)), "kappa needs 3 entries, got 2"),
+    (lambda: product_state(make_instance(), (1, 0, 0), (1, 0)),
+     "marginal states do not fit the instance dimensions"),
+    (lambda: pairing_value(make_instance(), (1,)), "beta needs 8 entries"),
+    (lambda: CandidateModel(L1=0, L2=2, xi_beta=(), xi_b=()),
+     "L1 and L2 must be positive integers"),
+    (lambda: CandidateModel(L1=2, L2=2, xi_beta=(1, 0, 0, 0), xi_b=(0, 0, 0)),
+     "xi_b must live on the product ontic space L1*L2"),
+    (lambda: CandidateModel.from_json([]), "a candidate must be a JSON object"),
+    (lambda: CandidateModel.from_json({"L1": 2}), "candidate lacks 'L2'"),
+])
+def test_lct_refusals_name_their_cause(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_falsify_alone_builds_a_certificate():
+    builders = []
+    for path in sorted(Path(bctk.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if callee == "ViolationCertificate":
+                        builders.append(f"{path.stem}.{func.name}")
+    assert builders == ["lct.falsify"]
+
+
+def test_fatal_is_derived_from_the_violation():
+    assert "fatal" not in {f.name for f in dataclasses.fields(ViolationCertificate)}
+    assert ViolationCertificate(None, "no axiom violated", 0, 0, 0).fatal
+    assert not ViolationCertificate("jellyfish-nullity", [0, 0], 1, 0, 1).fatal
+    with pytest.raises(TypeError):
+        ViolationCertificate(None, "no axiom violated", 0, 0, 0, fatal=True)
 
 
 def test_candidate_validation():

@@ -150,6 +150,7 @@ def test_deterministic_effect_image_is_discard():
 
 def test_scalar_images():
     assert ontic_state(State(TRIVIAL, (HALF,))).scalar_value() == HALF
+    assert ontic_effect(bct.Effect(TRIVIAL, (HALF,))) == ClassicalMap([[HALF]])
 
 
 def test_atomic_image_matrix():

@@ -193,6 +193,16 @@ def test_q_codec_bijective(n1, n2):
     assert seen == set(range(1, 2 * n1 * n2 + 1))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: q_encode(2, 2, 1, 3, 0), "index j=3 out of range [1..2]"),
+    (lambda: PureLabel(()), "a pure label needs at least one index"),
+])
+def test_label_refusals_name_their_cause(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_q_encode_range_errors():
     with pytest.raises(ValueError):
         q_encode(2, 2, 3, 1, 0)
