@@ -51,18 +51,22 @@ EXIT_VERIFY = 3
 EXIT_INCONSISTENT = 4
 
 
+# Every value ``_dump`` encodes is a freshly built tree of dicts and lists, so
+# it holds no cycle to look for.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _dump(payload: dict) -> None:
     # Prints the bytes of ``json.dumps(payload, sort_keys=True)``, one
     # top-level key at a time, so that a dense map value is written by its own
-    # text writer and never becomes one list per cell.  Every other value is a
-    # freshly built tree of dicts and lists, so it holds no cycle to look for.
+    # text writer and never becomes one list per cell.
     parts = []
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, ClassicalMap):
             text = value.to_json_text()
         else:
-            text = json.dumps(value, sort_keys=True, check_circular=False)
+            text = _ENCODER.encode(value)
         parts.append(f"{json.dumps(key)}: {text}")
     print(f"{{{', '.join(parts)}}}")
 

@@ -7,9 +7,19 @@ the system the one before it ends on, and a state stage after the first
 follows only a circuit that opened with a state (and so has closed to a
 scalar): ``e ; rho`` is refused, since it would leave an open effect.
 
-A state and an effect are both a weighted sum of pure labels, so both lines
-parse into one :class:`VectorDecl` whose ``kind`` tells them apart.  The
-gates built from two named systems are one table, ``_PAIR_GATES``.
+The records a line parses into, and :class:`Diagnostic`, are named tuples;
+only the checked program, :class:`CircuitAst`, is a mutable dataclass.  As
+tuples, two records of different types with equal fields compare equal, so
+code that must tell them apart tests the type.  A state and an effect are
+both a weighted sum of pure labels, so both lines parse into one
+:class:`VectorDecl` whose ``kind`` tells them apart.  The gates built from
+two named systems are one table, ``_PAIR_GATES``.
+
+A declaration, a circuit box and a diagnostic carry a :class:`SourceSpan`:
+the line and the 1-based start and end columns.  A :class:`VectorTerm`
+carries only its label's two columns, since its line is its declaration's;
+the span of a label that does not fit its system is built only for that
+diagnostic.
 
 Systems, states, effects, gates and circuits share one namespace.  States,
 effects and gates are built into one name table, ``CircuitAst.boxes``; an
@@ -42,19 +52,20 @@ A line reaches its declaration by one of two paths.  The fast path,
 :func:`_fast_line`, takes every line written in the compact single-space
 form of :func:`pretty` and ``verify.random_circuit_source``: the line's
 first word picks one anchored regex, one ``fullmatch`` checks the whole
-line, one ``finditer`` reads the terms of a vector or an atomic gate or the
-boxes of a circuit, and the result equals the token parser's.  Both paths
-read a name and a number through the same two patterns, ``_NAME`` and
-``_NUM``; the fast path builds each distinct weight and label text once.
+line, the terms of a vector are read by splitting at `` + `` (the columns
+follow from the single-space layout), one ``finditer`` reads the terms of an
+atomic gate or the boxes of a circuit, and the result equals the token
+parser's.  Both paths read a name and a number through the same two
+patterns, ``_NAME`` and ``_NUM``; the fast path builds each distinct weight
+and label text once.
 Every other line goes to the token parser: a comment, other whitespace, a
 label with more factors than a system within :data:`MAX_ONTIC_DIM` has, a
 number that does not convert, and any line the token parser refuses.
 Diagnostics come only from the token parser.  It tokenizes a
 line in one ``finditer`` pass into plain ``(kind, text, col, end_col)``
-tuples with 1-based columns, and a :class:`SourceSpan` is built only where
-an AST node keeps one or a diagnostic needs one.  A character that starts
-no token is refused at its own column, e.g. ``1:19: unexpected character
-'$'`` for ``system a = elem 2 $``.
+tuples with 1-based columns.  A character that starts no token is refused
+at its own column, e.g. ``1:19: unexpected character '$'`` for
+``system a = elem 2 $``.
 
 A system or a circuit wire whose ontic dimension exceeds
 :data:`MAX_ONTIC_DIM` is refused with a diagnostic.
@@ -66,6 +77,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from . import bct, classical, ontic
 from .bct import Effect, State, Transformation
@@ -80,15 +92,13 @@ from .systems import PureLabel, SystemShape, flatten_label, label_text
 MAX_ONTIC_DIM = 512
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int
     col: int
     end_col: int
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     span: SourceSpan
     message: str
 
@@ -144,23 +154,21 @@ def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SystemDecl:
+class SystemDecl(NamedTuple):
     name: str
     elem: int | None
     parts: tuple[str, str] | None
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class VectorTerm:
+class VectorTerm(NamedTuple):
     weight: object
     label: PureLabel
-    span: SourceSpan
+    col: int  # the label's columns; its line is the declaration's
+    end_col: int
 
 
-@dataclass(frozen=True)
-class VectorDecl:
+class VectorDecl(NamedTuple):
     kind: str  # state | effect
     name: str
     system: str
@@ -172,8 +180,7 @@ class VectorDecl:
 _PAIR_GATES = {"swap": bct.swap, "nu": bct.fuse_map, "nu_inv": bct.unfuse_map}
 
 
-@dataclass(frozen=True)
-class GateBody:
+class GateBody(NamedTuple):
     kind: str  # atomic | id | rev | a key of _PAIR_GATES
     terms: tuple = ()
     args: tuple = ()
@@ -181,8 +188,7 @@ class GateBody:
     bits: tuple = ()
 
 
-@dataclass(frozen=True)
-class GateDecl:
+class GateDecl(NamedTuple):
     name: str
     in_system: str
     out_system: str
@@ -190,21 +196,18 @@ class GateDecl:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class BoxRef:
+class BoxRef(NamedTuple):
     name: str
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class CircuitDecl:
+class CircuitDecl(NamedTuple):
     name: str
     stages: tuple  # tuple of tuples of BoxRef
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class EvalDirective:
+class EvalDirective(NamedTuple):
     name: str
     span: SourceSpan
 
@@ -296,14 +299,11 @@ class _LineParser:
 
     # -- labels ------------------------------------------------------------
 
-    def parse_label(self) -> tuple[PureLabel, SourceSpan]:
+    def parse_term(self, weight) -> VectorTerm:
         start = self.take("punct", "(")
         indices, sections = self._parse_label_item()
         end = self.take("punct", ")")
-        return (
-            PureLabel(tuple(indices), tuple(sections)),
-            SourceSpan(self.lineno, start[2], end[3]),
-        )
+        return VectorTerm(weight, PureLabel(tuple(indices), tuple(sections)), start[2], end[3])
 
     def _parse_label_item(self):
         if self.accept("("):
@@ -330,8 +330,7 @@ class _LineParser:
             if tok is None:
                 self.fail("expected a weighted label")
             weight = self.take_number() if tok[0] == "number" else Fraction(1)
-            label, span = self.parse_label()
-            terms.append(VectorTerm(weight, label, span))
+            terms.append(self.parse_term(weight))
             if not self.accept("+"):
                 return tuple(terms)
 
@@ -479,16 +478,19 @@ def _fast_system(m, _, lineno: int) -> SystemDecl:
     return SystemDecl(name, elem=None, parts=(left, right), span=span)
 
 
-def _fast_vector(m, term_re, lineno: int) -> VectorDecl:
+def _fast_vector(m, _, lineno: int) -> VectorDecl:
     keyword, name, system, rhs = m.groups()
     terms = None
     if rhs != "discard":
+        # The line matched, so its terms are ``[NUM ]LABEL`` joined by " + ".
         terms = []
-        for t in term_re.finditer(m.string, m.start(4)):
-            weight, label = t.groups()
-            terms.append(VectorTerm(
-                _ONE if weight is None else _fast_weight(weight), _fast_label(label),
-                SourceSpan(lineno, t.start(2) + 1, t.end(2) + 1)))
+        col = m.start(4) + 1
+        for text in rhs.split(" + "):
+            weight, _, label = text.rpartition(" ")
+            end_col = col + len(text)
+            terms.append(VectorTerm(_fast_weight(weight) if weight else _ONE,
+                                    _fast_label(label), end_col - len(label), end_col))
+            col = end_col + 3
         terms = tuple(terms)
     return VectorDecl(keyword, name, system, terms, SourceSpan(lineno, 1, len(keyword) + 1))
 
@@ -528,8 +530,8 @@ def _fast_eval(m, _, lineno: int) -> EvalDirective:
 @lru_cache(maxsize=None)
 def _fast_patterns() -> dict:
     """Per declaration keyword: the line regex, the regex that reads the
-    line's repeated part (a vector term, an atomic term or a circuit box,
-    capturing its parts) or None, and the builder.  Compiled on first use,
+    line's repeated part (an atomic term or a circuit box, capturing its
+    parts) or None, and the builder.  Compiled on first use,
     so that a command that reads no DSL does not compile them at start-up.
 
     A ``system`` line's left operand is never ``elem``, and only an
@@ -537,14 +539,13 @@ def _fast_patterns() -> dict:
     form and refuses them.
     """
     pair_gates = "|".join(_PAIR_GATES)
-    vector_term = rf"(?:({_NUM}) )?({_LABEL})"
     forms = {
         "system": (rf"system ({_NAME}) = (?:elem ([0-9]+)|(?!elem )({_NAME}) \* ({_NAME}))",
                    None, _fast_system),
         "state": (rf"(state) ({_NAME}) : ({_NAME}) = ({_VECTOR_TERMS})",
-                  vector_term, _fast_vector),
+                  None, _fast_vector),
         "effect": (rf"(effect) ({_NAME}) : ({_NAME}) = (discard|{_VECTOR_TERMS})",
-                   vector_term, _fast_vector),
+                   None, _fast_vector),
         "gate": (rf"gate ({_NAME}) : ({_NAME}) -> ({_NAME}) = (?:(id)"
                  rf"|({pair_gates}) ({_NAME}) ({_NAME})|rev ({_INTS}) ({_INTS})"
                  rf"|(atomic {_ATOMIC_TERM}(?: \+ (?:atomic )?{_ATOMIC_TERM})*))",
@@ -587,15 +588,16 @@ def _fast_line(line: str, lineno: int):
 # ---------------------------------------------------------------------------
 
 
-def _vector_weights(shape: SystemShape, terms, diags, kind: str) -> tuple[list, int]:
+def _vector_weights(shape: SystemShape, decl: VectorDecl, diags) -> tuple[list, int]:
     """The summed term weights per pure label, as numerators over one denominator."""
-    values, den = lattice(term.weight for term in terms)
+    values, den = lattice(term.weight for term in decl.terms)
     nums = [0] * shape.global_dim
-    for term, n in zip(terms, values):
+    for term, n in zip(decl.terms, values):
         try:
             q = flatten_label(shape, term.label)
         except ValueError as exc:
-            diags.append(Diagnostic(term.span, f"{kind} label does not fit system: {exc}"))
+            span = SourceSpan(decl.span.line, term.col, term.end_col)
+            diags.append(Diagnostic(span, f"{decl.kind} label does not fit system: {exc}"))
             continue
         nums[q - 1] += n
     return nums, den
@@ -764,7 +766,7 @@ def parse(text: str) -> CircuitAst:
             if decl.terms is None:
                 ast.boxes[decl.name] = bct.deterministic_effect(shape)
                 continue
-            nums, den = _vector_weights(shape, decl.terms, diags, decl.kind)
+            nums, den = _vector_weights(shape, decl, diags)
             vector = State if decl.kind == "state" else Effect
             try:
                 ast.boxes[decl.name] = vector(shape, nums, den)

@@ -463,6 +463,16 @@ def _token_parse(source: str):
         return _parse_or_diagnostics(source)
 
 
+def _assert_alike(result, expected, context=None):
+    """``==``, and ``repr`` too: the records are named tuples, which compare
+    equal across record types and to plain tuples, and a weight compares
+    equal as an ``int`` and as a ``Fraction``."""
+    assert result == expected, context
+    if isinstance(result, dsl.CircuitAst):
+        result, expected = result.decls, expected.decls
+    assert repr(result) == repr(expected), context
+
+
 @functools.lru_cache(maxsize=None)
 def _fast_corpus() -> tuple:
     """Sources from ``random_circuit_source`` over 200 seeds at every
@@ -538,7 +548,7 @@ def test_the_corpus_never_reaches_the_tokenizer():
 def test_corpus_parses_alike_on_both_paths():
     for src in _fast_corpus():
         ast = dsl.parse(src)
-        assert ast == _token_parse(src)
+        _assert_alike(ast, _token_parse(src), src)
         # Vector weights summed in Fraction, as before the integer lattice.
         for decl in ast.decls:
             if isinstance(decl, dsl.VectorDecl) and decl.terms is not None:
@@ -603,12 +613,37 @@ def test_mutated_lines_agree_with_the_token_parser(data):
     mutated = candidates[index]
     lineno = index + 1
     fast = dsl._fast_line(mutated, lineno)
-    assert fast is None or fast == _token_decl(mutated, lineno), (name, mutated)
+    if fast is not None:
+        _assert_alike(fast, _token_decl(mutated, lineno), (name, mutated))
     if name == "atomic dropped" and mutated.startswith("gate"):
         assert fast is not None, mutated
     lines[index] = mutated
     source = "\n".join(lines)
-    assert _parse_or_diagnostics(source) == _token_parse(source), (name, mutated)
+    _assert_alike(_parse_or_diagnostics(source), _token_parse(source), (name, mutated))
+
+
+_NOT_IN_AA = "index 3 out of range [1..2] in label for (2,2)"
+
+
+@pytest.mark.parametrize("line, diagnostic, end_col", [
+    ("state s : a = 1/2 (1) + (3)", f"3:25: state label does not fit system: {_NOT_IN_A}", 28),
+    ("state s : a = 1/2 (1) + 1/4 (2) + 3/16 (3)",
+     f"3:40: state label does not fit system: {_NOT_IN_A}", 43),
+    ("effect e : a = (2) + 3/16 (3)", f"3:27: effect label does not fit system: {_NOT_IN_A}", 30),
+    ("effect e : a = 1/2 (1) + 1/4 (2) + (3)",
+     f"3:36: effect label does not fit system: {_NOT_IN_A}", 39),
+    ("state s : aa = 3/16 ((1,1);0) + 1/2 ((1,3);1)",
+     f"3:37: state label does not fit system: {_NOT_IN_AA}", 46),
+    ("effect e : aa = ((2,2);1) + (((1,1);0,1);1)",
+     "3:29: effect label does not fit system: label PureLabel(indices=(1, 1, 1), "
+     "sections=(0, 1)) does not fit shape (2,2)", 44),
+])
+def test_a_later_label_that_does_not_fit_is_reported_at_itself(line, diagnostic, end_col):
+    # The fast path takes the line and works the columns out from its layout.
+    assert dsl._fast_line(line, 3) is not None
+    source = f"system a = elem 2\nsystem aa = a * a\n{line}\n"
+    for result in (_parse_or_diagnostics(source), _token_parse(source)):
+        assert [(str(d), d.span.end_col) for d in result] == [(diagnostic, end_col)]
 
 
 def test_fast_path_diagnostics_come_from_the_token_parser():
@@ -636,4 +671,4 @@ def test_fast_path_diagnostics_come_from_the_token_parser():
             assert isinstance(result, dsl.CircuitAst)
         else:
             assert [str(d) for d in result] == [diagnostic]
-        assert result == _token_parse(head + line + "\n")
+        _assert_alike(result, _token_parse(head + line + "\n"), line)
