@@ -14,16 +14,24 @@ preservation broken).  :func:`falsify` names the first broken axiom in one
 ``violation``; :func:`annihilation_table` checks the premise on every pure
 product.
 
+:func:`falsify` builds no map.  It reads the trace off the diagonal in
+closed form -- it is the model pairing ``xi_b . xi_beta`` -- and finds the
+map's first nonzero cell from the candidate's supports.
+:func:`jellyfish_matrix` builds the whole map and
+:func:`~bctk.classical.choi_close` closes it; they are the oracles the
+closed forms are tested against.
+
 A :class:`CandidateModel` stores each of its vectors on the integer lattice
 of :mod:`bctk.scalars`: integer numerators over one positive denominator, in
 lowest terms.  Values enter once, through :func:`~bctk.scalars.lattice`, in
 the public constructor; ``xi_beta``, ``xi_b``, ``xi_sigma``, ``xi_tau`` and
 ``to_json`` read them back out, as an ``int`` when integral and a
 ``Fraction`` otherwise.  Validation, :func:`jellyfish_matrix`,
-:func:`model_pairing` and the product-annihilation check of :func:`falsify`
-run on the integers.  The theory pairing ``(b|beta)`` depends only on the
-instance, so :attr:`LctInstance.theory_pairing` computes it once per
-instance, through the module-level :func:`pairing_value`.
+:func:`model_pairing` and :func:`falsify` run on the integers.  The theory
+pairing ``(b|beta)`` depends only on the instance, so
+:attr:`LctInstance.theory_pairing` computes it once per instance, through the
+module-level :func:`pairing_value`; :func:`falsify` reads it only for a
+candidate whose jellyfish map is null.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .classical import ClassicalMap, choi_close
+from .classical import ClassicalMap
 from .scalars import (
     cut_counts,
     exact,
@@ -49,9 +57,9 @@ from .scalars import (
 )
 
 
-# Input caps: the jellyfish matrix can fill all ``L2 x L2`` cells and
-# ``lct demo`` is quadratic in ``dL*d1*d2``.  The builtin candidate's
-# ``L2 = 2*d2`` fits both.
+# Input caps.  ``falsify`` is linear in ``L1*L2``, but its oracle
+# ``jellyfish_matrix`` can fill all ``L2 x L2`` cells, and ``lct demo`` is
+# quadratic in ``dL*d1*d2``.  The builtin candidate's ``L2 = 2*d2`` fits both.
 MAX_L2 = 512
 MAX_COMPOSITE_DIM = 1024
 
@@ -317,6 +325,9 @@ def jellyfish_matrix(cand: CandidateModel) -> ClassicalMap:
     The state's first wire feeds the effect's first wire; the effect's second
     wire is the open input and the state's second wire the open output:
     ``M[y, x] = sum_a xi_beta[a, y] * xi_b[a, x]``.
+
+    This is the construction, kept as the oracle: :func:`falsify` reads the
+    first nonzero cell and the trace off the candidate in closed form.
     """
     L2 = cand.L2
     b_nums, b_den = cand.b
@@ -345,7 +356,11 @@ class ViolationCertificate:
     ``violation`` is one of ``jellyfish-nullity``, ``probability-preservation``
     or ``product-annihilation``; ``None`` flags the impossible case where a
     candidate survives every check (a fatal inconsistency of the run itself),
-    and :attr:`fatal` is derived from it.
+    and :attr:`fatal` is derived from it.  A ``jellyfish-nullity`` witness is
+    the ``[y, x]`` of the map's first nonzero cell in row-major order and
+    ``lhs`` its value.  ``trace_identity`` is the trace of the jellyfish map,
+    read off its diagonal in closed form: the model pairing ``xi_b .
+    xi_beta``.
     """
 
     violation: str | None
@@ -369,33 +384,73 @@ class ViolationCertificate:
         }
 
 
+def _first_jellyfish_cell(cand: CandidateModel):
+    """The jellyfish map's first nonzero cell in row-major order, as ``(y, x,
+    value)``, or ``None`` when the map is null; read off the candidate's
+    numerators without building the map.
+
+    Every entry is nonnegative, so ``M[y, x] != 0`` exactly when some block
+    ``a`` has ``beta[a, y] != 0`` and ``b[a, x] != 0``.  Block ``a``'s first
+    such cell pairs its first nonzero ``beta`` row with its first nonzero
+    ``b`` column, and the map's first cell is the least of these."""
+    L2 = cand.L2
+    (b_nums, b_den), (beta_nums, beta_den) = cand.b, cand.beta
+    first = None
+    for base in range(0, cand.L1 * L2, L2):
+        # A block's first nonzero entry ``v`` also sits at ``block.index(v)``.
+        b_block = b_nums[base:base + L2]
+        v = next(filter(None, b_block), 0)
+        if v:
+            beta_block = beta_nums[base:base + L2]
+            w = next(filter(None, beta_block), 0)
+            if w:
+                cell = beta_block.index(w), b_block.index(v)
+                if first is None or cell < first:
+                    first = cell
+                    if cell == (0, 0):  # no cell comes before it
+                        break
+    if first is None:
+        return None
+    y, x = first
+    return y, x, exact(sum(map(mul, beta_nums[y::L2], b_nums[x::L2])), b_den * beta_den)
+
+
 def falsify(cand: CandidateModel, inst: LctInstance) -> ViolationCertificate:
     """Refute a candidate model by the annihilating-effect contradiction.
 
     The trace identity ``choi_close(M) == xi_b . xi_beta`` holds for every
-    candidate by pure algebra.  The theory demands both ``M == 0`` (the
-    jellyfish map is null) and ``xi_b . xi_beta == (b|beta)``; with a
-    non-zero theory pairing the two cannot hold together.  The certificate
-    names the first axiom broken, in the order product-annihilation,
-    jellyfish-nullity, probability-preservation.
+    candidate by pure algebra: the trace of the jellyfish map ``M`` is its
+    diagonal sum ``sum_{a,y} xi_beta[a, y] * xi_b[a, y]``, the model pairing.
+    The theory demands both ``M == 0`` (the jellyfish map is null) and
+    ``xi_b . xi_beta == (b|beta)``; with a non-zero theory pairing the two
+    cannot hold together.  The certificate names the first axiom broken, in
+    the order product-annihilation, jellyfish-nullity,
+    probability-preservation.
+
+    The verdict is read off the candidate's numerators in closed form, in
+    ``O(L1 * L2)``: the trace is :func:`model_pairing`, computed once, the
+    jellyfish witness is the map's first nonzero cell, and the theory pairing
+    is read only when the map is null.  :func:`jellyfish_matrix` and
+    :func:`~bctk.classical.choi_close` build the map and close it, as oracles.
     """
-    theory = inst.theory_pairing if cand.theory_pairing is None else cand.theory_pairing
-    m = jellyfish_matrix(cand)
-    first = next(m.nonzero(), None)
+    trace = model_pairing(cand)
     product = 0
     if cand.sigma is not None:
+        L2 = cand.L2
         (b_nums, b_den), (s_nums, s_den), (t_nums, t_den) = cand.b, cand.sigma, cand.tau
-        product = exact(sum(map(mul, b_nums, _kron(s_nums, t_nums))), b_den * s_den * t_den)
+        # xi_b . (xi_sigma (x) xi_tau) = sum_i sigma_i * sum_j b[i*L2 + j] * tau_j
+        product = exact(sum(s * sum(map(mul, b_nums[i * L2:(i + 1) * L2], t_nums))
+                            for i, s in enumerate(s_nums)), b_den * s_den * t_den)
     if product != 0:
         verdict = "product-annihilation", "xi_b . (xi_sigma (x) xi_tau)", product, 0
-    elif first is not None:
-        r, c, v = first
-        verdict = "jellyfish-nullity", [r, c], v, 0
+    elif (first := _first_jellyfish_cell(cand)) is not None:
+        y, x, value = first
+        verdict = "jellyfish-nullity", [y, x], value, 0
     else:
-        model = model_pairing(cand)
-        verdict = (("probability-preservation", "model pairing vs theory pairing", model, theory)
-                   if model != theory else (None, "no axiom violated", model, theory))
-    return ViolationCertificate(*verdict, trace_identity=choi_close(m))
+        theory = inst.theory_pairing if cand.theory_pairing is None else cand.theory_pairing
+        verdict = (("probability-preservation", "model pairing vs theory pairing", trace, theory)
+                   if trace != theory else (None, "no axiom violated", trace, theory))
+    return ViolationCertificate(*verdict, trace_identity=trace)
 
 
 def bct_style_candidate(inst: LctInstance) -> CandidateModel:

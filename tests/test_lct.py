@@ -14,7 +14,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import bctk
 from bctk.classical import ClassicalMap, choi_close
@@ -208,6 +208,25 @@ def test_falsify_alone_builds_a_certificate():
                     if callee == "ViolationCertificate":
                         builders.append(f"{path.stem}.{func.name}")
     assert builders == ["lct.falsify"]
+
+
+def test_falsify_builds_no_jellyfish_map():
+    # falsify reads its verdict off the candidate in closed form; the map
+    # construction and its closing are oracles and stay off its path, down
+    # every lct helper it calls.
+    tree = ast.parse(Path(bctk.lct.__file__).read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    reached, todo, names = set(), ["falsify"], set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                if node.id in funcs and node.id not in reached:
+                    todo.append(node.id)
+    assert {"falsify", "_first_jellyfish_cell", "model_pairing"} <= reached
+    assert not names & {"jellyfish_matrix", "choi_close", "_kron", "ClassicalMap"}
 
 
 def test_fatal_is_derived_from_the_violation():
@@ -488,3 +507,54 @@ def test_equal_candidates_are_equal_and_hash_alike():
     assert a.beta == ((1, 1), 2) and a.b == ((2, 1), 2) and a.theory_pairing == 1
     assert type(a.xi_b[0]) is int and type(a.theory_pairing) is int
     assert a != CandidateModel(L1=1, L2=2, xi_beta=(HALF, quarter), xi_b=(1, HALF))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form falsifier against the built jellyfish map
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sparse_candidates(draw):
+    """Candidates that are mostly zeros: often an all-zero first ``b`` block,
+    an all-zero first ``beta`` column (no block reaches row 0), one block or
+    one column, or a null jellyfish map, where some block of each pair is
+    zero."""
+    L1, L2 = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entries = st.lists(st.sampled_from((0, 0, 0, 1, 2, 3)), min_size=L1 * L2,
+                       max_size=L1 * L2)
+    beta, b = draw(entries), draw(entries)
+    if draw(st.booleans()):
+        b[:L2] = [0] * L2
+    if draw(st.booleans()):
+        beta[::L2] = [0] * L1
+    if draw(st.booleans()):
+        for a in range(L1):
+            zeroed = beta if draw(st.booleans()) else b
+            zeroed[a * L2:(a + 1) * L2] = [0] * L2
+    den = sum(beta) + draw(st.integers(0, 2)) or 1
+    return CandidateModel(L1=L1, L2=L2, xi_beta=tuple(Fraction(w, den) for w in beta),
+                          xi_b=tuple(Fraction(v, 3) for v in b))
+
+
+@seed(20261020)
+@given(sparse_candidates())
+@settings(max_examples=400, deadline=None)
+# The first block has the first row, the second the least column there.
+@example(CandidateModel(L1=2, L2=3, xi_beta=(0, HALF, 0, 0, HALF, 0), xi_b=(0, 0, 1, 0, 1, 0)))
+# Row-major: the first block's cell (0, 2) comes before the second's (1, 0).
+@example(CandidateModel(L1=2, L2=3, xi_beta=(HALF, 0, 0, 0, HALF, 0), xi_b=(0, 0, 1, 1, 0, 0)))
+# Row 0 is reached by no block whose b is nonzero; two blocks add up in a cell.
+@example(CandidateModel(L1=2, L2=2, xi_beta=(HALF, 0, 0, HALF), xi_b=(0, 0, 1, 1)))
+@example(CandidateModel(L1=2, L2=2, xi_beta=(HALF, 0, HALF, 0), xi_b=(0, 1, 0, 1)))
+def test_falsify_reads_the_built_map_in_closed_form(cand):
+    cert = falsify(cand, make_instance())
+    m = jellyfish_matrix(cand)
+    assert cert.trace_identity == choi_close(m) == model_pairing(cand)
+    first = next(m.nonzero(), None)
+    if first is None:
+        assert cert.violation in ("probability-preservation", None)
+    else:
+        y, x, value = first
+        assert cert.violation == "jellyfish-nullity"
+        assert (cert.witness, cert.lhs) == ([y, x], value)

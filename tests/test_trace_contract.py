@@ -16,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -72,18 +73,27 @@ def test_tracer_counts_the_row_combinators_of_both_evaluators():
 
 
 def test_tracer_counts_the_theory_pairing_once_per_instance():
-    # The instance caches its theory pairing; the tracer must still see the
-    # one pairing_value call, and every candidate's draw, falsify and map.
+    # The instance caches its theory pairing and falsify reads it only for a
+    # null jellyfish map: two such falsifications per instance still make one
+    # pairing_value call.  falsify builds no map, so jellyfish_matrix reads 0
+    # until it is called directly.
+    null_map = lct.CandidateModel(L1=2, L2=2, xi_beta=(Fraction(1, 2), Fraction(1, 2), 0, 0),
+                                  xi_b=(0, 0, 1, 1))
     with _tracer().Tracer() as tracer:
         for _ in range(2):
             inst = lct.make_instance()
             for index in range(10):
                 cand = lct.random_candidate(random.Random(index), inst)
                 assert not lct.falsify(cand, inst).fatal
-    calls = {name: stats[0] for name, stats in tracer.stats.items()}
+            for _ in range(2):
+                assert lct.falsify(null_map, inst).violation == "probability-preservation"
+        calls = {name: stats[0] for name, stats in tracer.stats.items()}
+        lct.jellyfish_matrix(null_map)
     assert calls["lct.pairing_value"] == 2
-    assert calls["lct.random_candidate"] == calls["lct.falsify"] == 20
-    assert calls["lct.jellyfish_matrix"] == 20
+    assert calls["lct.falsify"] == 24
+    assert calls["lct.random_candidate"] == 20
+    assert calls["lct.jellyfish_matrix"] == 0
+    assert tracer.stats["lct.jellyfish_matrix"][0] == 1
 
 
 def test_every_cached_target_has_cache_info():
