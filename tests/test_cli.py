@@ -356,6 +356,23 @@ def test_outputs_do_not_depend_on_the_hash_seed():
                     == "5091044035997dad0eccc5a375fb28b044627d59eb54365f38c5f8c9992c4fe7")
 
 
+@pytest.mark.parametrize("extra, code, digest, err", [
+    ((), 0, "ed325194b3605b795bd230897de1cb4e8f5fa5422f19591dc838ae55f7d0120b", ""),
+    (("--corrupt", "swap"), 3,
+     "f74df4e93435e63c63f4d144c308d1dbf5bec3a00f8090e6bdb308a8569d441b",
+     "17 verification failure(s)\n"),
+])
+def test_criterion_04_report_bytes_are_pinned(extra, code, digest, err, capsys):
+    # The criterion-04 config: every suite's fixed families at max-dim 4, and
+    # every witness the corrupted swap leaves.
+    args = ["verify", "--suite", "all", "--seed", "20260809", "--trials", "200",
+            "--max-dim", "4", *extra]
+    assert cli.main(args) == code
+    out, got_err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert got_err == err
+
+
 @pytest.fixture(params=["plain", "argparse"])
 def argv_reader(request, monkeypatch):
     """Runs a test once with ``eval FILE`` and ``embed FILE --gate NAME`` read
