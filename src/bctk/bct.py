@@ -69,6 +69,7 @@ from .systems import (
     flatten_label,
     pair_label,
     pair_offsets,
+    pair_points,
 )
 
 # ---------------------------------------------------------------------------
@@ -439,17 +440,8 @@ def swap(left: SystemShape, right: SystemShape) -> Transformation:
     """The symmetric swap; its section shift equals the pairing bit."""
     if left.is_trivial or right.is_trivial:
         raise ValueError("swap needs two non-trivial systems")
-    coeffs = {}
-    for q1 in range(1, left.global_dim + 1):
-        for q2 in range(1, right.global_dim + 1):
-            for s in (0, 1):
-                coeffs[
-                    (
-                        pair_label(left, right, q1, q2, s),
-                        pair_label(right, left, q2, q1, s),
-                        s,
-                    )
-                ] = 1
+    coeffs = {(pair_label(left, right, q1, q2, s), pair_label(right, left, q2, q1, s), s): 1
+              for q1, q2, s in pair_points(left.global_dim, right.global_dim)}
     # A relabelling: one weight-1 term per input; cached, so its terms are read-only.
     return Transformation._from_nums(left.compose(right), right.compose(left),
                                      MappingProxyType(coeffs), 1)

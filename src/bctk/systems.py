@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import prod
 from typing import Iterator
 
@@ -226,6 +227,13 @@ def all_labels(shape: SystemShape) -> Iterator[PureLabel]:
     """Every pure label of a shape, in global-index order."""
     for q in range(1, shape.global_dim + 1):
         yield unflatten_label(shape, q)
+
+
+def pair_points(n: int, m: int) -> Iterator[tuple[int, int, int]]:
+    """``[1..n] x [1..m] x {0,1}``: the groupings ``(q1 q2)_s`` and the atomic
+    keys ``(src, dst, flip)``, in :func:`pair_label`'s global-index order when
+    the right factor is a single system."""
+    return product(range(1, n + 1), range(1, m + 1), (0, 1))
 
 
 @lru_cache(maxsize=None)

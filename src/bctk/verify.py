@@ -17,9 +17,10 @@ the two sides ``(lhs, rhs)`` of one equation and is written once for two
 drivers; :data:`LAWS` names the checks that it backs.  A random loop draws
 the arguments, always in the same order, and checks one call per trial.  A
 fixed loop checks a whole family through :func:`_check_family`: one check
-over the dicts of both sides, keyed by the family's arguments.  The codec
-checks stay inline, as does a check of one value against a closed form, an
-oracle, a predicate or a round trip that only one suite makes.
+over the dicts of both sides, keyed by the family's arguments.  Fixed
+families enumerate generator keys and probes through ``systems.pair_points``.
+The codec checks stay inline, as does a check of one value against a closed
+form, an oracle, a predicate or a round trip that only one suite makes.
 
 Laws and suites reach the kernel only through module globals, such as the
 aliases ``compose_seq`` and ``ontic_map`` and the modules ``bct``,
@@ -60,6 +61,7 @@ from .systems import (
     flatten_right_nested,
     label_text,
     pair_label,
+    pair_points,
     q_decode,
     q_encode,
     reassoc_inverse,
@@ -380,7 +382,7 @@ def suite_codec(cfg: RunConfig) -> Report:
     report = Report(suite="codec", seed=cfg.seed)
     top = min(cfg.max_dim, 4)
     for n1, n2 in product(range(2, top + 1), repeat=2):
-        points = list(product(range(1, n1 + 1), range(1, n2 + 1), (0, 1)))
+        points = list(pair_points(n1, n2))
         codes = [q_encode(n1, n2, *p) for p in points]
         _check_codec(report, "q", [n1, n2], points, [q_decode(n1, n2, q) for q in codes], codes)
     shapes = (
@@ -458,7 +460,7 @@ def _probe_rank(n: int, m: int) -> int:
     probes_in = [bct.pure_state(n_big, lab) for lab in all_labels(n_big)]
     probes_out = [bct.pure_effect(m_big, lab) for lab in all_labels(m_big)]
     rows = []
-    for src, dst, flip in product(range(1, n + 1), range(1, m + 1), (0, 1)):
+    for src, dst, flip in pair_points(n, m):
         gen = par_with_identity(atomic(n_shape, m_shape, src, dst, flip), anc)
         moved = [bct.apply(gen, rho) for rho in probes_in]
         rows.append([Fraction(bct.pair(eff, v)) for v in moved for eff in probes_out])
@@ -647,16 +649,12 @@ def suite_atomicity(cfg: RunConfig) -> Report:
         anc = SystemShape((k,))
         in_big, out_big = in_shape.compose(anc), out_shape.compose(anc)
         n, m = in_shape.global_dim, out_shape.global_dim
-        probes = []
-        for q, j, s in product(range(1, n + 1), range(1, k + 1), (0, 1)):
-            lab = unflatten_label(in_big, pair_label(in_shape, anc, q, j, s))
-            probes.append((q, j, s, label_text(lab), bct.pure_state(in_big, lab)))
-        targets = {
-            (dst, j, s): bct.pure_state(
-                out_big, unflatten_label(out_big, pair_label(out_shape, anc, dst, j, s)))
-            for dst, j, s in product(range(1, m + 1), range(1, k + 1), (0, 1))
-        }
-        for src, dst, flip in product(range(1, n + 1), range(1, m + 1), (0, 1)):
+        # The ancilla is one system, so pair order is the global-index order.
+        probes = [(q, j, s, label_text(lab), bct.pure_state(in_big, lab))
+                  for (q, j, s), lab in zip(pair_points(n, k), all_labels(in_big))]
+        targets = {key: bct.pure_state(out_big, lab)
+                   for key, lab in zip(pair_points(m, k), all_labels(out_big))}
+        for src, dst, flip in pair_points(n, m):
             lifted = par_with_identity(atomic(in_shape, out_shape, src, dst, flip), anc)
             _check_family(report, [*prefix, src, dst, flip], law_probe,
                           {text: (lifted, rho, targets[dst, j, s ^ flip], 1 if q == src else 0)

@@ -1,13 +1,16 @@
 """Shapes, the dimension rule, and the label codec."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 
+import bctk
 from bctk import bct, ontic, systems
 from bctk.bct import Transformation
 from bctk.ontic import ontic_map
@@ -22,6 +25,7 @@ from bctk.systems import (
     flatten_right_nested,
     pair_label,
     pair_offsets,
+    pair_points,
     q_decode,
     q_encode,
     reassoc_inverse,
@@ -272,6 +276,65 @@ def test_pair_label_closed_form_matches_the_label_fold():
         # the uncached body, so the test leaves pair_label's cache as it was
         assert ([pair_label.__wrapped__(left, right, *p) for p in points]
                 == [pair_label_fold(left, right, *p) for p in points]), (left, right)
+
+
+def test_pair_points_run_in_pair_label_order_on_a_single_right_system():
+    for left, right in product(SMALL_SHAPES, repeat=2):
+        n, m = left.global_dim, right.global_dim
+        if right.num_factors > 1 or 2 * n * m > 512:
+            continue
+        assert ([pair_label.__wrapped__(left, right, *p) for p in pair_points(n, m)]
+                == list(range(1, 2 * n * m + 1))), (left, right)
+
+
+def test_swap_relabels_each_grouping_by_exchanging_its_factors():
+    # (q1 q2)_s -> (q2 q1)_s with section shift s, on multi-factor shapes too
+    for left, right in product(SMALL_SHAPES, repeat=2):
+        n, m = left.global_dim, right.global_dim
+        if 2 * n * m > 512:
+            continue
+        want = {(pair_label_fold(left, right, q1, q2, s),
+                 pair_label_fold(right, left, q2, q1, s), s): 1
+                for q1 in range(1, n + 1) for q2 in range(1, m + 1) for s in (0, 1)}
+        swapped = bct.swap(left, right)
+        assert (dict(swapped.nums), swapped.den) == (want, 1), (left, right)
+
+
+def _enclosing_functions(tree: ast.AST):
+    """Yield ``(qualified name of the enclosing function, node)`` for every
+    node, with ``"<module>"`` for module-level code."""
+    def walk(node, names):
+        for child in ast.iter_child_nodes(node):
+            inner = names
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = names + (child.name,)
+            yield ".".join(inner) or "<module>", child
+            yield from walk(child, inner)
+    yield from walk(tree, ())
+
+
+def _is_pair_points_call(node: ast.AST) -> bool:
+    """``product(range(...), range(...), (0, 1))``, however ``product`` is reached."""
+    if not (isinstance(node, ast.Call) and len(node.args) == 3):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    *ranges, bits = node.args
+    return (name == "product"
+            and all(isinstance(r, ast.Call) and isinstance(r.func, ast.Name)
+                    and r.func.id == "range" for r in ranges)
+            and isinstance(bits, ast.Tuple)
+            and [getattr(e, "value", None) for e in bits.elts] == [0, 1])
+
+
+def test_only_pair_points_enumerates_the_pair_triples():
+    """Generator keys, probes and groupings come from :func:`systems.pair_points`."""
+    users = set()
+    for path in sorted(Path(bctk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        users |= {(path.stem, name) for name, node in _enclosing_functions(tree)
+                  if _is_pair_points_call(node)}
+    assert users == {("systems", "pair_points")}
 
 
 def test_pair_offsets_is_a_permutation_and_the_identity_on_elementary_shapes():
