@@ -23,13 +23,15 @@ constructors (``Transformation(...)``, ``Transformation.from_json``,
 ``_Vector.scale`` take exact ``int``/``Fraction`` values, convert them once
 through :func:`~bctk.scalars.lattice` and check every weight in integers.
 An optional ``den`` gives the values as numerators over ``den``.
-``Transformation.scale`` and ``add`` compute with :mod:`~bctk.scalars`'
-sparse arithmetic, then pass the result through that same check.  Kernel
-operations build their results through ``Transformation._from_nums`` and
-``_Vector._from_nums``, which check nothing: each such result is valid by
-construction, for the reason given at its call site.  ``_Vector.scale``
-by a weight in ``[0, 1]`` builds its result the same way, and by ``0`` it
-returns the zero vector over ``den == 1`` directly.
+``add`` computes with :mod:`~bctk.scalars`' sparse arithmetic, then passes
+the result through that same check.  Kernel operations build their results
+through ``Transformation._from_nums`` and ``_Vector._from_nums``, which
+check nothing: each such result is valid by construction, for the reason
+given at its call site.  ``Transformation.scale`` and ``_Vector.scale``
+convert the scalar once through :func:`~bctk.scalars.lattice`: by ``1``
+they return the object itself, by ``0`` the empty map or the zero vector
+over ``den == 1``, by a weight strictly between build their result the
+same unchecked way, and by any other scalar pass it through the check.
 
 The per-shape constants ``identity``, ``swap`` and the pure states and
 effects are built once and cached, keyed by the interned shape (one
@@ -60,7 +62,6 @@ from .scalars import (
     reduce_dict,
     reduce_tuple,
     sparse_add,
-    sparse_scale,
 )
 from .systems import (
     SystemShape,
@@ -335,8 +336,18 @@ class Transformation:
         return len(rows) == self.in_shape.global_dim and all(s == den for s in rows.values())
 
     def scale(self, p) -> "Transformation":
-        return Transformation(self.in_shape, self.out_shape,
-                              *sparse_scale(self.nums, self.den, p))
+        (pn,), pd = lattice((p,))
+        if pn == pd:
+            return self
+        if pn == 0:
+            return zero(self.in_shape, self.out_shape)
+        nums, den = {k: pn * n for k, n in self.nums.items()}, self.den * pd
+        if 0 < pn < pd:
+            # A weight in (0, 1) keeps every term positive and every input's
+            # sum at most one.
+            return Transformation._from_nums(self.in_shape, self.out_shape,
+                                             *reduce_dict(nums, den))
+        return Transformation(self.in_shape, self.out_shape, nums, den=den)
 
     def add(self, other: "Transformation") -> "Transformation":
         if self.in_shape != other.in_shape or self.out_shape != other.out_shape:

@@ -5,8 +5,11 @@ hashing ``(seed, suite, index)``, so identical configurations produce
 identical reports byte for byte, independent of execution order.  Integer
 draws go through ``scalars.randint``/``randints``/``cut_counts``, which read
 ``getrandbits`` as ``random.Random.randint`` does, so the stream is the
-stdlib's without its Python frames; ``choice``, ``shuffle`` and ``random``
-stay on the stdlib.
+stdlib's without its Python frames.  The one exception is ``_rand_terms``,
+which writes that rejection rule out in its own loop so that a whole
+transformation is drawn in one frame; ``tests/test_draws.py`` holds it to
+the stdlib stream.  ``choice``, ``shuffle`` and ``random`` stay on the
+stdlib.
 
 Every check goes through one call, :meth:`Report.check`: it counts one trial
 and, on a mismatch, records a flat witness that ends at the first differing
@@ -51,7 +54,16 @@ from .bct import (
 )
 from .classical import ClassicalMap
 from .ontic import ontic_effect, ontic_map, ontic_state
-from .scalars import cut_counts, number_json, number_text, randint, randints, sparse_differences
+from .scalars import (
+    cut_counts,
+    number_json,
+    number_text,
+    randint,
+    randints,
+    reduce_dict,
+    reduce_tuple,
+    sparse_differences,
+)
 from .systems import (
     PureLabel,
     SystemShape,
@@ -76,8 +88,9 @@ from .systems import (
 MAX_DIM = 32
 
 # Every random weight is a multiple of 1/WEIGHT_GRID, so the suites' values
-# are dyadic with small denominators; the generators build their objects on
-# this denominator directly.
+# are dyadic with small denominators.  The generators draw integer counts
+# that are valid by construction and build their objects from them through
+# ``_from_nums``, reduced once over this denominator, with no second check.
 WEIGHT_GRID = 16
 
 
@@ -138,28 +151,70 @@ def rand_shape(rng: random.Random, max_dim: int, max_factors: int = 2,
 
 
 def rand_state(rng: random.Random, shape: SystemShape) -> State:
-    return State(shape, _grid_counts(rng, shape.global_dim, normalised=False), den=WEIGHT_GRID)
+    # Nonnegative counts summing to at most WEIGHT_GRID: a substate.
+    counts = _grid_counts(rng, shape.global_dim, normalised=False)
+    return State._from_nums(shape, *reduce_tuple(tuple(counts), WEIGHT_GRID))
 
 
 def rand_effect(rng: random.Random, shape: SystemShape) -> Effect:
-    return Effect(shape, randints(rng, 0, WEIGHT_GRID, shape.global_dim), den=WEIGHT_GRID)
+    # Every count lies in 0..WEIGHT_GRID: an effect in [0, 1].
+    counts = randints(rng, 0, WEIGHT_GRID, shape.global_dim)
+    return Effect._from_nums(shape, *reduce_tuple(tuple(counts), WEIGHT_GRID))
 
 
 def _rand_terms(rng: random.Random, n_in: int, n_out: int, k_min: int, k_max: int,
                 normalised: bool) -> dict:
     """Random counts ``{(src, dst, flip): count}`` over WEIGHT_GRID: each input
-    spreads a random distribution over ``k_min..k_max`` targets; zeros are dropped."""
+    spreads a random distribution over ``k_min..k_max`` targets; zeros are dropped.
+
+    Every integer is drawn here as ``randint`` draws it: ``getrandbits`` of the
+    range's bit width until the value is below the range's size.  The draws
+    are, in order, ``k``, each target's ``dst`` then ``flip``, the grid total
+    unless ``normalised``, and the ``k - 1`` cut points.
+    """
+    getrandbits = rng.getrandbits
+    n_k = k_max - k_min + 1
+    w_k, w_dst = n_k.bit_length(), n_out.bit_length()
+    n_grid = WEIGHT_GRID + 1
+    w_grid = n_grid.bit_length()
     terms = {}
     for src in range(1, n_in + 1):
-        k = randint(rng, k_min, k_max)
+        r = getrandbits(w_k)
+        while r >= n_k:
+            r = getrandbits(w_k)
+        k = k_min + r
         if k == 0:
             continue
         targets = set()
         while len(targets) < k:
-            targets.add((randint(rng, 1, n_out), randint(rng, 0, 1)))
-        for (dst, flip), c in zip(sorted(targets), _grid_counts(rng, k, normalised)):
-            if c != 0:
-                terms[src, dst, flip] = c
+            dst = getrandbits(w_dst)
+            while dst >= n_out:
+                dst = getrandbits(w_dst)
+            flip = getrandbits(2)
+            while flip >= 2:
+                flip = getrandbits(2)
+            targets.add((dst + 1, flip))
+        if normalised:
+            total = WEIGHT_GRID
+        else:
+            total = getrandbits(w_grid)
+            while total >= n_grid:
+                total = getrandbits(w_grid)
+        n_cut = total + 1
+        w_cut = n_cut.bit_length()
+        cuts = []
+        for _ in range(k - 1):
+            r = getrandbits(w_cut)
+            while r >= n_cut:
+                r = getrandbits(w_cut)
+            cuts.append(r)
+        cuts.sort()
+        cuts.append(total)
+        prev = 0
+        for (dst, flip), cut in zip(sorted(targets), cuts):
+            if cut != prev:
+                terms[src, dst, flip] = cut - prev
+                prev = cut
     return terms
 
 
@@ -168,7 +223,9 @@ def rand_tensor(rng: random.Random, in_shape: SystemShape, out_shape: SystemShap
     """A random valid transformation with at most three terms per input."""
     terms = _rand_terms(rng, in_shape.global_dim, out_shape.global_dim,
                         1 if channel else 0, 3, normalised=channel)
-    return Transformation(in_shape, out_shape, terms, den=WEIGHT_GRID)
+    # Positive counts with keys in range, each input's summing to at most
+    # WEIGHT_GRID (exactly, for a channel): a valid transformation.
+    return Transformation._from_nums(in_shape, out_shape, *reduce_dict(terms, WEIGHT_GRID))
 
 
 def rand_instrument(rng: random.Random, in_shape: SystemShape,

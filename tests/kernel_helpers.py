@@ -119,7 +119,10 @@ def rand_tensor_oracle(rng, in_shape, out_shape, channel=False):
 
 def rand_instrument_oracle(rng, in_shape, out_shape):
     channel = rand_tensor_oracle(rng, in_shape, out_shape, channel=True)
-    return Instrument(tuple(channel.scale(p) for p in rand_distribution_oracle(rng, 3)))
+    # Through the public constructor, not ``Transformation.scale``.
+    return Instrument(tuple(
+        Transformation(in_shape, out_shape, {k: p * w for k, w in channel.coeffs.items()})
+        for p in rand_distribution_oracle(rng, 3)))
 
 
 def random_circuit_source_oracle(rng, max_dim=3):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from bctk import lct, verify
+from bctk import bct, lct, verify
 from bctk.scalars import cut_counts, randint, randints
 from bctk.verify import RunConfig
 
@@ -155,3 +155,31 @@ def test_hot_paths_never_call_randint_or_randrange(monkeypatch):
     inst = lct.make_instance()
     for i in range(50):
         lct.random_candidate(random.Random(verify.derive_seed(0, "lct", i)), inst)
+
+
+def _rebuilt(value):
+    """``value`` built again through its public constructor."""
+    if isinstance(value, bct.Transformation):
+        return bct.Transformation(value.in_shape, value.out_shape, value.coeffs)
+    if isinstance(value, (bct.State, bct.Effect)):
+        return type(value)(value.shape, value.weights)
+    if isinstance(value, bct.Instrument):
+        return bct.Instrument(tuple(map(_rebuilt, value.members)), value.outcomes)
+    return value
+
+
+def test_generators_build_valid_lowest_terms_objects_without_the_checks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator built through a validating constructor")
+
+    monkeypatch.setattr(bct.Transformation, "__init__", refuse)
+    monkeypatch.setattr(bct._Vector, "__init__", refuse)
+    drawn = [_generators(random.Random(verify.derive_seed(s, "trusted", 0)))
+             for s in range(50)]
+    monkeypatch.undo()
+    kinds = set()
+    for values in drawn:
+        for value in values:
+            kinds.add(type(value).__name__)
+            assert _rebuilt(value) == value
+    assert {"Transformation", "State", "Effect", "Instrument"} <= kinds

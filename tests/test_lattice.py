@@ -565,3 +565,29 @@ def test_scale_outside_the_unit_interval_still_validates():
     for p in (1.0, 0.5, 0.0):
         with pytest.raises(TypeError, match="exact number"):
             half.scale(p)
+
+
+@seed(20261104)
+@given(st.integers(0, 2**32 - 1), st.fractions(0, 1, max_denominator=97))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_transformation_scale_equals_the_validating_path(case, p):
+    rng = random.Random(case)
+    a, b = rng.choice(SHAPES), rng.choice(SHAPES)
+    for t in (Transformation(a, b, _rand_coeffs(rng, a, b)),
+              Transformation(a, b, _rand_coeffs(rng, a, b, channel=True)),
+              bct.identity(a)):
+        shapes = (t.in_shape, t.out_shape)
+        for q in (p, 0, 1, Fraction(1, 3)):
+            scaled = t.scale(q)
+            assert scaled == Transformation(*shapes, *sparse_scale(t.nums, t.den, q))
+            _check_transformation(scaled, {k: q * w for k, w in t.coeffs.items() if q * w})
+        assert t.scale(1) is t and t.scale(Fraction(1)) is t
+        assert t.scale(0) == bct.zero(*shapes) and t.scale(0).nums == {}
+
+
+def test_transformation_scale_above_one_still_validates():
+    s2 = SystemShape((2,))
+    half = bct.identity(s2).scale(Fraction(1, 2))
+    assert half.scale(2) == bct.identity(s2)
+    with pytest.raises(ValueError, match="not substochastic"):
+        half.scale(Fraction(5, 2))
