@@ -27,11 +27,20 @@ lowest terms.  Values enter once, through :func:`~bctk.scalars.lattice`, in
 the public constructor; ``xi_beta``, ``xi_b``, ``xi_sigma``, ``xi_tau`` and
 ``to_json`` read them back out, as an ``int`` when integral and a
 ``Fraction`` otherwise.  Validation, :func:`jellyfish_matrix`,
-:func:`model_pairing` and :func:`falsify` run on the integers.  The theory
-pairing ``(b|beta)`` depends only on the instance, so
-:attr:`LctInstance.theory_pairing` computes it once per instance, through the
-module-level :func:`pairing_value`; :func:`falsify` reads it only for a
-candidate whose jellyfish map is null.
+:func:`model_pairing` and :func:`falsify` run on the integers.  A
+:class:`ViolationCertificate` stores its three values on the lattice too,
+each ``(num, den)`` in lowest terms, so :func:`falsify` stays on the integers
+from the candidate's numerators to the verdict: the trace and the witness
+value are each reduced once, and exact values leave the lattice only through
+the certificate's ``lhs``, ``rhs`` and ``trace_identity`` and its
+``to_json``.  The theory pairing ``(b|beta)`` depends only on the instance,
+so :attr:`LctInstance.theory_pairing` computes it once per instance, through
+the module-level :func:`pairing_value`; :func:`falsify` converts and reads it
+only for a candidate whose jellyfish map is null.
+
+:func:`random_candidate` draws every integer from one local
+``rng.getrandbits``, written out as ``randint`` draws it, so a candidate is
+drawn in one frame on the stdlib's stream.
 """
 
 from __future__ import annotations
@@ -40,19 +49,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 
 from .classical import ClassicalMap
 from .scalars import (
-    cut_counts,
     exact,
     lattice,
     number_from_json,
     number_json,
-    randint,
-    randints,
     ratio_json,
     reduce_dict,
+    reduce_ratio,
     reduce_tuple,
 )
 
@@ -62,6 +69,8 @@ from .scalars import (
 # quadratic in ``dL*d1*d2``.  The builtin candidate's ``L2 = 2*d2`` fits both.
 MAX_L2 = 512
 MAX_COMPOSITE_DIM = 1024
+
+_ZERO = 0, 1  # the right-hand side 0, as (num, den)
 
 
 def _kron(*vectors):
@@ -186,6 +195,10 @@ def _check_substate(vec, what: str) -> None:
         raise ValueError(f"{what} must be a subnormalised distribution")
 
 
+# Stores one slot of a frozen dataclass; only constructors call it.
+_set = object.__setattr__
+
+
 def _view(vec):
     if vec is None:
         return None
@@ -253,11 +266,13 @@ class CandidateModel:
                 raise ValueError("xi_tau must live on the second ontic factor")
             _check_substate(sigma, "xi_sigma")
             _check_substate(tau, "xi_tau")
-        self._fill(L1, L2, beta, b, theory_pairing, sigma, tau)
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):  # in field order
-            object.__setattr__(self, name, value)
+        _set(self, "L1", L1)
+        _set(self, "L2", L2)
+        _set(self, "beta", beta)
+        _set(self, "b", b)
+        _set(self, "theory_pairing", theory_pairing)
+        _set(self, "sigma", sigma)
+        _set(self, "tau", tau)
 
     @classmethod
     def _from_nums(cls, L1: int, L2: int, beta: tuple, b: tuple,
@@ -267,7 +282,13 @@ class CandidateModel:
         numerators, each ``(nums, den)`` in lowest terms, and an exact
         ``theory_pairing``."""
         c = object.__new__(cls)
-        c._fill(L1, L2, beta, b, theory_pairing, None, None)
+        _set(c, "L1", L1)
+        _set(c, "L2", L2)
+        _set(c, "beta", beta)
+        _set(c, "b", b)
+        _set(c, "theory_pairing", theory_pairing)
+        _set(c, "sigma", None)
+        _set(c, "tau", None)
         return c
 
     @property
@@ -343,13 +364,18 @@ def jellyfish_matrix(cand: CandidateModel) -> ClassicalMap:
     return ClassicalMap._from_nums(L2, L2, *reduce_dict(cells, b_den * beta_den))
 
 
+def _pairing_ratio(cand: CandidateModel) -> tuple[int, int]:
+    """``xi_b . xi_beta`` on the lattice, as ``(num, den)`` in lowest terms."""
+    (b_nums, b_den), (beta_nums, beta_den) = cand.b, cand.beta
+    return reduce_ratio(sum(map(mul, b_nums, beta_nums)), b_den * beta_den)
+
+
 def model_pairing(cand: CandidateModel):
     """``xi_b . xi_beta``, the pairing the model assigns to the theory's pair."""
-    (b_nums, b_den), (beta_nums, beta_den) = cand.b, cand.beta
-    return exact(sum(map(mul, b_nums, beta_nums)), b_den * beta_den)
+    return exact(*_pairing_ratio(cand))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class ViolationCertificate:
     """Which axiom a candidate breaks, with a concrete witness.
 
@@ -361,13 +387,53 @@ class ViolationCertificate:
     ``lhs`` its value.  ``trace_identity`` is the trace of the jellyfish map,
     read off its diagonal in closed form: the model pairing ``xi_b .
     xi_beta``.
+
+    The constructor takes ``lhs``, ``rhs`` and ``trace_identity`` as exact
+    values and converts them once, through :func:`~bctk.scalars.lattice`.
+    Each is stored as ``(num, den)`` in lowest terms -- ``lhs_ratio``,
+    ``rhs_ratio`` and ``trace_ratio`` -- so ``==`` compares values, and each
+    leaves the lattice only through its read-only property, as an ``int``
+    when integral and a ``Fraction`` otherwise, or through :meth:`to_json`.
     """
 
     violation: str | None
     witness: object
-    lhs: object
-    rhs: object
-    trace_identity: object
+    lhs_ratio: tuple
+    rhs_ratio: tuple
+    trace_ratio: tuple
+
+    def __init__(self, violation: str | None, witness, lhs, rhs, trace_identity):
+        nums, den = lattice((lhs, rhs, trace_identity))
+        _set(self, "violation", violation)
+        _set(self, "witness", witness)
+        _set(self, "lhs_ratio", reduce_ratio(nums[0], den))
+        _set(self, "rhs_ratio", reduce_ratio(nums[1], den))
+        _set(self, "trace_ratio", reduce_ratio(nums[2], den))
+
+    @classmethod
+    def _from_nums(cls, violation: str | None, witness, lhs: tuple, rhs: tuple,
+                   trace: tuple) -> "ViolationCertificate":
+        """Kernel constructor: ``lhs``, ``rhs`` and ``trace`` each ``(num,
+        den)`` in lowest terms."""
+        c = object.__new__(cls)
+        _set(c, "violation", violation)
+        _set(c, "witness", witness)
+        _set(c, "lhs_ratio", lhs)
+        _set(c, "rhs_ratio", rhs)
+        _set(c, "trace_ratio", trace)
+        return c
+
+    @property
+    def lhs(self):
+        return exact(*self.lhs_ratio)
+
+    @property
+    def rhs(self):
+        return exact(*self.rhs_ratio)
+
+    @property
+    def trace_identity(self):
+        return exact(*self.trace_ratio)
 
     @property
     def fatal(self) -> bool:
@@ -377,16 +443,16 @@ class ViolationCertificate:
         return {
             "violation": self.violation,
             "witness": self.witness,
-            "lhs": number_json(self.lhs),
-            "rhs": number_json(self.rhs),
-            "trace_identity": number_json(self.trace_identity),
+            "lhs": ratio_json(*self.lhs_ratio),
+            "rhs": ratio_json(*self.rhs_ratio),
+            "trace_identity": ratio_json(*self.trace_ratio),
             "fatal": self.fatal,
         }
 
 
 def _first_jellyfish_cell(cand: CandidateModel):
-    """The jellyfish map's first nonzero cell in row-major order, as ``(y, x,
-    value)``, or ``None`` when the map is null; read off the candidate's
+    """The jellyfish map's first nonzero cell in row-major order, as ``(y,
+    x)``, or ``None`` when the map is null; read off the candidate's
     numerators without building the map.
 
     Every entry is nonnegative, so ``M[y, x] != 0`` exactly when some block
@@ -394,7 +460,7 @@ def _first_jellyfish_cell(cand: CandidateModel):
     such cell pairs its first nonzero ``beta`` row with its first nonzero
     ``b`` column, and the map's first cell is the least of these."""
     L2 = cand.L2
-    (b_nums, b_den), (beta_nums, beta_den) = cand.b, cand.beta
+    b_nums, beta_nums = cand.b[0], cand.beta[0]
     first = None
     for base in range(0, cand.L1 * L2, L2):
         # A block's first nonzero entry ``v`` also sits at ``block.index(v)``.
@@ -409,10 +475,7 @@ def _first_jellyfish_cell(cand: CandidateModel):
                     first = cell
                     if cell == (0, 0):  # no cell comes before it
                         break
-    if first is None:
-        return None
-    y, x = first
-    return y, x, exact(sum(map(mul, beta_nums[y::L2], b_nums[x::L2])), b_den * beta_den)
+    return first
 
 
 def falsify(cand: CandidateModel, inst: LctInstance) -> ViolationCertificate:
@@ -428,29 +491,36 @@ def falsify(cand: CandidateModel, inst: LctInstance) -> ViolationCertificate:
     probability-preservation.
 
     The verdict is read off the candidate's numerators in closed form, in
-    ``O(L1 * L2)``: the trace is :func:`model_pairing`, computed once, the
-    jellyfish witness is the map's first nonzero cell, and the theory pairing
-    is read only when the map is null.  :func:`jellyfish_matrix` and
-    :func:`~bctk.classical.choi_close` build the map and close it, as oracles.
+    ``O(L1 * L2)``, and stays on the lattice: the trace is
+    :func:`model_pairing`'s ``(num, den)``, computed once, the jellyfish
+    witness is the map's first nonzero cell, each value is reduced once, and
+    the theory pairing is converted and read only when the map is null.
+    :func:`jellyfish_matrix` and :func:`~bctk.classical.choi_close` build the
+    map and close it, as oracles.
     """
-    trace = model_pairing(cand)
+    trace = _pairing_ratio(cand)
+    L2 = cand.L2
+    (b_nums, b_den), (beta_nums, beta_den) = cand.b, cand.beta
     product = 0
     if cand.sigma is not None:
-        L2 = cand.L2
-        (b_nums, b_den), (s_nums, s_den), (t_nums, t_den) = cand.b, cand.sigma, cand.tau
+        (s_nums, s_den), (t_nums, t_den) = cand.sigma, cand.tau
         # xi_b . (xi_sigma (x) xi_tau) = sum_i sigma_i * sum_j b[i*L2 + j] * tau_j
-        product = exact(sum(s * sum(map(mul, b_nums[i * L2:(i + 1) * L2], t_nums))
-                            for i, s in enumerate(s_nums)), b_den * s_den * t_den)
+        product = sum(s * sum(map(mul, b_nums[i * L2:(i + 1) * L2], t_nums))
+                      for i, s in enumerate(s_nums))
     if product != 0:
-        verdict = "product-annihilation", "xi_b . (xi_sigma (x) xi_tau)", product, 0
+        verdict = ("product-annihilation", "xi_b . (xi_sigma (x) xi_tau)",
+                   reduce_ratio(product, b_den * s_den * t_den), _ZERO)
     elif (first := _first_jellyfish_cell(cand)) is not None:
-        y, x, value = first
-        verdict = "jellyfish-nullity", [y, x], value, 0
+        y, x = first
+        value = sum(map(mul, beta_nums[y::L2], b_nums[x::L2]))
+        verdict = "jellyfish-nullity", [y, x], reduce_ratio(value, b_den * beta_den), _ZERO
     else:
         theory = inst.theory_pairing if cand.theory_pairing is None else cand.theory_pairing
+        nums, den = lattice((theory,))  # one exact value: already in lowest terms
+        theory = nums[0], den
         verdict = (("probability-preservation", "model pairing vs theory pairing", trace, theory)
                    if trace != theory else (None, "no axiom violated", trace, theory))
-    return ViolationCertificate(*verdict, trace_identity=trace)
+    return ViolationCertificate._from_nums(*verdict, trace)
 
 
 def bct_style_candidate(inst: LctInstance) -> CandidateModel:
@@ -471,12 +541,34 @@ def bct_style_candidate(inst: LctInstance) -> CandidateModel:
 
 
 def random_candidate(rng: random.Random, inst: LctInstance) -> CandidateModel:
-    """A seeded random candidate: ``L1, L2`` in 2..6, weights multiples of 1/16."""
-    L1 = randint(rng, 2, 6)
-    L2 = randint(rng, 2, 6)
+    """A seeded random candidate: ``L1, L2`` in 2..6, weights multiples of 1/16.
+
+    The draws are, in order, ``L1`` and ``L2``, each ``randint(2, 6)``, the
+    ``dim - 1`` cut points of :func:`~bctk.scalars.cut_counts` and the ``dim``
+    effect counts, each ``randint(0, 16)``.  Every one is drawn here as
+    ``randint`` draws it: ``getrandbits`` of the range's bit width until the
+    value is below the range's size.
+    """
+    getrandbits = rng.getrandbits
+    # randint(2, 6) has 5 values, 3 bits wide; randint(0, 16) 17 values, 5 bits.
+    L1 = getrandbits(3)
+    while L1 >= 5:
+        L1 = getrandbits(3)
+    L2 = getrandbits(3)
+    while L2 >= 5:
+        L2 = getrandbits(3)
+    L1 += 2
+    L2 += 2
     dim = L1 * L2
-    counts = tuple(cut_counts(rng, dim, 16))
-    b_counts = tuple(randints(rng, 0, 16, dim))
+    draws = []
+    for _ in range(2 * dim - 1):
+        r = getrandbits(5)
+        while r >= 17:
+            r = getrandbits(5)
+        draws.append(r)
+    cuts = draws[:dim - 1]
+    cuts.sort()
+    counts = tuple(map(sub, cuts + [16], [0] + cuts))
     # Counts over 16: nonnegative and summing to 16, and each in [0, 16].
     return CandidateModel._from_nums(L1, L2, reduce_tuple(counts, 16),
-                                     reduce_tuple(b_counts, 16))
+                                     reduce_tuple(tuple(draws[dim - 1:]), 16))

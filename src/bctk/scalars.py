@@ -10,15 +10,19 @@ The kernel objects store their values on an integer lattice: integer
 numerators over one positive denominator, in lowest terms.
 :func:`lattice` is the one conversion of exact values onto it,
 :func:`reduce_dict`/:func:`reduce_tuple` bring a kernel result to lowest
-terms, and :func:`exact` and :func:`ratio_json` read one lattice value back
-out.  :func:`sparse_add`, :func:`sparse_scale` and :func:`sparse_differences`
-add, scale and compare sparse values, a dict of nonzero numerators over one
-denominator, as transformation terms and classical map cells are stored.
+terms, :func:`reduce_ratio` does so for one value, and :func:`exact` and
+:func:`ratio_json` read one lattice value back out.  :func:`sparse_add`,
+:func:`sparse_scale` and :func:`sparse_differences` add, scale and compare
+sparse values, a dict of nonzero numerators over one denominator, as
+transformation terms and classical map cells are stored.
 
 Seeded integer draws go through :func:`randint`, :func:`randints` and
 :func:`cut_counts`: they return what ``random.Random.randint`` returns, from
 the same ``getrandbits`` calls in the same order, so a seed gives the same
-values and leaves the generator in the same state.
+values and leaves the generator in the same state.  Two hot generators write
+that rejection rule out in their own loop instead, so that a whole object is
+drawn in one frame: ``verify._rand_terms`` and ``lct.random_candidate``.
+``tests/test_draws.py`` and ``tests/test_lct.py`` hold them to these draws.
 """
 
 from __future__ import annotations
@@ -152,6 +156,15 @@ def exact(num: int, den: int):
         return num
     q, r = divmod(num, den)
     return q if r == 0 else Fraction(num, den)
+
+
+def reduce_ratio(num: int, den: int) -> tuple[int, int]:
+    """``num / den`` in lowest terms, as ``(num, den)``: one value's
+    :func:`reduce_tuple`, without packing the numerator into a tuple."""
+    if den == 1:
+        return num, 1
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def ratio_json(num: int, den: int) -> list:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 import bctk
+import bctk.verify
 from bctk.classical import ClassicalMap, choi_close
 from bctk.lct import (
     MAX_COMPOSITE_DIM,
@@ -36,7 +37,7 @@ from bctk.lct import (
     product_state,
     random_candidate,
 )
-from bctk.scalars import number_json
+from bctk.scalars import cut_counts, number_json, randint, randints, reduce_tuple
 
 HALF = Fraction(1, 2)
 
@@ -196,37 +197,79 @@ def test_lct_refusals_name_their_cause(build, message):
     assert str(err.value) == message
 
 
+def _certificate_sites(tree):
+    """``(scope, line)`` of every call ``ViolationCertificate(...)`` and every
+    reference to ``ViolationCertificate._from_nums``, called or not; the
+    scope is the innermost enclosing function, or ``<module>``."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "ViolationCertificate"):
+            sites.append((scope, node.lineno))
+        if (isinstance(node, ast.Attribute) and node.attr == "_from_nums"
+                and isinstance(node.value, ast.Name) and node.value.id == "ViolationCertificate"):
+            sites.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return sites
+
+
 def test_falsify_alone_builds_a_certificate():
+    # Counts the public constructor and the trusted one, in any scope and
+    # also where the trusted one is only named (an alias would build too).
     builders = []
     for path in sorted(Path(bctk.__file__).parent.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(func, ast.FunctionDef):
-                continue
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call):
-                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if callee == "ViolationCertificate":
-                        builders.append(f"{path.stem}.{func.name}")
+        builders += [f"{path.stem}.{scope}"
+                     for scope, _ in _certificate_sites(ast.parse(path.read_text()))]
     assert builders == ["lct.falsify"]
+    # The lone site is the trusted constructor: falsify never converts values.
+    source = Path(bctk.lct.__file__).read_text()
+    (_, line), = _certificate_sites(ast.parse(source))
+    assert "ViolationCertificate._from_nums(" in source.splitlines()[line - 1]
 
 
-def test_falsify_builds_no_jellyfish_map():
-    # falsify reads its verdict off the candidate in closed form; the map
-    # construction and its closing are oracles and stay off its path, down
-    # every lct helper it calls.
+def _reached_names(start):
+    """Every name used on ``start``'s path down the ``lct`` helpers it calls,
+    methods such as ``ViolationCertificate._from_nums`` included, and the
+    helpers reached."""
     tree = ast.parse(Path(bctk.lct.__file__).read_text())
     funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    reached, todo, names = set(), ["falsify"], set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            funcs.update({f"{cls.name}.{f.name}": f for f in cls.body
+                          if isinstance(f, ast.FunctionDef)})
+    reached, todo, names = set(), [start], set()
     while todo:
         name = todo.pop()
         reached.add(name)
         for node in ast.walk(funcs[name]):
+            callee = None
             if isinstance(node, ast.Name):
                 names.add(node.id)
-                if node.id in funcs and node.id not in reached:
-                    todo.append(node.id)
-    assert {"falsify", "_first_jellyfish_cell", "model_pairing"} <= reached
-    assert not names & {"jellyfish_matrix", "choi_close", "_kron", "ClassicalMap"}
+                callee = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                callee = f"{node.value.id}.{node.attr}"
+            if callee in funcs and callee not in reached:
+                todo.append(callee)
+    return reached, names
+
+
+def test_falsify_builds_no_jellyfish_map():
+    # falsify reads its verdict off the candidate in closed form and stays on
+    # the lattice: the map construction and its closing are oracles, and no
+    # exact value is built, down every lct helper it calls.
+    reached, names = _reached_names("falsify")
+    assert {"falsify", "_first_jellyfish_cell", "_pairing_ratio",
+            "ViolationCertificate._from_nums"} <= reached
+    assert not names & {"jellyfish_matrix", "choi_close", "_kron", "ClassicalMap",
+                        "model_pairing", "exact", "Fraction"}
+    # The public oracle reads the trace off the same lattice helper.
+    assert "_pairing_ratio" in _reached_names("model_pairing")[0]
 
 
 def test_fatal_is_derived_from_the_violation():
@@ -558,3 +601,174 @@ def test_falsify_reads_the_built_map_in_closed_form(cand):
         y, x, value = first
         assert cert.violation == "jellyfish-nullity"
         assert (cert.witness, cert.lhs) == ([y, x], value)
+
+
+# ---------------------------------------------------------------------------
+# the lattice certificate against the built map
+# ---------------------------------------------------------------------------
+
+
+_CASE_KINDS = ("dense", "sparse", "null", "zero-product", "product")
+
+
+def _lattice_weight(rng, den) -> Fraction:
+    return Fraction(rng.randint(0, den), den)
+
+
+def _certificate_case(rng, kind) -> dict:
+    """Candidate arguments of one kind.  ``xi_beta``'s denominators divide
+    ``20 * L1 * L2``, ``xi_b``'s are 3 and the marginals' divide ``7 * L1``
+    and ``7 * L2``; a given theory pairing is over 11 or 13, coprime to all.
+
+    ``dense`` candidates have few zeros, ``sparse`` ones mostly zeros, and a
+    ``null`` one has a zero block in ``xi_beta`` or ``xi_b`` for every ``a``.
+    The two product kinds add ``xi_sigma``/``xi_tau``: ``zero-product`` puts
+    ``xi_tau`` where ``xi_b`` is zero, or makes it zero, and ``product``
+    makes one cell ``xi_b[i, j] * xi_sigma[i] * xi_tau[j]`` nonzero."""
+    L1, L2 = rng.randint(1, 4), rng.randint(1, 4)
+    dim = L1 * L2
+    zero = 0.1 if kind == "dense" else 0.7
+    beta = [Fraction(0) if rng.random() < zero else Fraction(rng.randint(1, 4), 5 * 4 * dim)
+            for _ in range(dim)]
+    b = [Fraction(0) if rng.random() < zero else _lattice_weight(rng, 3) for _ in range(dim)]
+    if kind == "null":
+        for a in range(L1):
+            zeroed = beta if rng.random() < 0.5 else b
+            zeroed[a * L2:(a + 1) * L2] = [Fraction(0)] * L2
+    data = {"L1": L1, "L2": L2, "xi_beta": tuple(beta), "xi_b": tuple(b)}
+    roll = rng.random()
+    if roll < 0.3:
+        data["theory_pairing"] = _lattice_weight(rng, rng.choice((11, 13)))
+    elif roll < 0.45:
+        data["theory_pairing"] = sum((x * y for x, y in zip(b, beta)), Fraction(0))
+    if kind in ("zero-product", "product"):
+        sigma = [Fraction(rng.randint(0, 2), 7 * L1) for _ in range(L1)]
+        tau = [Fraction(rng.randint(0, 2), 7 * L2) for _ in range(L2)]
+        if kind == "zero-product":
+            # Only the columns where every block of xi_b is zero may carry tau.
+            tau = [t if not any(b[j::L2]) and rng.random() < 0.5 else Fraction(0)
+                   for j, t in enumerate(tau)]
+        else:
+            i, j = rng.randrange(L1), rng.randrange(L2)
+            sigma[i] += Fraction(1, 7 * L1)
+            tau[j] += Fraction(1, 7 * L2)
+            b[i * L2 + j] = b[i * L2 + j] or Fraction(1, 3)
+            data["xi_b"] = tuple(b)
+        data["xi_sigma"], data["xi_tau"] = tuple(sigma), tuple(tau)
+    return data
+
+
+def _oracle_certificate(cand: CandidateModel, inst: LctInstance) -> tuple:
+    """``(violation, witness, lhs, rhs, trace)`` read off the built map, its
+    closing, ``model_pairing`` and ``pairing_value``."""
+    m = jellyfish_matrix(cand)
+    trace = choi_close(m)
+    assert trace == model_pairing(cand)
+    if cand.xi_sigma is not None:
+        image = [s * t for s, t in product(cand.xi_sigma, cand.xi_tau)]
+        value = sum((b * v for b, v in zip(cand.xi_b, image)), 0)
+        if value != 0:
+            return "product-annihilation", "xi_b . (xi_sigma (x) xi_tau)", value, 0, trace
+    first = next(m.nonzero(), None)
+    if first is not None:
+        y, x, value = first
+        return "jellyfish-nullity", [y, x], value, 0, trace
+    theory = cand.theory_pairing
+    if theory is None:
+        theory = pairing_value(inst, beta_state(inst))
+    if trace != theory:
+        return "probability-preservation", "model pairing vs theory pairing", trace, theory, trace
+    return None, "no axiom violated", trace, theory, trace
+
+
+def test_certificate_cases_reach_every_branch():
+    seen = set()
+    for s in range(200):
+        rng = random.Random(s)
+        kind = _CASE_KINDS[s % len(_CASE_KINDS)]
+        data = _certificate_case(rng, kind)
+        violation = _oracle_certificate(CandidateModel(**data), make_instance())[0]
+        seen.add((kind, violation))
+        if kind == "zero-product":
+            assert violation != "product-annihilation"
+        if kind == "product":
+            assert violation == "product-annihilation"
+    assert {violation for _, violation in seen} == {
+        "product-annihilation", "jellyfish-nullity", "probability-preservation", None}
+    for kind in ("dense", "sparse", "zero-product"):
+        assert (kind, "jellyfish-nullity") in seen
+    assert {("null", "probability-preservation"), ("null", None)} <= seen
+
+
+@seed(20261020)
+@given(st.sampled_from(_CASE_KINDS), st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_lattice_certificate_matches_the_map_oracle(kind, s):
+    inst = make_instance()
+    cand = CandidateModel(**_certificate_case(random.Random(s), kind))
+    cert = falsify(cand, inst)
+    violation, witness, lhs, rhs, trace = _oracle_certificate(cand, inst)
+    assert (cert.violation, cert.witness) == (violation, witness)
+    for got, want in ((cert.lhs, lhs), (cert.rhs, rhs), (cert.trace_identity, trace)):
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+    assert cert.to_json() == {"violation": violation, "witness": witness,
+                              "lhs": number_json(lhs), "rhs": number_json(rhs),
+                              "trace_identity": number_json(trace), "fatal": violation is None}
+    assert ViolationCertificate(violation, witness, lhs, rhs, trace) == cert
+    for name in ("violation", "witness", "lhs_ratio", "rhs_ratio", "trace_ratio"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cert, name, 0)
+    # A slotted frozen dataclass refuses any other name too; CPython 3.11
+    # raises TypeError there, from the frozen __setattr__'s super() call.
+    for name in ("lhs", "rhs", "trace_identity", "fatal", "other"):
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(cert, name, 0)
+
+
+def test_certificate_stores_values_in_lowest_terms():
+    cert = ViolationCertificate("probability-preservation", "w", Fraction(6, 4), 0,
+                                Fraction(4, 6))
+    assert (cert.lhs_ratio, cert.rhs_ratio, cert.trace_ratio) == ((3, 2), (0, 1), (2, 3))
+    assert cert == ViolationCertificate("probability-preservation", "w", Fraction(3, 2),
+                                        Fraction(0, 5), Fraction(2, 3))
+    assert cert != ViolationCertificate("probability-preservation", "w", Fraction(3, 2), 0, 1)
+    assert type(ViolationCertificate(None, "w", Fraction(4, 2), 0, 0).lhs) is int
+    with pytest.raises(TypeError, match="not an exact number: 0.5"):
+        ViolationCertificate(None, "w", 0.5, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the one-frame draws against the scalars draws
+# ---------------------------------------------------------------------------
+
+
+class _CountingDraws(random.Random):
+    """Counts its ``getrandbits`` calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_random_candidate_draws_the_scalars_stream():
+    # The randint/cut_counts/randints oracle, on the derived seeds of
+    # ``lct refute --random``: the same values and the same generator state.
+    inst = make_instance()
+    rejected = six_by_six = 0
+    for index in range(600):
+        s = bctk.verify.derive_seed(5, "lct", index)
+        rng, oracle_rng = _CountingDraws(s), random.Random(s)
+        cand = random_candidate(rng, inst)
+        L1, L2 = randint(oracle_rng, 2, 6), randint(oracle_rng, 2, 6)
+        counts = tuple(cut_counts(oracle_rng, L1 * L2, 16))
+        b_counts = tuple(randints(oracle_rng, 0, 16, L1 * L2))
+        assert rng.getstate() == oracle_rng.getstate()
+        assert (cand.L1, cand.L2) == (L1, L2)
+        assert cand.beta == reduce_tuple(counts, 16) and cand.b == reduce_tuple(b_counts, 16)
+        assert cand.theory_pairing is cand.sigma is cand.tau is None
+        rejected += rng.calls > 2 * L1 * L2 + 1
+        six_by_six += L1 == L2 == 6
+    assert rejected > 500 and six_by_six > 10
