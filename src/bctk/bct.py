@@ -38,9 +38,15 @@ effects are built once and cached, keyed by the interned shape (one
 :class:`~bctk.systems.SystemShape` object per shape, so a lookup is an
 identity check).  They are shared, so a cached
 transformation's ``nums`` is a read-only ``MappingProxyType``.  ``t.coeffs``,
-``v.weights``, ``nonzero()``, ``pair`` and ``to_json`` read values back out,
+``v.weights``, ``pair`` and ``to_json`` read values back out,
 as an ``int`` when integral and a ``Fraction`` otherwise, and no kernel
 operation reads them.
+
+:class:`State` and :class:`Effect` are frozen slotted dataclasses that refuse
+every ``setattr`` and ``delattr`` with ``FrozenInstanceError``
+(:func:`~bctk.scalars.frozen_record`).  An :class:`AtomicTerm` is a named
+tuple ``(src, dst, flip, weight)``, so it is built without a Python-level
+``__init__`` and equals the plain tuple of its fields.
 
 Composite systems are handled through canonical left-nested labels; partial
 application, swaps and parallel composition are all label arithmetic via
@@ -53,9 +59,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .scalars import (
     exact,
+    frozen_record,
     lattice,
     number_from_json,
     ratio_json,
@@ -78,6 +86,7 @@ from .systems import (
 # ---------------------------------------------------------------------------
 
 
+@frozen_record
 @dataclass(frozen=True, init=False, slots=True)
 class _Vector:
     """A weight vector over the pure labels of a shape (state or effect):
@@ -125,12 +134,6 @@ class _Vector:
         if 0 < pn < pd:
             return _scaled(self, pn, pd)
         return type(self)(self.shape, [pn * n for n in self.nums], den=self.den * pd)
-
-    def nonzero(self):
-        den = self.den
-        for q, n in enumerate(self.nums, start=1):
-            if n != 0:
-                yield q, exact(n, den)
 
     def to_json(self) -> dict:
         den = self.den
@@ -245,9 +248,9 @@ def par_effects(a: Effect, b: Effect) -> Effect:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtomicTerm:
-    """One normalised atomic generator with its conical weight."""
+class AtomicTerm(NamedTuple):
+    """One normalised atomic generator with its conical weight.  A named
+    tuple: it equals the plain tuple ``(src, dst, flip, weight)``."""
 
     src: int
     dst: int
@@ -413,10 +416,10 @@ def decompose(t: Transformation) -> list[AtomicTerm]:
 def recompose(in_shape: SystemShape, out_shape: SystemShape,
               terms) -> Transformation:
     terms = list(terms)
-    values, den = lattice(term.weight for term in terms)
+    values, den = lattice([term.weight for term in terms])
     coeffs: dict = {}
-    for term, n in zip(terms, values):
-        key = (term.src, term.dst, term.flip)
+    for (src, dst, flip, _), n in zip(terms, values):
+        key = (src, dst, flip)
         coeffs[key] = coeffs.get(key, 0) + n
     return Transformation(in_shape, out_shape, coeffs, den=den)
 

@@ -59,15 +59,20 @@ _ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 def _dump(payload: dict) -> None:
     # Prints the bytes of ``json.dumps(payload, sort_keys=True)``, one
     # top-level key at a time, so that a dense map value is written by its own
-    # text writer and never becomes one list per cell.
+    # text writer and never becomes one list per cell.  A value object that
+    # stands under two keys is encoded once.
     parts = []
+    texts: dict = {}
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, ClassicalMap):
-            text = value.to_json_text()
-        else:
-            text = _ENCODER.encode(value)
-        parts.append(f"{json.dumps(key)}: {text}")
+        text = texts.get(id(value))
+        if text is None:
+            if isinstance(value, ClassicalMap):
+                text = value.to_json_text()
+            else:
+                text = _ENCODER.encode(value)
+            texts[id(value)] = text
+        parts.append(f"{_ENCODER.encode(key)}: {text}")
     print(f"{{{', '.join(parts)}}}")
 
 
@@ -167,14 +172,13 @@ def cmd_embed(args) -> int:
     if not isinstance(gate, Transformation):
         _err(f"unknown gate {args.gate!r}")
         return EXIT_INPUT
-    _dump(
-        {
-            "gate": args.gate,
-            "in_wires": [list(p) for p in ontic.wire_points(gate.in_shape)],
-            "out_wires": [list(p) for p in ontic.wire_points(gate.out_shape)],
-            "map": ontic.ontic_map(gate),
-        }
-    )
+    # JSON writes the wire tuples as arrays.  Shapes are interned, so an
+    # endomorphism's two wire tables are one, encoded once.
+    in_wires = ontic.wire_points(gate.in_shape)
+    out_wires = (in_wires if gate.out_shape is gate.in_shape
+                 else ontic.wire_points(gate.out_shape))
+    _dump({"gate": args.gate, "in_wires": in_wires, "out_wires": out_wires,
+           "map": ontic.ontic_map(gate)})
     return EXIT_OK
 
 

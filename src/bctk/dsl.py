@@ -7,13 +7,17 @@ the system the one before it ends on, and a state stage after the first
 follows only a circuit that opened with a state (and so has closed to a
 scalar): ``e ; rho`` is refused, since it would leave an open effect.
 
-The records a line parses into, and :class:`Diagnostic`, are named tuples;
-only the checked program, :class:`CircuitAst`, is a mutable dataclass.  As
-tuples, two records of different types with equal fields compare equal, so
-code that must tell them apart tests the type.  A state and an effect are
-both a weighted sum of pure labels, so both lines parse into one
-:class:`VectorDecl` whose ``kind`` tells them apart.  The gates built from
-two named systems are one table, ``_PAIR_GATES``.
+The records a line parses into, and :class:`Diagnostic`, are named tuples,
+as are the labels and atomic terms inside them
+(:class:`~bctk.systems.PureLabel`, :class:`~bctk.bct.AtomicTerm`); only the
+checked program, :class:`CircuitAst`, is a mutable dataclass.  As tuples,
+two records of different types with equal fields compare equal, so code that
+must tell them apart tests the type.  The fast path builds its
+:class:`VectorTerm` and :class:`~bctk.bct.AtomicTerm` records with
+``tuple.__new__``, without the Python frame of a named tuple's ``__new__``.
+A state and an effect are both a weighted sum of pure labels, so both lines
+parse into one :class:`VectorDecl` whose ``kind`` tells them apart.  The
+gates built from two named systems are one table, ``_PAIR_GATES``.
 
 A declaration, a circuit box and a diagnostic carry a :class:`SourceSpan`:
 the line and the 1-based start and end columns.  A :class:`VectorTerm`
@@ -52,9 +56,9 @@ A line reaches its declaration by one of two paths.  The fast path,
 :func:`_fast_line`, takes every line written in the compact single-space
 form of :func:`pretty` and ``verify.random_circuit_source``: the line's
 first word picks one anchored regex, one ``fullmatch`` checks the whole
-line, the terms of a vector are read by splitting at `` + `` (the columns
-follow from the single-space layout), one ``finditer`` reads the terms of an
-atomic gate or the boxes of a circuit, and the result equals the token
+line, the terms of a vector or an atomic gate are read by splitting at
+`` + `` and the boxes of a circuit at `` ; `` and `` | `` (the columns
+follow from the single-space layout), and the result equals the token
 parser's.  Both paths read a name and a number through the same two
 patterns, ``_NAME`` and ``_NUM``; the fast path builds each distinct weight
 and label text once.
@@ -81,8 +85,8 @@ from typing import NamedTuple
 
 from . import bct, classical, ontic
 from .bct import Effect, State, Transformation
-from .scalars import lattice, number_json, number_text, parse_number
-from .systems import PureLabel, SystemShape, flatten_label, label_text
+from .scalars import lattice, number_json, number_text, parse_number, reduce_tuple
+from .systems import TRIVIAL, PureLabel, SystemShape, flatten_label, label_text
 
 # Largest ontic dimension of a declared system or of a circuit wire.  Images
 # are sparse, but ``embed`` and ``eval`` print an open map as dense D x D JSON
@@ -452,6 +456,8 @@ _VECTOR_TERMS = rf"(?:{_NUM} )?{_LABEL}(?: \+ (?:{_NUM} )?{_LABEL})*"
 _ATOMIC_TERM = rf"[0-9]+ -> [0-9]+ tau [0-9]+ w {_NUM}"
 _INTS = "[0-9]+(?:,[0-9]+)*"
 _ONE = Fraction(1)
+# Builds a record from its fields without the Python frame of its ``__new__``.
+_new_tuple = tuple.__new__
 
 
 @lru_cache(maxsize=1024)
@@ -470,7 +476,7 @@ def _fast_weight(text: str) -> Fraction:
     return parse_number(text)
 
 
-def _fast_system(m, _, lineno: int) -> SystemDecl:
+def _fast_system(m, lineno: int) -> SystemDecl:
     name, elem, left, right = m.groups()
     span = SourceSpan(lineno, 1, 7)
     if elem is not None:
@@ -478,7 +484,7 @@ def _fast_system(m, _, lineno: int) -> SystemDecl:
     return SystemDecl(name, elem=None, parts=(left, right), span=span)
 
 
-def _fast_vector(m, _, lineno: int) -> VectorDecl:
+def _fast_vector(m, lineno: int) -> VectorDecl:
     keyword, name, system, rhs = m.groups()
     terms = None
     if rhs != "discard":
@@ -488,15 +494,16 @@ def _fast_vector(m, _, lineno: int) -> VectorDecl:
         for text in rhs.split(" + "):
             weight, _, label = text.rpartition(" ")
             end_col = col + len(text)
-            terms.append(VectorTerm(_fast_weight(weight) if weight else _ONE,
-                                    _fast_label(label), end_col - len(label), end_col))
+            terms.append(_new_tuple(VectorTerm, (_fast_weight(weight) if weight else _ONE,
+                                                 _fast_label(label), end_col - len(label),
+                                                 end_col)))
             col = end_col + 3
         terms = tuple(terms)
     return VectorDecl(keyword, name, system, terms, SourceSpan(lineno, 1, len(keyword) + 1))
 
 
-def _fast_gate(m, term_re, lineno: int) -> GateDecl:
-    name, in_system, out_system, ident, pair, a, b, perm, bits, _ = m.groups()
+def _fast_gate(m, lineno: int) -> GateDecl:
+    name, in_system, out_system, ident, pair, a, b, perm, bits, atomic = m.groups()
     if ident is not None:
         body = GateBody(kind="id")
     elif pair is not None:
@@ -505,34 +512,40 @@ def _fast_gate(m, term_re, lineno: int) -> GateDecl:
         body = GateBody(kind="rev", perm=tuple(map(int, perm.split(","))),
                         bits=tuple(map(int, bits.split(","))))
     else:
-        body = GateBody(kind="atomic", terms=tuple(
-            bct.AtomicTerm(int(src), int(dst), int(flip), _fast_weight(weight))
-            for src, dst, flip, weight in term_re.findall(m.string, m.start(10))
-        ))
+        # Each term is ``[atomic ]SRC -> DST tau FLIP w NUM``: its last seven
+        # words, every other one read.
+        terms = []
+        for text in atomic.split(" + "):
+            src, dst, flip, weight = text.split(" ")[-7::2]
+            terms.append(_new_tuple(bct.AtomicTerm,
+                                    (int(src), int(dst), int(flip), _fast_weight(weight))))
+        body = GateBody(kind="atomic", terms=tuple(terms))
     return GateDecl(name, in_system, out_system, body, SourceSpan(lineno, 1, 5))
 
 
-def _fast_circuit(m, box_re, lineno: int) -> CircuitDecl:
-    stages, row = [], []
-    for b in box_re.finditer(m.string, m.start(2)):
-        if b.group(1) == ";":
-            stages.append(tuple(row))
-            row = []
-        row.append(BoxRef(b.group(2), SourceSpan(lineno, b.start(2) + 1, b.end(2) + 1)))
-    stages.append(tuple(row))
+def _fast_circuit(m, lineno: int) -> CircuitDecl:
+    # Box names are joined by " | " within a stage and " ; " between stages.
+    stages = []
+    col = m.start(2) + 1
+    for stage in m.group(2).split(" ; "):
+        row = []
+        for box in stage.split(" | "):
+            end_col = col + len(box)
+            row.append(BoxRef(box, SourceSpan(lineno, col, end_col)))
+            col = end_col + 3
+        stages.append(tuple(row))
     return CircuitDecl(m.group(1), tuple(stages), SourceSpan(lineno, 1, 8))
 
 
-def _fast_eval(m, _, lineno: int) -> EvalDirective:
+def _fast_eval(m, lineno: int) -> EvalDirective:
     return EvalDirective(m.group(1), SourceSpan(lineno, 1, 5))
 
 
 @lru_cache(maxsize=None)
 def _fast_patterns() -> dict:
-    """Per declaration keyword: the line regex, the regex that reads the
-    line's repeated part (an atomic term or a circuit box, capturing its
-    parts) or None, and the builder.  Compiled on first use,
-    so that a command that reads no DSL does not compile them at start-up.
+    """Per declaration keyword: the line regex and the builder.  Compiled on
+    first use, so that a command that reads no DSL does not compile them at
+    start-up.
 
     A ``system`` line's left operand is never ``elem``, and only an
     ``effect`` is ``discard``: the token parser reads those as the other
@@ -541,23 +554,18 @@ def _fast_patterns() -> dict:
     pair_gates = "|".join(_PAIR_GATES)
     forms = {
         "system": (rf"system ({_NAME}) = (?:elem ([0-9]+)|(?!elem )({_NAME}) \* ({_NAME}))",
-                   None, _fast_system),
-        "state": (rf"(state) ({_NAME}) : ({_NAME}) = ({_VECTOR_TERMS})",
-                  None, _fast_vector),
+                   _fast_system),
+        "state": (rf"(state) ({_NAME}) : ({_NAME}) = ({_VECTOR_TERMS})", _fast_vector),
         "effect": (rf"(effect) ({_NAME}) : ({_NAME}) = (discard|{_VECTOR_TERMS})",
-                   None, _fast_vector),
+                   _fast_vector),
         "gate": (rf"gate ({_NAME}) : ({_NAME}) -> ({_NAME}) = (?:(id)"
                  rf"|({pair_gates}) ({_NAME}) ({_NAME})|rev ({_INTS}) ({_INTS})"
                  rf"|(atomic {_ATOMIC_TERM}(?: \+ (?:atomic )?{_ATOMIC_TERM})*))",
-                 rf"([0-9]+) -> ([0-9]+) tau ([0-9]+) w ({_NUM})", _fast_gate),
-        "circuit": (rf"circuit ({_NAME}) = ({_NAME}(?: [|;] {_NAME})*)",
-                    rf"(?: ([|;]) )?({_NAME})", _fast_circuit),
-        "eval": (rf"eval ({_NAME})", None, _fast_eval),
+                 _fast_gate),
+        "circuit": (rf"circuit ({_NAME}) = ({_NAME}(?: [|;] {_NAME})*)", _fast_circuit),
+        "eval": (rf"eval ({_NAME})", _fast_eval),
     }
-    return {
-        keyword: (re.compile(line), part and re.compile(part), build)
-        for keyword, (line, part, build) in forms.items()
-    }
+    return {keyword: (re.compile(line), build) for keyword, (line, build) in forms.items()}
 
 
 def _fast_line(line: str, lineno: int):
@@ -573,12 +581,12 @@ def _fast_line(line: str, lineno: int):
     form = _fast_patterns().get(line.partition(" ")[0])
     if form is None:
         return None
-    line_re, part_re, build = form
+    line_re, build = form
     m = line_re.fullmatch(line)
     if m is None:
         return None
     try:
-        return build(m, part_re, lineno)
+        return build(m, lineno)
     except ValueError:  # 1/0, or more digits than int() accepts
         return None
 
@@ -590,7 +598,7 @@ def _fast_line(line: str, lineno: int):
 
 def _vector_weights(shape: SystemShape, decl: VectorDecl, diags) -> tuple[list, int]:
     """The summed term weights per pure label, as numerators over one denominator."""
-    values, den = lattice(term.weight for term in decl.terms)
+    values, den = lattice([term.weight for term in decl.terms])
     nums = [0] * shape.global_dim
     for term, n in zip(decl.terms, values):
         try:
@@ -650,8 +658,7 @@ def _check_circuit(decl: CircuitDecl, ast: CircuitAst, diags) -> tuple | None:
     for stage_no, stage in enumerate(decl.stages, start=1):
         kinds = set()
         boxes = []
-        in_shape = SystemShape(())
-        out_shape = SystemShape(())
+        in_shape = out_shape = TRIVIAL
         for box in stage:
             value = ast.boxes.get(box.name)
             if value is None:
@@ -769,9 +776,13 @@ def parse(text: str) -> CircuitAst:
             nums, den = _vector_weights(shape, decl, diags)
             vector = State if decl.kind == "state" else Effect
             try:
-                ast.boxes[decl.name] = vector(shape, nums, den)
+                # One integer numerator per label of the system: only the
+                # weights are left to check.
+                vector._check(nums, den)
             except ValueError as exc:
                 diags.append(Diagnostic(decl.span, f"{decl.kind} {decl.name!r}: {exc}"))
+                continue
+            ast.boxes[decl.name] = vector._from_nums(shape, *reduce_tuple(tuple(nums), den))
         elif isinstance(decl, GateDecl):
             if unknown := _unknown_system(ast.shapes, decl.in_system, decl.out_system):
                 diags.append(Diagnostic(decl.span, unknown))

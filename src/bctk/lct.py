@@ -54,6 +54,7 @@ from operator import mul, sub
 from .classical import ClassicalMap
 from .scalars import (
     exact,
+    frozen_record,
     lattice,
     number_from_json,
     number_json,
@@ -206,6 +207,7 @@ def _view(vec):
     return nums if den == 1 else tuple(exact(n, den) for n in nums)
 
 
+@frozen_record
 @dataclass(frozen=True, init=False, slots=True)
 class CandidateModel:
     """The minimal data the no-go argument touches.
@@ -375,6 +377,7 @@ def model_pairing(cand: CandidateModel):
     return exact(*_pairing_ratio(cand))
 
 
+@frozen_record
 @dataclass(frozen=True, init=False, slots=True)
 class ViolationCertificate:
     """Which axiom a candidate breaks, with a concrete witness.

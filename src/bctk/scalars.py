@@ -15,6 +15,8 @@ terms, :func:`reduce_ratio` does so for one value, and :func:`exact` and
 :func:`sparse_scale` and :func:`sparse_differences` add, scale and compare
 sparse values, a dict of nonzero numerators over one denominator, as
 transformation terms and classical map cells are stored.
+:func:`frozen_record` makes the frozen slotted dataclasses that hold lattice
+values refuse every write with ``FrozenInstanceError``.
 
 Seeded integer draws go through :func:`randint`, :func:`randints` and
 :func:`cut_counts`: they return what ``random.Random.randint`` returns, from
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 # No exponent form: ``1e999999999`` would be an unbounded allocation.  Only
@@ -81,28 +84,56 @@ def number_from_json(value) -> Fraction:
 # the integer lattice
 # ---------------------------------------------------------------------------
 
+_EXACT = (int, Fraction)
+
 
 def lattice(values, den: int = 1) -> tuple[list, int]:
     """The exact values ``v / den`` as integer numerators over one positive
     denominator: ``den`` times the lcm of the values' denominators.
 
     The result is not reduced.  A value that is not an ``int`` or a
-    ``Fraction`` raises ``TypeError``.
+    ``Fraction`` raises ``TypeError``.  All ``int`` values come back as
+    they are; otherwise each value's ratio is read once.
     """
     if type(den) is not int or den < 1:
         raise ValueError(f"a denominator must be a positive integer, got {den!r}")
     values = list(values)
-    scale = 1
-    all_int = True
     for v in values:
         if type(v) is not int:
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"not an exact number: {v!r}")
-            all_int = False
-            scale = math.lcm(scale, v.denominator)
-    if all_int:
+            break
+    else:
         return values, den
-    return [v.numerator * (scale // v.denominator) for v in values], den * scale
+    ratios = []
+    for v in values:
+        if not isinstance(v, _EXACT):
+            raise TypeError(f"not an exact number: {v!r}")
+        ratios.append(v.as_integer_ratio())
+    if len(ratios) == 1:
+        ((num, d),) = ratios
+        return [num], den * d
+    scale = math.lcm(*[d for _, d in ratios])
+    return [num * (scale // d) for num, d in ratios], den * scale
+
+
+def frozen_record(cls):
+    """Class decorator for a ``dataclass(frozen=True, slots=True)`` that
+    stores lattice values: setting or deleting any name on an instance raises
+    ``FrozenInstanceError``.  The frozen ``__setattr__`` that ``dataclass``
+    generates calls ``super()`` with the class from before ``slots=True``
+    rebuilt it, so a property or an unknown name would raise ``TypeError``.
+    Trusted constructors still store their slots with ``object.__setattr__``.
+    """
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(
+            f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
 
 
 def reduce_dict(nums: dict, den: int) -> tuple[dict, int]:

@@ -24,6 +24,12 @@ as an offset that does not depend on the left shape::
 
 ``pair_offsets(R)`` is a permutation of ``1..2*G_R``, the identity when ``R``
 is elementary.
+
+A :class:`PureLabel` is a named tuple ``(indices, sections)`` whose
+constructor checks both fields.  Its ``hash`` and ``==`` are the tuple's,
+computed in C, so a label is a cheap key for the cache behind
+:func:`flatten_label`, which takes a label that is already a
+:class:`PureLabel` as it is.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class SystemShape:
@@ -140,26 +146,37 @@ def q_decode(n1: int, n2: int, q: int) -> tuple[int, int, int]:
     return i, j, s
 
 
-@dataclass(frozen=True)
-class PureLabel:
-    """A pure-state/effect label: per-factor indices plus section bits.
-
-    The record is read left-nested: ``(...((i1 i2)_{s1} i3)_{s2}... ip)_{s_{p-1}}``.
-    """
+class _LabelFields(NamedTuple):
+    """The fields of :class:`PureLabel`, which subclasses this to check them:
+    a ``NamedTuple`` body may not define ``__new__``."""
 
     indices: tuple[int, ...]
     sections: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if len(self.indices) == 0:
+
+class PureLabel(_LabelFields):
+    """A pure-state/effect label: per-factor indices plus section bits.
+
+    The record is read left-nested: ``(...((i1 i2)_{s1} i3)_{s2}... ip)_{s_{p-1}}``.
+    It is a named tuple whose constructor checks the two fields, so ``hash``
+    and ``==`` are the tuple's, and a label equals the plain tuple
+    ``(indices, sections)``.  ``_make`` and ``_replace`` build without the
+    check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, indices: tuple[int, ...], sections: tuple[int, ...] = ()):
+        if len(indices) == 0:
             raise ValueError("a pure label needs at least one index")
-        if len(self.sections) != len(self.indices) - 1:
+        if len(sections) != len(indices) - 1:
             raise ValueError(
-                f"label with {len(self.indices)} indices needs "
-                f"{len(self.indices) - 1} section bits, got {len(self.sections)}"
+                f"label with {len(indices)} indices needs "
+                f"{len(indices) - 1} section bits, got {len(sections)}"
             )
-        if any(s not in (0, 1) for s in self.sections):
+        if any(s not in (0, 1) for s in sections):
             raise ValueError("section bits must be 0 or 1")
+        return tuple.__new__(cls, (indices, sections))
 
 
 def _check_label(shape: SystemShape, label: PureLabel) -> None:
@@ -189,7 +206,9 @@ def label_text(label: PureLabel) -> str:
 
 def flatten_label(shape: SystemShape, label) -> int:
     """Global index in ``[1..N]`` of a pure label, by left-nested pair folding."""
-    return _flatten_cached(shape, as_label(label))
+    if type(label) is not PureLabel:
+        label = as_label(label)
+    return _flatten_cached(shape, label)
 
 
 @lru_cache(maxsize=None)

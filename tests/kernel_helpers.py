@@ -1,5 +1,7 @@
 """Small constructions that only the tests need, kept out of the kernel."""
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from bctk.bct import Effect, Instrument, State, Transformation, coarse_grain
@@ -63,6 +65,59 @@ def pair_label_fold(left: SystemShape, right: SystemShape, q1: int, q2: int, s: 
     indices = a.indices + b.indices
     sections = a.sections + (s,) + tuple(s ^ u for u in b.sections)
     return flatten_label(left.compose(right), PureLabel(indices, sections))
+
+
+# ---------------------------------------------------------------------------
+# earlier forms of the kernel's records and of ``scalars.lattice``: oracles
+# ---------------------------------------------------------------------------
+
+
+def lattice_oracle(values, den: int = 1) -> tuple[list, int]:
+    """``scalars.lattice`` as it was before it read each ratio once: each
+    ``Fraction``'s denominator twice and its numerator once."""
+    if type(den) is not int or den < 1:
+        raise ValueError(f"a denominator must be a positive integer, got {den!r}")
+    values = list(values)
+    scale = 1
+    all_int = True
+    for v in values:
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"not an exact number: {v!r}")
+            all_int = False
+            scale = math.lcm(scale, v.denominator)
+    if all_int:
+        return values, den
+    return [v.numerator * (scale // v.denominator) for v in values], den * scale
+
+
+@dataclass(frozen=True)
+class DataclassPureLabel:
+    """``systems.PureLabel`` as a frozen dataclass, as it was."""
+
+    indices: tuple[int, ...]
+    sections: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if len(self.indices) == 0:
+            raise ValueError("a pure label needs at least one index")
+        if len(self.sections) != len(self.indices) - 1:
+            raise ValueError(
+                f"label with {len(self.indices)} indices needs "
+                f"{len(self.indices) - 1} section bits, got {len(self.sections)}"
+            )
+        if any(s not in (0, 1) for s in self.sections):
+            raise ValueError("section bits must be 0 or 1")
+
+
+@dataclass(frozen=True)
+class DataclassAtomicTerm:
+    """``bct.AtomicTerm`` as a frozen dataclass, as it was."""
+
+    src: int
+    dst: int
+    flip: int
+    weight: object = 1
 
 
 # ---------------------------------------------------------------------------

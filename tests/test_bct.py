@@ -5,10 +5,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from bctk import bct
 from bctk.bct import (
+    AtomicTerm,
     Instrument,
     ReversibleSpec,
     State,
@@ -41,7 +42,7 @@ from bctk.systems import (
     TRIVIAL, PureLabel, SystemShape, all_labels, q_decode, q_encode)
 from bctk.verify import _explicit_lift
 
-from kernel_helpers import instrument_is_valid, is_zero, uniform_state
+from kernel_helpers import DataclassAtomicTerm, instrument_is_valid, is_zero, uniform_state
 
 S2 = SystemShape((2,))
 S3 = SystemShape((3,))
@@ -488,6 +489,41 @@ def test_decompose_identity():
     assert [(t.src, t.dst, t.flip, t.weight) for t in terms] == [
         (1, 1, 0, 1), (2, 2, 0, 1),
     ]
+
+
+_TERM_FIELDS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 1),
+                         st.sampled_from([1, 0, Fraction(1, 2), Fraction(1, 3), 2]))
+
+
+@seed(20261108)
+@given(_TERM_FIELDS, _TERM_FIELDS)
+@settings(max_examples=300, deadline=None)
+def test_atomic_term_matches_its_dataclass_form(f1, f2):
+    new = [AtomicTerm(*f1), AtomicTerm(*f2)]
+    old = [DataclassAtomicTerm(*f1), DataclassAtomicTerm(*f2)]
+    for a, b in zip(new, old):
+        assert repr(a) == repr(b).replace("DataclassAtomicTerm", "AtomicTerm")
+        assert hash(a) == hash(b)
+        assert (a.src, a.dst, a.flip, a.weight) == (b.src, b.dst, b.flip, b.weight)
+    assert (new[0] == new[1]) == (old[0] == old[1])
+    src, dst, flip, _ = f1
+    assert AtomicTerm(src, dst, flip) == AtomicTerm(src=src, dst=dst, flip=flip, weight=1)
+    assert repr(AtomicTerm(src, dst, flip)) == repr(
+        DataclassAtomicTerm(src, dst, flip)).replace("DataclassAtomicTerm", "AtomicTerm")
+
+
+def test_atomic_term_is_immutable_and_decompose_builds_it():
+    term = AtomicTerm(1, 2, 1, HALF)
+    for name in ("src", "weight", "nosuch"):
+        with pytest.raises(AttributeError):
+            setattr(term, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(term, name)
+    assert term == AtomicTerm(1, 2, 1, HALF)
+    with pytest.raises(TypeError):
+        AtomicTerm(1, 2)
+    (got,) = decompose(atomic(S2, S3, 1, 2, 1, HALF))
+    assert type(got) is AtomicTerm and repr(got) == repr(term)
 
 
 def test_decompose_zero_is_empty():

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -183,6 +184,51 @@ def test_eval_refuses_an_unknown_circuit_as_embed_refuses_a_gate(circuit_file, c
     assert capsys.readouterr() == ("", "unknown circuit 'nosuch'\n")
     assert cli.main(["embed", str(circuit_file), "--gate", "nosuch"]) == 1
     assert capsys.readouterr() == ("", "unknown gate 'nosuch'\n")
+
+
+@pytest.mark.parametrize("argv, ontic_value, line", [
+    (["p"], Fraction(1, 4),
+     '{"bct": [1, 2], "diff": [1, 4], "name": "p", "ontic": [1, 4]}'),
+    # An open image of the wrong shape deviates by 1.
+    (["ident"], ClassicalMap.identity(2),
+     '{"bct": {"in": [2], "out": [2], "terms": [{"i0": 1, "l": 1, "tau": 0, "w": [1, 1]}, '
+     '{"i0": 2, "l": 2, "tau": 0, "w": [1, 1]}]}, "diff": [1, 1], "name": "ident", '
+     '"ontic": {"entries": [[1, 1], [0, 1], [0, 1], [1, 1]], "in": 2, "out": 2}}'),
+])
+def test_eval_exits_two_when_the_backends_disagree(circuit_file, capsys, monkeypatch,
+                                                    argv, ontic_value, line):
+    # Only a kernel fault makes the two semantics differ; stand one in.
+    monkeypatch.setattr(dsl, "eval_ontic", lambda ast, name: ontic_value)
+    assert cli.main(["eval", str(circuit_file), "--name", *argv]) == cli.EXIT_DISAGREEMENT
+    assert capsys.readouterr() == (line + "\n", "")
+
+
+def test_eval_without_a_directive_or_a_name_exits_one(tmp_path, capsys):
+    path = tmp_path / "boxes.bct"
+    path.write_text("system a = elem 2\nstate x : a = (1)\n")
+    assert cli.main(["eval", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "nothing to evaluate: pass --name or add eval directives\n")
+
+
+def test_an_integer_flag_beyond_the_int_digit_limit_exits_one(capsys):
+    # ``int`` refuses more than 4,300 digits with ValueError; the flag reads
+    # it as not an integer.
+    digits = "1" * 5000
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["verify", "--seed", digits])
+    assert stop.value.code == 1
+    assert capsys.readouterr() == (
+        "", f"bctk verify: error: argument --seed: not an integer: '{digits}'\n")
+
+
+def test_the_cli_module_runs_as_the_package_does():
+    by_module = subprocess.run([sys.executable, "-m", "bctk.cli", "lct", "demo"],
+                               capture_output=True, text=True)
+    by_package = run_cli("lct", "demo")
+    assert by_module.returncode == by_package.returncode == 0
+    assert (by_module.stdout, by_module.stderr) == (by_package.stdout, by_package.stderr)
+    assert json.loads(by_module.stdout)["max_violation"] == [0, 1]
 
 
 def test_eval_directive_takes_the_names_eval_name_takes(tmp_path, capsys):

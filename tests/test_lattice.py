@@ -8,24 +8,27 @@ denominators meet in every product and sum.
 """
 
 import ast
+import dataclasses
 import math
 import random
 from collections.abc import Mapping
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import bctk
 from bctk import bct, classical, ontic
 from bctk.bct import Effect, State, Transformation
 from bctk.classical import ClassicalMap
+from bctk.lct import CandidateModel, ViolationCertificate
 from bctk.scalars import lattice, reduce_dict, sparse_add, sparse_differences, sparse_scale
 from bctk.systems import SystemShape, all_labels, pair_label
 
-from kernel_helpers import column_sums, transpose
+from kernel_helpers import column_sums, lattice_oracle, transpose
 
 SHAPES = [SystemShape(e) for e in ((2,), (3,), (4,), (2, 2), (2, 3), (3, 2))]
 
@@ -591,3 +594,97 @@ def test_transformation_scale_above_one_still_validates():
     assert half.scale(2) == bct.identity(s2)
     with pytest.raises(ValueError, match="not substochastic"):
         half.scale(Fraction(5, 2))
+
+
+# ---------------------------------------------------------------------------
+# scalars.lattice against its earlier body
+# ---------------------------------------------------------------------------
+
+_EXACT_VALUES = st.one_of(st.integers(-10**6, 10**6), st.booleans(),
+                          st.fractions(-100, 100, max_denominator=97))
+
+
+def _lattice_pair(values, den):
+    """``lattice`` and the oracle, each as ``(result, numerator types)`` or
+    the error's ``(type, text)``."""
+    out = []
+    for fn in (lattice, lattice_oracle):
+        try:
+            nums, d = fn(iter(values), den)
+        except (TypeError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append(((nums, d), [type(n) for n in nums]))
+    return out
+
+
+@seed(20261105)
+@given(st.one_of(st.lists(_EXACT_VALUES, max_size=25),
+                 st.lists(st.integers(-50, 50), max_size=25),
+                 st.lists(st.fractions(0, 1, max_denominator=16), max_size=25)),
+       st.integers(1, 60))
+@settings(max_examples=400, deadline=None)
+@example([], 1)
+@example([], 7)
+@example([Fraction(3, 4)], 1)
+@example([Fraction(3, 4)], 6)
+@example([5], 3)
+@example([True], 1)
+@example([True, Fraction(1, 2)], 1)
+@example([0, Fraction(1, 6), Fraction(-5, 4), 2], 9)
+def test_lattice_matches_its_earlier_body(values, den):
+    new, old = _lattice_pair(values, den)
+    assert new == old
+    nums, d = new[0]
+    assert d >= den and d % den == 0
+    assert [Fraction(n, d) for n in nums] == [Fraction(v) / den for v in values]
+
+
+@seed(20261106)
+@given(st.lists(_EXACT_VALUES, max_size=8), st.integers(0, 8),
+       st.sampled_from([0.5, 1.0, "1/2", None, Decimal("0.5"), complex(1, 0)]))
+@settings(max_examples=200, deadline=None)
+def test_lattice_refuses_what_it_refused_with_the_same_text(values, at, bad):
+    values = values[:at] + [bad] + values[at:]
+    new, old = _lattice_pair(values, 1)
+    assert new == old == (TypeError, f"not an exact number: {bad!r}")
+    for den in (0, -3, True, 2.0, "2", None):
+        new, old = _lattice_pair([Fraction(1, 2)], den)
+        assert new == old
+        assert new == (ValueError, f"a denominator must be a positive integer, got {den!r}")
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+# ---------------------------------------------------------------------------
+
+
+def _records():
+    """``(record, a field, a property)`` for each frozen record class."""
+    s2 = SystemShape((2,))
+    return [
+        (State(s2, (Fraction(1, 2), 0)), "nums", "total"),
+        (Effect(s2, (1, Fraction(1, 3))), "den", "weights"),
+        (CandidateModel(L1=1, L2=2, xi_beta=(Fraction(1, 2), 0), xi_b=(1, 1)), "beta", "xi_b"),
+        (ViolationCertificate("jellyfish-nullity", (0, 0), Fraction(1, 2), 0, 1),
+         "lhs_ratio", "lhs"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["State", "Effect", "CandidateModel",
+                                                  "ViolationCertificate"])
+@pytest.mark.parametrize("which", ["field", "property", "unknown"])
+@pytest.mark.parametrize("op", ["set", "del"])
+def test_frozen_records_refuse_every_write(index, which, op):
+    record, field, prop = _records()[index]
+    name = {"field": field, "property": prop, "unknown": "nosuch"}[which]
+    before = (repr(record), hash(record))
+    verb = "assign to" if op == "set" else "delete"
+    with pytest.raises(dataclasses.FrozenInstanceError,
+                       match=f"^cannot {verb} '{name}' of a frozen {type(record).__name__}$"):
+        if op == "set":
+            setattr(record, name, 0)
+        else:
+            delattr(record, name)
+    assert (repr(record), hash(record)) == before
+    assert field in {f.name for f in dataclasses.fields(record)}

@@ -9,6 +9,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import bctk
 from bctk import bct, ontic, systems
@@ -34,7 +35,7 @@ from bctk.systems import (
     unflatten_label,
 )
 
-from kernel_helpers import pair_label_fold
+from kernel_helpers import DataclassPureLabel, pair_label_fold
 
 
 def test_dimension_rule_examples():
@@ -254,6 +255,53 @@ def test_label_validation():
         unflatten_label(SystemShape((2,)), 3)
     with pytest.raises(ValueError):
         unflatten_label(TRIVIAL, 1)
+
+
+def _label_or_error(cls, indices, sections):
+    try:
+        return cls(indices, sections)
+    except ValueError as exc:
+        return str(exc)
+
+
+_SMALL_TUPLES = st.lists(st.integers(-1, 2), max_size=3).map(tuple)
+
+
+@seed(20261107)
+@given(_SMALL_TUPLES, _SMALL_TUPLES, _SMALL_TUPLES, _SMALL_TUPLES)
+@settings(max_examples=400, deadline=None)
+def test_pure_label_matches_its_dataclass_form(i1, s1, i2, s2):
+    """The named tuple refuses what the dataclass refused, with the same
+    text, and otherwise has its ``repr``, ``hash`` and ``==``."""
+    new = [_label_or_error(PureLabel, i1, s1), _label_or_error(PureLabel, i2, s2)]
+    old = [_label_or_error(DataclassPureLabel, i1, s1),
+           _label_or_error(DataclassPureLabel, i2, s2)]
+    for a, b in zip(new, old):
+        if isinstance(b, str):
+            assert a == b
+        else:
+            assert type(a) is PureLabel
+            assert repr(a) == repr(b).replace("DataclassPureLabel", "PureLabel")
+            assert hash(a) == hash(b)
+            assert (a.indices, a.sections) == (b.indices, b.sections)
+    if not any(isinstance(b, str) for b in old):
+        assert (new[0] == new[1]) == (old[0] == old[1])
+
+
+def test_pure_label_is_an_immutable_named_tuple():
+    lab = PureLabel((1, 2), (0,))
+    assert PureLabel(indices=(1, 2), sections=(0,)) == lab
+    assert PureLabel((3,)) == PureLabel((3,), ())
+    # a named tuple equals the plain tuple of its fields
+    assert lab == ((1, 2), (0,)) and hash(lab) == hash(((1, 2), (0,)))
+    for name in ("indices", "sections", "nosuch"):
+        with pytest.raises(AttributeError):
+            setattr(lab, name, ())
+        with pytest.raises(AttributeError):
+            delattr(lab, name)
+    assert lab == PureLabel((1, 2), (0,))
+    assert pickle.loads(pickle.dumps(lab)) == lab and copy.deepcopy(lab) == lab
+    assert type(pickle.loads(pickle.dumps(lab))) is PureLabel
 
 
 def test_pair_label_on_elementary_factors_is_q():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import bctk
 from bctk import bct, ontic, verify
 from bctk.classical import ClassicalMap
@@ -79,6 +81,30 @@ def test_a_transformation_mismatch_names_its_term():
     t = bct.atomic(S2, S2, 1, 2, 1)
     report.check(["t"], t, bct.atomic(S2, S2, 1, 2, 0))
     assert report.failures == [{"witness": ["t", 1, 2, 0], "lhs": [0, 1], "rhs": [1, 1]}]
+
+
+S3 = SystemShape((3,))
+S22 = SystemShape((2, 2))
+
+
+@pytest.mark.parametrize("lhs, rhs, leaves", [
+    (bct.pure_state(S2, 1), bct.pure_state(S3, 1), ["(2)", "(3)"]),
+    (bct.deterministic_effect(S22), bct.deterministic_effect(S2), ["(2,2)", "(2)"]),
+    (bct.identity(S2), bct.atomic(S2, S3, 1, 1, 0), ["(2)->(2)", "(2)->(3)"]),
+    (bct.atomic(S3, S2, 1, 1, 0), bct.atomic(S2, S2, 1, 1, 0), ["(3)->(2)", "(2)->(2)"]),
+    (ClassicalMap.identity(2), ClassicalMap.zero(3, 2), [[2, 2], [3, 2]]),
+], ids=["state", "effect", "transformation-out", "transformation-in", "map"])
+def test_a_shape_mismatch_is_its_own_leaf(lhs, rhs, leaves):
+    """A value of the right kind but the wrong shape ends the witness at
+    ``"shape"``, with both shapes as the leaves, wherever it sits."""
+    report = Report(suite="t")
+    report.check(["top"], lhs, rhs)
+    report.check(["nested"], {"k": [lhs, lhs]}, {"k": [lhs, rhs]})
+    assert report.failures == [
+        {"witness": ["top", "shape"], "lhs": leaves[0], "rhs": leaves[1]},
+        {"witness": ["nested", "k", 1, "shape"], "lhs": leaves[0], "rhs": leaves[1]},
+    ]
+    assert report.trials == 2 and report.max_abs_dev == 1
 
 
 def test_a_map_not_in_lowest_terms_ends_at_its_denominator():
