@@ -17,12 +17,12 @@ once by :func:`~bctk.scalars.reduce_dict`.  ``add``, ``scale`` and
 ``differences`` are :mod:`~bctk.scalars`' sparse arithmetic on the cells.
 
 Exact ``int``/``Fraction`` values enter through ``ClassicalMap(rows)``,
-:meth:`ClassicalMap.from_json`, ``state``/``effect``/``scalar``/``scale``
-and the trusted ``_from_cells``, each converting once through
-:func:`~bctk.scalars.lattice`.  They leave through ``cells``, ``m[r, c]``,
-:meth:`~ClassicalMap.nonzero`, ``scalar_value``, :func:`choi_close` and
-:meth:`~ClassicalMap.to_json`, as an ``int`` when integral and a ``Fraction``
-otherwise; no kernel operation reads them.
+:meth:`ClassicalMap.from_json`, ``scale`` and the trusted ``_from_cells``,
+each converting once through :func:`~bctk.scalars.lattice`.  They leave
+through ``cells``, ``m[r, c]``, :meth:`~ClassicalMap.nonzero`,
+``scalar_value``, :func:`choi_close` and :meth:`~ClassicalMap.to_json`, as an
+``int`` when integral and a ``Fraction`` otherwise; no kernel operation reads
+them.
 :meth:`ClassicalMap.nonzero` yields cells in row-major order.
 :meth:`ClassicalMap.to_json_text` is the one dense writer: it prints the
 row-major entry list as JSON text, one shared ``[0, 1]`` string for every
@@ -91,21 +91,6 @@ class ClassicalMap:
     @classmethod
     def identity(cls, dim: int) -> "ClassicalMap":
         return cls._from_nums(dim, dim, {(i, i): 1 for i in range(dim)}, 1)
-
-    @classmethod
-    def state(cls, weights) -> "ClassicalMap":
-        column = list(weights)
-        return cls._from_cells(
-            len(column), 1, {(i, 0): w for i, w in enumerate(column) if w != 0})
-
-    @classmethod
-    def effect(cls, weights) -> "ClassicalMap":
-        row = list(weights)
-        return cls._from_cells(1, len(row), {(0, i): w for i, w in enumerate(row) if w != 0})
-
-    @classmethod
-    def scalar(cls, value) -> "ClassicalMap":
-        return cls._from_cells(1, 1, {(0, 0): value} if value != 0 else {})
 
     # -- basic structure ----------------------------------------------
 

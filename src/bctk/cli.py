@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 bad input (a usage error, a flag out of range, or
 a parse, type or IO error), 2 backend disagreement in ``eval``, 3
 verification failures, 4 a falsifier run found a candidate with no violation
-(which would contradict the no-go theorem and flags a fatal inconsistency).  All structured output goes to stdout as JSON; diagnostics
-go to stderr, one line each.  Every number is exact: flags and JSON are read
-through :mod:`bctk.scalars`, so a JSON float ``0.25`` means ``1/4``, and an
-integer flag takes an optional sign and ASCII digits only.
+(which would contradict the no-go theorem and flags a fatal inconsistency).
+All structured output goes to stdout as JSON; diagnostics go to stderr, one
+line each.  Every number is exact: flags and JSON are read through
+:mod:`bctk.scalars`, so a JSON float ``0.25`` means ``1/4``, and an integer
+flag takes an optional sign and ASCII digits only.
 
 ``bctk eval FILE`` and ``bctk embed FILE --gate NAME``, where neither FILE
 nor NAME starts with ``-``, are read without building a parser: for such

@@ -10,11 +10,12 @@ The kernel objects store their values on an integer lattice: integer
 numerators over one positive denominator, in lowest terms.
 :func:`lattice` is the one conversion of exact values onto it,
 :func:`reduce_dict`/:func:`reduce_tuple` bring a kernel result to lowest
-terms, :func:`reduce_ratio` does so for one value, and :func:`exact` and
-:func:`ratio_json` read one lattice value back out.  :func:`sparse_add`,
-:func:`sparse_scale` and :func:`sparse_differences` add, scale and compare
-sparse values, a dict of nonzero numerators over one denominator, as
-transformation terms and classical map cells are stored.
+terms, :func:`reduce_ratio` does so for one value, :func:`exact` and
+:func:`ratio_json` read one lattice value back out, and :func:`rank` is the
+one elimination, on integer rows.  :func:`sparse_add`, :func:`sparse_scale`
+and :func:`sparse_differences` add, scale and compare sparse values, a dict
+of nonzero numerators over one denominator, as transformation terms and
+classical map cells are stored.
 :func:`frozen_record` makes the frozen slotted dataclasses that hold lattice
 values refuse every write with ``FrozenInstanceError``.
 
@@ -204,6 +205,28 @@ def ratio_json(num: int, den: int) -> list:
         return [num, 1]
     g = math.gcd(num, den)
     return [num // g, den // g]
+
+
+def rank(rows) -> int:
+    """The exact rank of integer rows of equal length: each nonzero row, taken
+    from the end, clears its leading column from the pending rows that have a
+    nonzero there, and each row it updates is divided by its gcd."""
+    pending, result = list(rows), 0
+    if len({len(row) for row in pending}) > 1:
+        raise ValueError("rank needs rows of equal length")
+    while pending:
+        row = pending.pop()
+        col = next((c for c, x in enumerate(row) if x != 0), None)
+        if col is None:
+            continue
+        result += 1
+        p = row[col]
+        for i, r in enumerate(pending):
+            if (x := r[col]) != 0:
+                new = [p * a - x * b for a, b in zip(r, row)]
+                g = math.gcd(*new)
+                pending[i] = [v // g for v in new] if g > 1 else new
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,12 @@ from .classical import ClassicalMap
 from .ontic import ontic_effect, ontic_map, ontic_state
 from .scalars import (
     cut_counts,
+    lattice,
     number_json,
     number_text,
     randint,
     randints,
+    rank,
     reduce_dict,
     reduce_tuple,
     sparse_differences,
@@ -507,7 +509,8 @@ def _coefficients_from_image(image: classical.ClassicalMap, in_shape: SystemShap
 
 
 def _probe_rank(n: int, m: int) -> int:
-    """Rank over the rationals of the probe-response matrix of all atomics.
+    """Rank of the probe-response matrix of all atomics, taken on integer rows:
+    lifting a row onto the lattice scales it by its denominator, keeping the rank.
 
     Full rank means no two distinct coefficient maps agree on every pure
     state/effect probe with a binary ancilla: an exhaustive collision search.
@@ -520,23 +523,8 @@ def _probe_rank(n: int, m: int) -> int:
     for src, dst, flip in pair_points(n, m):
         gen = par_with_identity(atomic(n_shape, m_shape, src, dst, flip), anc)
         moved = [bct.apply(gen, rho) for rho in probes_in]
-        rows.append([Fraction(bct.pair(eff, v)) for v in moved for eff in probes_out])
-    return _rank(rows)
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals: each nonzero row, taken in turn, clears its
-    leading column from the rows still pending."""
-    pending, rank = list(rows), 0
-    while pending:
-        row = pending.pop()
-        col = next((c for c, x in enumerate(row) if x != 0), None)
-        if col is None:
-            continue
-        rank += 1
-        pending = [r if r[col] == 0 else [a - r[col] / row[col] * b for a, b in zip(r, row)]
-                   for r in pending]
-    return rank
+        rows.append(lattice(bct.pair(eff, v) for v in moved for eff in probes_out)[0])
+    return rank(rows)
 
 
 def _explicit_lift(t: Transformation, right: SystemShape) -> Transformation:

@@ -1,8 +1,10 @@
 """Small constructions that only the tests need, kept out of the kernel."""
 
+import ast
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from bctk.bct import Effect, Instrument, State, Transformation, coarse_grain
 from bctk.classical import ClassicalMap
@@ -20,6 +22,24 @@ def point_state(dim: int, index: int) -> ClassicalMap:
 def point_effect(dim: int, index: int) -> ClassicalMap:
     """The classical point effect ``(index|`` (1-based)."""
     return ClassicalMap._from_nums(1, dim, {(0, index - 1): 1}, 1)
+
+
+def classical_state(weights) -> ClassicalMap:
+    """The classical state with the exact ``weights`` as its column."""
+    column = list(weights)
+    return ClassicalMap._from_cells(
+        len(column), 1, {(i, 0): w for i, w in enumerate(column) if w != 0})
+
+
+def classical_effect(weights) -> ClassicalMap:
+    """The classical effect with the exact ``weights`` as its row."""
+    row = list(weights)
+    return ClassicalMap._from_cells(1, len(row), {(0, i): w for i, w in enumerate(row) if w != 0})
+
+
+def classical_scalar(value) -> ClassicalMap:
+    """The 1x1 classical map ``value``."""
+    return ClassicalMap._from_cells(1, 1, {(0, 0): value} if value != 0 else {})
 
 
 def classical_uniform_state(dim: int) -> ClassicalMap:
@@ -67,6 +87,32 @@ def pair_label_fold(left: SystemShape, right: SystemShape, q1: int, q2: int, s: 
     return flatten_label(left.compose(right), PureLabel(indices, sections))
 
 
+def reached_names(module, start: str) -> tuple[set, set]:
+    """Every name used on ``start``'s path down the helpers of ``module`` that
+    it calls, methods such as ``Class._from_nums`` included, and the helpers
+    reached."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            funcs.update({f"{cls.name}.{f.name}": f for f in cls.body
+                          if isinstance(f, ast.FunctionDef)})
+    reached, todo, names = set(), [start], set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(funcs[name]):
+            callee = None
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                callee = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                callee = f"{node.value.id}.{node.attr}"
+            if callee in funcs and callee not in reached:
+                todo.append(callee)
+    return reached, names
+
+
 # ---------------------------------------------------------------------------
 # earlier forms of the kernel's records and of ``scalars.lattice``: oracles
 # ---------------------------------------------------------------------------
@@ -89,6 +135,22 @@ def lattice_oracle(values, den: int = 1) -> tuple[list, int]:
     if all_int:
         return values, den
     return [v.numerator * (scale // v.denominator) for v in values], den * scale
+
+
+def rank_oracle(rows) -> int:
+    """``scalars.rank`` as ``verify`` took it before, over the rationals: each
+    nonzero row, taken in turn, clears its leading column from the rows still
+    pending."""
+    pending, rank = [[Fraction(x) for x in row] for row in rows], 0
+    while pending:
+        row = pending.pop()
+        col = next((c for c, x in enumerate(row) if x != 0), None)
+        if col is None:
+            continue
+        rank += 1
+        pending = [r if r[col] == 0 else [a - r[col] / row[col] * b for a, b in zip(r, row)]
+                   for r in pending]
+    return rank
 
 
 @dataclass(frozen=True)

@@ -548,6 +548,15 @@ def test_transformation_json_schema():
     assert Transformation.from_json(data) == t
 
 
+def test_transformation_equality_and_repr_against_other_values():
+    t = atomic(S2, S22, 1, 4, 1, HALF)
+    assert t.__eq__(1) is NotImplemented
+    assert (t == 1) is False and (t != 1) is True
+    assert repr(t) == "Transformation((2) -> (2,2), 1 terms)"
+    assert repr(identity(S22)) == "Transformation((2,2) -> (2,2), 8 terms)"
+    assert repr(zero(S2, S3)) == "Transformation((2) -> (3), 0 terms)"
+
+
 def test_coarse_graining():
     half_id = identity(S2).scale(HALF)
     instr = Instrument((half_id, half_id))

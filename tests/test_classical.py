@@ -11,7 +11,8 @@ from bctk.classical import ClassicalMap, choi_close, compose_par, compose_seq
 from bctk.scalars import number_json
 
 from kernel_helpers import (
-    classical_uniform_state, column_sums, point_effect, point_state, transpose,
+    classical_effect, classical_scalar, classical_state, classical_uniform_state, column_sums,
+    point_effect, point_state, transpose,
 )
 
 
@@ -29,7 +30,7 @@ def choi_pair(dim: int) -> tuple[ClassicalMap, ClassicalMap]:
     vec = [0] * dim * dim
     for i in range(dim):
         vec[i * dim + i] = 1
-    return ClassicalMap.state(vec), ClassicalMap.effect(vec)
+    return classical_state(vec), classical_effect(vec)
 
 
 def snake_check(dim: int) -> bool:
@@ -392,8 +393,8 @@ def test_dense_json_writer_matches_per_cell_writer(m):
 @example(ClassicalMap.zero(0, 3))
 @example(ClassicalMap.zero(3, 0))
 @example(ClassicalMap.zero(2, 3))
-@example(ClassicalMap.scalar(-10**19 - 7))
-@example(ClassicalMap.scalar(Fraction(-3, 10**20 + 1)))
+@example(classical_scalar(-10**19 - 7))
+@example(classical_scalar(Fraction(-3, 10**20 + 1)))
 @example(ClassicalMap([[Fraction(1, 3), -2, 0], [0, 10**20, Fraction(-7, 2)]]))
 @settings(max_examples=150, deadline=None)
 def test_dense_text_writer_matches_json_dumps(m):
@@ -408,6 +409,13 @@ def test_equal_maps_hash_alike_across_int_and_fraction():
     fracs = transpose(ClassicalMap([[Fraction(1), Fraction(3)], [Fraction(2), 0]]))
     assert ints == fracs and hash(ints) == hash(fracs)
     assert len({ints, fracs}) == 1
+
+
+def test_map_equality_against_other_values():
+    m = ClassicalMap([[1]])
+    assert m.__eq__(1) is NotImplemented
+    assert (m == 1) is False and (m != 1) is True
+    assert (m == [[1]]) is False
 
 
 def test_cancelling_add_stores_no_zero():

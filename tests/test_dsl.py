@@ -16,8 +16,9 @@ from hypothesis import given, seed, settings, strategies as st
 
 from bctk import cli, dsl, verify
 from bctk.bct import Transformation
-from bctk.classical import ClassicalMap
 from bctk.systems import PureLabel, SystemShape, flatten_label
+
+from kernel_helpers import classical_state
 
 GOLDEN = """\
 system a = elem 2
@@ -190,7 +191,7 @@ def test_eval_open_circuit_yields_state():
     out = dsl.eval_bct(ast, "p")
     assert out.weights == (0, 1)
     img = dsl.eval_ontic(ast, "p")
-    assert img == ClassicalMap.state([0, 0, Fraction(1, 2), Fraction(1, 2)])
+    assert img == classical_state([0, 0, Fraction(1, 2), Fraction(1, 2)])
 
 
 def test_eval_gate_only_circuit():

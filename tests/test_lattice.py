@@ -25,10 +25,11 @@ from bctk import bct, classical, ontic
 from bctk.bct import Effect, State, Transformation
 from bctk.classical import ClassicalMap
 from bctk.lct import CandidateModel, ViolationCertificate
-from bctk.scalars import lattice, reduce_dict, sparse_add, sparse_differences, sparse_scale
+from bctk.scalars import (lattice, rank, reduce_dict, sparse_add, sparse_differences,
+                          sparse_scale)
 from bctk.systems import SystemShape, all_labels, pair_label
 
-from kernel_helpers import column_sums, lattice_oracle, transpose
+from kernel_helpers import column_sums, lattice_oracle, rank_oracle, transpose
 
 SHAPES = [SystemShape(e) for e in ((2,), (3,), (4,), (2, 2), (2, 3), (3, 2))]
 
@@ -652,6 +653,73 @@ def test_lattice_refuses_what_it_refused_with_the_same_text(values, at, bad):
         new, old = _lattice_pair([Fraction(1, 2)], den)
         assert new == old
         assert new == (ValueError, f"a denominator must be a positive integer, got {den!r}")
+
+
+# ---------------------------------------------------------------------------
+# scalars.rank against the Fraction elimination
+# ---------------------------------------------------------------------------
+
+_ENTRIES = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6),
+                     st.integers(10**100, 10**110), st.integers(-10**110, -10**100))
+_SPARSE_ENTRIES = st.sampled_from([0, 0, 0, 1, -1])
+
+
+@st.composite
+def _integer_rows(draw):
+    """Rows of one width, tall, square or wide, dense or as sparse as the
+    probe rows.  Half the time they are small integer combinations of a few
+    drawn rows, so that they are often rank-deficient and repeated and zero
+    rows occur."""
+    width = draw(st.integers(0, 10))
+    entries = draw(st.sampled_from([_ENTRIES, _SPARSE_ENTRIES]))
+    drawn = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=10))
+    if not drawn or draw(st.booleans()):
+        return drawn
+    basis = drawn[:draw(st.integers(1, 4))]
+    combos = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+    return [[sum(c * row[j] for c, row in zip(cs, basis)) for j in range(width)]
+            for cs in draw(st.lists(combos, max_size=10))]
+
+
+@seed(20261107)
+@given(_integer_rows())
+@settings(max_examples=300, deadline=None)
+@example([])
+@example([[]])
+@example([[0, 0, 0]] * 3)
+@example([[1, 2, 3]] * 4)
+@example([[1, 2], [2, 4], [-3, -6]])
+@example([[1, 1], [1, 0], [0, 1]])
+@example([[0, 1, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1, 0, 0]])
+@example([[k, 1] for k in range(12)])
+@example([[-1, -2], [-3, -4]])
+@example([[-5]])
+@example([[0, -1, 1], [0, 0, -7]])
+@example([[10**120 + 1, 10**101], [10**101, 7], [10**120 + 1 + 10**101, 10**101 + 7]])
+def test_rank_matches_the_fraction_elimination(rows):
+    before = [list(row) for row in rows]
+    got = rank(rows)
+    assert got == rank_oracle(rows)
+    assert rows == before
+    assert 0 <= got <= min(len(rows), len(rows[0]) if rows else 0)
+
+
+@seed(20261108)
+@given(st.integers(0, 6).flatmap(lambda width: st.lists(
+    st.lists(st.builds(Fraction, st.integers(-10, 10), st.integers(1, 97)),
+             min_size=width, max_size=width),
+    max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_rows_lifted_onto_the_lattice_keep_their_rank(rows):
+    lifted = [lattice(row)[0] for row in rows]
+    assert all(type(v) is int for row in lifted for v in row)
+    assert rank(lifted) == rank_oracle(rows)
+
+
+def test_rank_refuses_rows_of_unequal_length():
+    for rows in ([[1, 2], [3]], [[1], []], [[0, 0], [0, 0], [0]]):
+        with pytest.raises(ValueError, match="^rank needs rows of equal length$"):
+            rank(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from bctk.lct import (
 )
 from bctk.scalars import cut_counts, number_json, randint, randints, reduce_tuple
 
+from kernel_helpers import reached_names
+
 HALF = Fraction(1, 2)
 
 
@@ -233,43 +235,17 @@ def test_falsify_alone_builds_a_certificate():
     assert "ViolationCertificate._from_nums(" in source.splitlines()[line - 1]
 
 
-def _reached_names(start):
-    """Every name used on ``start``'s path down the ``lct`` helpers it calls,
-    methods such as ``ViolationCertificate._from_nums`` included, and the
-    helpers reached."""
-    tree = ast.parse(Path(bctk.lct.__file__).read_text())
-    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef):
-            funcs.update({f"{cls.name}.{f.name}": f for f in cls.body
-                          if isinstance(f, ast.FunctionDef)})
-    reached, todo, names = set(), [start], set()
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        for node in ast.walk(funcs[name]):
-            callee = None
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-                callee = node.id
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                callee = f"{node.value.id}.{node.attr}"
-            if callee in funcs and callee not in reached:
-                todo.append(callee)
-    return reached, names
-
-
 def test_falsify_builds_no_jellyfish_map():
     # falsify reads its verdict off the candidate in closed form and stays on
     # the lattice: the map construction and its closing are oracles, and no
     # exact value is built, down every lct helper it calls.
-    reached, names = _reached_names("falsify")
+    reached, names = reached_names(bctk.lct, "falsify")
     assert {"falsify", "_first_jellyfish_cell", "_pairing_ratio",
             "ViolationCertificate._from_nums"} <= reached
     assert not names & {"jellyfish_matrix", "choi_close", "_kron", "ClassicalMap",
                         "model_pairing", "exact", "Fraction"}
     # The public oracle reads the trace off the same lattice helper.
-    assert "_pairing_ratio" in _reached_names("model_pairing")[0]
+    assert "_pairing_ratio" in reached_names(bctk.lct, "model_pairing")[0]
 
 
 def test_fatal_is_derived_from_the_violation():

@@ -39,7 +39,7 @@ from bctk.ontic import (
 )
 from bctk.systems import PureLabel, SystemShape, TRIVIAL, all_labels
 
-from kernel_helpers import column_sums, transpose
+from kernel_helpers import classical_effect, column_sums, transpose
 
 S2 = SystemShape((2,))
 S3 = SystemShape((3,))
@@ -145,7 +145,7 @@ def test_ontic_bit_carries_what_no_product_effect_sees(n, m):
 def test_deterministic_effect_image_is_discard():
     for shape in (S2, S3, S22, S23):
         img = ontic_effect(deterministic_effect(shape))
-        assert img == ClassicalMap.effect([1] * shape.ontic_dim)
+        assert img == classical_effect([1] * shape.ontic_dim)
 
 
 def test_scalar_images():

@@ -1,20 +1,24 @@
 """``Report.check``: one trial per call and a flat witness down to a leaf."""
 
+import ast
 import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import bctk
-from bctk import bct, ontic, verify
+from bctk import bct, ontic, scalars, verify
 from bctk.classical import ClassicalMap
 from bctk.scalars import reduce_dict
 from bctk.systems import SystemShape, pair_label
 from bctk.bct import Transformation
 from bctk.verify import Report, RunConfig
+
+from kernel_helpers import reached_names
 
 S2 = SystemShape((2,))
 
@@ -138,6 +142,17 @@ def test_package_exports_the_report_without_loading_the_suites():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_probe_rank_is_taken_by_the_one_integer_rank():
+    # The probe matrix is ranked on the integer lattice by scalars.rank, so
+    # no second elimination, over Fractions or otherwise, grows back here.
+    names = reached_names(verify, "_probe_rank")[1]
+    assert "rank" in names and verify.rank is scalars.rank
+    assert "Fraction" not in names
+    defined = {node.name for node in ast.walk(ast.parse(Path(verify.__file__).read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_rank" not in defined and not hasattr(verify, "_rank")
 
 
 def test_report_json_keys():
