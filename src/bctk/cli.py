@@ -232,7 +232,7 @@ def cmd_lct(args) -> int:
         try:
             data = json.loads(Path(spec).read_text())
             candidates = [(spec, lct.CandidateModel.from_json(data))]
-        except (OSError, ValueError) as exc:
+        except (OSError, RecursionError, ValueError) as exc:
             _err(f"cannot load candidate {spec}: {exc}")
             return EXIT_INPUT
 

@@ -310,20 +310,22 @@ class _LineParser:
         return VectorTerm(weight, PureLabel(tuple(indices), tuple(sections)), start[2], end[3])
 
     def _parse_label_item(self):
-        if self.accept("("):
-            left = self._parse_label_item()
+        # Left-nested: every ``(`` first, then ``, INT ) ; BIT`` once per ``(``.
+        depth = 0
+        while self.accept("("):
+            depth += 1
+        indices, sections = [self.take_int()], []
+        for _ in range(depth):
             self.take("punct", ",")
-            idx = self.take_int()
+            indices.append(self.take_int())
             self.take("punct", ")")
             self.take("punct", ";")
             bit_tok = self.peek()
             bit = self.take_int()
             if bit not in (0, 1):
                 self.fail("section bit must be 0 or 1", bit_tok)
-            indices, sections = left
-            return indices + [idx], sections + [bit]
-        idx = self.take_int()
-        return [idx], []
+            sections.append(bit)
+        return indices, sections
 
     # -- vector terms --------------------------------------------------------
 

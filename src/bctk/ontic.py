@@ -33,6 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import prod
+from types import MappingProxyType
 
 from . import classical
 from .classical import ClassicalMap
@@ -108,24 +109,23 @@ def merge_perm(n1: int, n2: int) -> ClassicalMap:
                     col = (((x - 1) * 2 + b1) * n2 + (y - 1)) * 2 + b2
                     row = (q_encode(n1, n2, x, y, b1 ^ b2) - 1) * 2 + b1
                     cells[row, col] = 1
-    return ClassicalMap._from_nums(dim, dim, cells, 1)
+    # Cached, so its cells are read-only.
+    return ClassicalMap._from_nums(dim, dim, MappingProxyType(cells), 1)
 
 
 @lru_cache(maxsize=None)
 def merge_chain(shape: SystemShape) -> ClassicalMap:
     """Permutation from the composite ontic space onto the fused single one."""
-    if shape.num_factors <= 1:
-        return ClassicalMap.identity(shape.ontic_dim)
     acc = ClassicalMap.identity(shape.ontic_dim)
-    fused = shape.elems[0]
     for k in range(1, shape.num_factors):
+        fused = prod(2 * n for n in shape.elems[:k]) // 2  # the first k factors, fused
         step = merge_perm(fused, shape.elems[k])
         tail = prod(2 * n for n in shape.elems[k + 1 :])
         if tail > 1:
             step = classical.compose_par(step, ClassicalMap.identity(tail))
         acc = classical.compose_seq(acc, step)
-        fused = 2 * fused * shape.elems[k]
-    return acc
+    # Cached, so its cells are read-only.
+    return ClassicalMap._from_nums(acc.out_dim, acc.in_dim, MappingProxyType(acc.nums), acc.den)
 
 
 def ontic_map(t: Transformation) -> ClassicalMap:

@@ -56,7 +56,6 @@ from .classical import ClassicalMap
 from .ontic import ontic_effect, ontic_map, ontic_state
 from .scalars import (
     cut_counts,
-    lattice,
     number_json,
     number_text,
     randint,
@@ -133,11 +132,6 @@ def trial_rng(cfg: RunConfig, suite: str, index: int) -> random.Random:
 # ---------------------------------------------------------------------------
 
 
-def _grid_counts(rng: random.Random, n: int, normalised: bool) -> list[int]:
-    """Numerators over WEIGHT_GRID of a random distribution, via integer cut points."""
-    return cut_counts(rng, n, WEIGHT_GRID if normalised else randint(rng, 0, WEIGHT_GRID))
-
-
 def rand_distribution(rng: random.Random, n: int) -> tuple:
     """An exact random distribution on the weight grid via integer cut points."""
     return tuple(Fraction(c, WEIGHT_GRID) for c in cut_counts(rng, n, WEIGHT_GRID))
@@ -154,7 +148,7 @@ def rand_shape(rng: random.Random, max_dim: int, max_factors: int = 2,
 
 def rand_state(rng: random.Random, shape: SystemShape) -> State:
     # Nonnegative counts summing to at most WEIGHT_GRID: a substate.
-    counts = _grid_counts(rng, shape.global_dim, normalised=False)
+    counts = cut_counts(rng, shape.global_dim, randint(rng, 0, WEIGHT_GRID))
     return State._from_nums(shape, *reduce_tuple(tuple(counts), WEIGHT_GRID))
 
 
@@ -509,21 +503,23 @@ def _coefficients_from_image(image: classical.ClassicalMap, in_shape: SystemShap
 
 
 def _probe_rank(n: int, m: int) -> int:
-    """Rank of the probe-response matrix of all atomics, taken on integer rows:
-    lifting a row onto the lattice scales it by its denominator, keeping the rank.
-
-    Full rank means no two distinct coefficient maps agree on every pure
-    state/effect probe with a binary ancilla: an exhaustive collision search.
+    """Rank of the probe-response matrix of all atomics, read off the action
+    tables of their lifts by a binary ancilla: entry ``(s - 1) * N_out + d - 1``
+    sums the weights of the terms ``(s, d, *)``, which the pure effect ``d``
+    reads off the pure state ``s`` moved.  Full rank means no two distinct
+    coefficient maps agree on every such probe: an exhaustive collision search.
+    ``atomicity`` and ``probability`` keep the probe reading as laws.
     """
     n_shape, m_shape, anc = SystemShape((n,)), SystemShape((m,)), SystemShape((2,))
-    n_big, m_big = n_shape.compose(anc), m_shape.compose(anc)
-    probes_in = [bct.pure_state(n_big, lab) for lab in all_labels(n_big)]
-    probes_out = [bct.pure_effect(m_big, lab) for lab in all_labels(m_big)]
     rows = []
     for src, dst, flip in pair_points(n, m):
         gen = par_with_identity(atomic(n_shape, m_shape, src, dst, flip), anc)
-        moved = [bct.apply(gen, rho) for rho in probes_in]
-        rows.append(lattice(bct.pair(eff, v) for v in moved for eff in probes_out)[0])
+        # A weight-1 atomic lifted by the identity has den == 1: integer rows.
+        n_out = gen.out_shape.global_dim
+        row = [0] * (gen.in_shape.global_dim * n_out)
+        for (s, d, _), w in gen.nums.items():
+            row[(s - 1) * n_out + d - 1] += w
+        rows.append(row)
     return rank(rows)
 
 

@@ -6,11 +6,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from bctk.bct import Effect, Instrument, State, Transformation, coarse_grain
+from bctk.bct import (Effect, Instrument, State, Transformation, apply, atomic, coarse_grain,
+                      pair, par_with_identity, pure_effect, pure_state)
 from bctk.classical import ClassicalMap
 from bctk.lct import CandidateModel
-from bctk.scalars import exact, number_text, reduce_tuple
-from bctk.systems import PureLabel, SystemShape, flatten_label, unflatten_label
+from bctk.scalars import exact, lattice, number_text, reduce_tuple
+from bctk.systems import (PureLabel, SystemShape, all_labels, flatten_label, pair_points,
+                          unflatten_label)
 from bctk.verify import _vector_terms
 
 
@@ -151,6 +153,23 @@ def rank_oracle(rows) -> int:
         pending = [r if r[col] == 0 else [a - r[col] / row[col] * b for a, b in zip(r, row)]
                    for r in pending]
     return rank
+
+
+def probe_rows_oracle(n: int, m: int) -> list[list[int]]:
+    """The rows ``verify._probe_rank`` ranks, by the dense probe pairing it
+    used before it read the action tables: each atomic ``(n) -> (m)``, lifted
+    by a binary ancilla, moves every pure state, and every pure effect reads
+    every moved state."""
+    n_shape, m_shape, anc = SystemShape((n,)), SystemShape((m,)), SystemShape((2,))
+    n_big, m_big = n_shape.compose(anc), m_shape.compose(anc)
+    probes_in = [pure_state(n_big, lab) for lab in all_labels(n_big)]
+    probes_out = [pure_effect(m_big, lab) for lab in all_labels(m_big)]
+    rows = []
+    for src, dst, flip in pair_points(n, m):
+        gen = par_with_identity(atomic(n_shape, m_shape, src, dst, flip), anc)
+        moved = [apply(gen, rho) for rho in probes_in]
+        rows.append(lattice(pair(eff, v) for v in moved for eff in probes_out)[0])
+    return rows
 
 
 @dataclass(frozen=True)

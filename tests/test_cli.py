@@ -691,6 +691,33 @@ def test_dsl_bad_number_exits_one(tmp_path, source, needle):
     _assert_clean_rejection(run_cli("eval", str(path)), needle)
 
 
+def test_dsl_deeply_nested_label_exits_one(tmp_path):
+    # The label parser reads any depth of nesting without recursing.
+    path = tmp_path / "deep.bct"
+    path.write_text("system a = elem 2\nstate s : a = " + "(" * 5000 + "1\n")
+    _assert_clean_rejection(run_cli("eval", str(path)),
+                            "deep.bct:2:5016: expected ',', got 'end of line'")
+
+
+@pytest.mark.parametrize("flag", ["--candidate", "--model"])
+def test_lct_deeply_nested_candidate_exits_one(tmp_path, monkeypatch, capsys, flag):
+    # json.loads recurses once per bracket, wherever the nesting sits.
+    monkeypatch.chdir(tmp_path)
+    body = json.dumps({"L1": 2, "L2": 2, "xi_beta": [[1, 4]] * 4, "xi_b": [[1, 1]] * 4})
+    depth = 100_000
+    (tmp_path / "F").write_text("[" * depth)
+    (tmp_path / "G").write_text(body[:-1] + ', "extra": ' + "[" * depth + "]" * depth + "}")
+    (tmp_path / "H").write_text(body[:-1] + ', "extra": [[[]]]}')
+    for name in ("F", "G"):
+        assert cli.main(["lct", "refute", flag, name]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"cannot load candidate {name}: ") and err.count("\n") == 1
+    # The same candidate with a shallow extra value loads.
+    assert cli.main(["lct", "refute", flag, "H"]) == 0
+    assert json.loads(capsys.readouterr().out)["candidates"] == 1
+
+
 @pytest.mark.parametrize("entry", [[1, 0], {}, "1/2", None])
 def test_lct_malformed_candidate_entry_exits_one(tmp_path, entry):
     path = tmp_path / "bad.json"

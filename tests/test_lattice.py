@@ -538,6 +538,16 @@ def test_cached_values_are_read_only():
         del bct.swap(s2, s3).nums[min(bct.swap(s2, s3).nums)]
     with pytest.raises(AttributeError):
         bct.pure_state(s2, 1).nums = (0, 1)
+    s23 = s2.compose(s3)
+    for cached in (lambda: ontic.merge_perm(2, 3), lambda: ontic.merge_chain(s23)):
+        with pytest.raises(TypeError):
+            cached().nums[(0, 0)] = 1
+        with pytest.raises(TypeError):
+            del cached().nums[min(cached().nums)]
+        with pytest.raises(AttributeError):
+            cached().nums.clear()
+        # Still a permutation of the 4*2*3 ontic points: one cell per point.
+        assert len(cached().nums) == 24
     assert bct.identity(s2).coeffs == {(1, 1, 0): 1, (2, 2, 0): 1}
     assert bct.pure_state(s2, 1).weights == (1, 0)
 

@@ -385,6 +385,29 @@ def test_only_pair_points_enumerates_the_pair_triples():
     assert users == {("systems", "pair_points")}
 
 
+# The constructions that stay only as test and ``verify`` oracles.
+_ORACLES = {"merge_perm", "merge_chain", "wire_swap_matrix", "jellyfish_matrix",
+            "model_pairing", "choi_close", "_explicit_lift", "entries"}
+
+
+def test_no_kernel_function_names_an_oracle():
+    """The kernel reads closed forms: outside ``verify``, only an oracle may
+    name an oracle, by a plain name or as an attribute."""
+    defined, users = set(), set()
+    for stem in ("systems", "scalars", "bct", "classical", "ontic", "lct", "dsl", "cli",
+                 "verify"):
+        tree = ast.parse(Path(bctk.__file__).with_name(f"{stem}.py").read_text())
+        for scope, node in _enclosing_functions(tree):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if stem != "verify" and name in _ORACLES and scope.split(".")[-1] not in _ORACLES:
+                users.add(f"{stem}.{scope} names {name}")
+    assert defined >= _ORACLES
+    assert users == set()
+
+
 def test_pair_offsets_is_a_permutation_and_the_identity_on_elementary_shapes():
     for right in SMALL_SHAPES:
         offsets = pair_offsets(right)

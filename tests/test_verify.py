@@ -18,7 +18,7 @@ from bctk.systems import SystemShape, pair_label
 from bctk.bct import Transformation
 from bctk.verify import Report, RunConfig
 
-from kernel_helpers import reached_names
+from kernel_helpers import probe_rows_oracle, reached_names
 
 S2 = SystemShape((2,))
 
@@ -153,6 +153,21 @@ def test_probe_rank_is_taken_by_the_one_integer_rank():
     defined = {node.name for node in ast.walk(ast.parse(Path(verify.__file__).read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert "_rank" not in defined and not hasattr(verify, "_rank")
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])
+def test_probe_rows_are_the_dense_probe_pairings(monkeypatch, n, m):
+    # The rows read off the lifted generators' action tables are exactly the
+    # pure-effect pairings of the moved pure states, and still full rank.
+    ranked = []
+
+    def recording_rank(rows):
+        ranked.append([list(row) for row in rows])
+        return scalars.rank(rows)
+
+    monkeypatch.setattr(verify, "rank", recording_rank)
+    assert verify._probe_rank(n, m) == 2 * n * m
+    assert ranked == [probe_rows_oracle(n, m)]
 
 
 def test_report_json_keys():
