@@ -154,10 +154,6 @@ class State(_Vector):
         if sum(nums) > den:
             raise ValueError("state weights must sum to at most 1")
 
-    @property
-    def total(self):
-        return exact(sum(self.nums), self.den)
-
 
 class Effect(_Vector):
     """A response covector: entries in [0, 1] over the pure effects of a shape."""

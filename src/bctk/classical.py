@@ -13,21 +13,22 @@ to a nonzero ``int`` over one denominator ``den >= 1``, with
 stored, so equality is a comparison of plain fields.  The images of the
 ontological model are relabellings, almost all zeros, and every product here
 runs over the nonzero cells only, multiplies denominators and is reduced
-once by :func:`~bctk.scalars.reduce_dict`.  ``add``, ``scale`` and
-``differences`` are :mod:`~bctk.scalars`' sparse arithmetic on the cells.
+once by :func:`~bctk.scalars.reduce_dict`.  ``add`` and ``differences``
+are :mod:`~bctk.scalars`' sparse arithmetic on the cells.
 
-Exact ``int``/``Fraction`` values enter through ``ClassicalMap(rows)``,
-:meth:`ClassicalMap.from_json`, ``scale`` and the trusted ``_from_cells``,
-each converting once through :func:`~bctk.scalars.lattice`.  They leave
+Exact ``int``/``Fraction`` values enter a map only through the dense
+constructor ``ClassicalMap(rows)``, converted once by :func:`~bctk.scalars.lattice`.
+Every kernel map, ``zero`` and ``identity`` included, is built from lattice
+numerators by the trusted ``ClassicalMap._from_nums``.  Exact values leave
 through ``cells``, ``m[r, c]``, :meth:`~ClassicalMap.nonzero`,
 ``scalar_value``, :func:`choi_close` and :meth:`~ClassicalMap.to_json`, as an
 ``int`` when integral and a ``Fraction`` otherwise; no kernel operation reads
 them.
 :meth:`ClassicalMap.nonzero` yields cells in row-major order.
-:meth:`ClassicalMap.to_json_text` is the one dense writer: it prints the
-row-major entry list as JSON text, one shared ``[0, 1]`` string for every
-absent cell and one formatted string per nonzero cell, joined once;
-:meth:`ClassicalMap.to_json` is its parse.
+:meth:`ClassicalMap.to_json_text` is the one dense writer, and nothing reads
+a map back: it prints the row-major entry list as JSON text, one shared
+``[0, 1]`` string for every absent cell and one formatted string per nonzero
+cell, joined once; :meth:`ClassicalMap.to_json` is its parse.
 
 numpy is not a runtime dependency: only :attr:`ClassicalMap.entries`, a
 dense object array that the benchmark tracer counts cells through, imports
@@ -38,14 +39,7 @@ from __future__ import annotations
 
 import json
 
-from .scalars import (exact, lattice, number_from_json, ratio_json, reduce_dict, sparse_add,
-                      sparse_differences, sparse_scale)
-
-
-def _cell_nums(cells: dict) -> tuple[dict, int]:
-    """Nonzero exact cell values as lattice numerators in lowest terms."""
-    values, den = lattice(cells.values())
-    return reduce_dict(dict(zip(cells, values)), den)
+from .scalars import exact, lattice, ratio_json, reduce_dict, sparse_add, sparse_differences
 
 
 class ClassicalMap:
@@ -65,8 +59,9 @@ class ClassicalMap:
             raise ValueError("a classical map needs a 2-d entry array")
         self.out_dim = len(rows)
         self.in_dim = len(rows[0])
-        self.nums, self.den = _cell_nums(
-            {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v != 0})
+        cells = {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v != 0}
+        values, den = lattice(cells.values())
+        self.nums, self.den = reduce_dict(dict(zip(cells, values)), den)
 
     @classmethod
     def _from_nums(cls, out_dim: int, in_dim: int, nums: dict, den: int) -> "ClassicalMap":
@@ -75,12 +70,6 @@ class ClassicalMap:
         m = object.__new__(cls)
         m.out_dim, m.in_dim, m.nums, m.den = out_dim, in_dim, nums, den
         return m
-
-    @classmethod
-    def _from_cells(cls, out_dim: int, in_dim: int, cells: dict) -> "ClassicalMap":
-        """Trusted constructor: ``cells`` holds only nonzero exact values with
-        keys in range."""
-        return cls._from_nums(out_dim, in_dim, *_cell_nums(cells))
 
     # -- constructors -------------------------------------------------
 
@@ -151,10 +140,6 @@ class ClassicalMap:
                 for r in range(self.out_dim)]
         return f"ClassicalMap({rows!r})"
 
-    def scale(self, factor) -> "ClassicalMap":
-        return ClassicalMap._from_nums(self.out_dim, self.in_dim,
-                                       *sparse_scale(self.nums, self.den, factor))
-
     def add(self, other: "ClassicalMap") -> "ClassicalMap":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in map addition")
@@ -223,17 +208,6 @@ class ClassicalMap:
         Each entry is a list of its own.  It is the parse of
         :meth:`to_json_text`, the one dense writer."""
         return json.loads(self.to_json_text())
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ClassicalMap":
-        out_dim, in_dim = data["out"], data["in"]
-        if not all(type(d) is int and d >= 0 for d in (out_dim, in_dim)):
-            raise ValueError("declared dimensions must be nonnegative integers")
-        flat = [number_from_json(v) for v in data["entries"]]
-        if len(flat) != out_dim * in_dim:
-            raise ValueError("entry count does not match declared dimensions")
-        return cls._from_cells(
-            out_dim, in_dim, {divmod(i, in_dim): v for i, v in enumerate(flat) if v != 0})
 
 
 def compose_seq(f: ClassicalMap, g: ClassicalMap) -> ClassicalMap:

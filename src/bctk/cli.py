@@ -7,7 +7,8 @@ verification failures, 4 a falsifier run found a candidate with no violation
 All structured output goes to stdout as JSON; diagnostics go to stderr, one
 line each.  Every number is exact: flags and JSON are read through
 :mod:`bctk.scalars`, so a JSON float ``0.25`` means ``1/4``, and an integer
-flag takes an optional sign and ASCII digits only.
+flag takes an optional sign and ASCII digits only.  In any locale a DSL file
+is read as UTF-8, BOM or not, and candidate JSON as UTF-8/16/32 bytes.
 
 ``bctk eval FILE`` and ``bctk embed FILE --gate NAME``, where neither FILE
 nor NAME starts with ``-``, are read without building a parser: for such
@@ -83,7 +84,7 @@ def _err(message: str) -> None:
 
 def _load_ast(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         _err(f"cannot read {path}: {exc}")
         return None
@@ -154,7 +155,7 @@ def cmd_verify(args) -> int:
     print(text)
     if args.report is not None:
         try:
-            Path(args.report).write_text(text + "\n")
+            Path(args.report).write_text(text + "\n", encoding="utf-8")
         except OSError as exc:
             _err(f"cannot write report: {exc}")
             return EXIT_INPUT
@@ -230,7 +231,7 @@ def cmd_lct(args) -> int:
         candidates = [("builtin:bct-style", lct.bct_style_candidate(inst))]
     else:
         try:
-            data = json.loads(Path(spec).read_text())
+            data = json.loads(Path(spec).read_bytes())
             candidates = [(spec, lct.CandidateModel.from_json(data))]
         except (OSError, RecursionError, ValueError) as exc:
             _err(f"cannot load candidate {spec}: {exc}")

@@ -8,14 +8,17 @@ read decimals exactly and raise ``ValueError`` naming the offending text.
 
 The kernel objects store their values on an integer lattice: integer
 numerators over one positive denominator, in lowest terms.
-:func:`lattice` is the one conversion of exact values onto it,
+:func:`lattice` is the one conversion of exact values onto it.  The public
+constructors of ``bct`` and ``lct``, ``Transformation.scale``,
+``_Vector.scale`` and ``ClassicalMap(rows)``, the one way into a classical
+map, call it once; kernel results are built from lattice numerators.
 :func:`reduce_dict`/:func:`reduce_tuple` bring a kernel result to lowest
 terms, :func:`reduce_ratio` does so for one value, :func:`exact` and
 :func:`ratio_json` read one lattice value back out, and :func:`rank` is the
-one elimination, on integer rows.  :func:`sparse_add`, :func:`sparse_scale`
-and :func:`sparse_differences` add, scale and compare sparse values, a dict
-of nonzero numerators over one denominator, as transformation terms and
-classical map cells are stored.
+one elimination, on integer rows.  :func:`sparse_add` and
+:func:`sparse_differences` add and compare sparse values, a dict of nonzero
+numerators over one denominator, as transformation terms and classical map
+cells are stored.
 :func:`frozen_record` makes the frozen slotted dataclasses that hold lattice
 values refuse every write with ``FrozenInstanceError``.
 
@@ -165,12 +168,6 @@ def sparse_add(n1: dict, d1: int, n2: dict, d2: int) -> tuple[dict, int]:
     for k, n in n2.items():
         nums[k] = nums.get(k, 0) + k2 * n
     return reduce_dict({k: n for k, n in nums.items() if n != 0}, den)
-
-
-def sparse_scale(nums: dict, den: int, p) -> tuple[dict, int]:
-    """``nums / den`` times the exact scalar ``p``, in lowest terms."""
-    (pn,), pd = lattice((p,))
-    return reduce_dict({k: n * pn for k, n in nums.items()} if pn != 0 else {}, den * pd)
 
 
 def sparse_differences(n1: dict, d1: int, n2: dict, d2: int):

@@ -158,17 +158,19 @@ def rand_effect(rng: random.Random, shape: SystemShape) -> Effect:
     return Effect._from_nums(shape, *reduce_tuple(tuple(counts), WEIGHT_GRID))
 
 
-def _rand_terms(rng: random.Random, n_in: int, n_out: int, k_min: int, k_max: int,
-                normalised: bool) -> dict:
+def _rand_terms(rng: random.Random, n_in: int, n_out: int, k_max: int, channel: bool) -> dict:
     """Random counts ``{(src, dst, flip): count}`` over WEIGHT_GRID: each input
-    spreads a random distribution over ``k_min..k_max`` targets; zeros are dropped.
+    spreads a random distribution over ``k`` targets, zeros dropped.  For a
+    ``channel`` ``k`` is in ``1..k_max`` and the counts total WEIGHT_GRID;
+    otherwise ``k`` is in ``0..k_max`` and the total is drawn.
 
     Every integer is drawn here as ``randint`` draws it: ``getrandbits`` of the
     range's bit width until the value is below the range's size.  The draws
     are, in order, ``k``, each target's ``dst`` then ``flip``, the grid total
-    unless ``normalised``, and the ``k - 1`` cut points.
+    unless ``channel``, and the ``k - 1`` cut points.
     """
     getrandbits = rng.getrandbits
+    k_min = 1 if channel else 0
     n_k = k_max - k_min + 1
     w_k, w_dst = n_k.bit_length(), n_out.bit_length()
     n_grid = WEIGHT_GRID + 1
@@ -190,7 +192,7 @@ def _rand_terms(rng: random.Random, n_in: int, n_out: int, k_min: int, k_max: in
             while flip >= 2:
                 flip = getrandbits(2)
             targets.add((dst + 1, flip))
-        if normalised:
+        if channel:
             total = WEIGHT_GRID
         else:
             total = getrandbits(w_grid)
@@ -217,8 +219,7 @@ def _rand_terms(rng: random.Random, n_in: int, n_out: int, k_min: int, k_max: in
 def rand_tensor(rng: random.Random, in_shape: SystemShape, out_shape: SystemShape,
                 channel: bool = False) -> Transformation:
     """A random valid transformation with at most three terms per input."""
-    terms = _rand_terms(rng, in_shape.global_dim, out_shape.global_dim,
-                        1 if channel else 0, 3, normalised=channel)
+    terms = _rand_terms(rng, in_shape.global_dim, out_shape.global_dim, 3, channel)
     # Positive counts with keys in range, each input's summing to at most
     # WEIGHT_GRID (exactly, for a channel): a valid transformation.
     return Transformation._from_nums(in_shape, out_shape, *reduce_dict(terms, WEIGHT_GRID))
@@ -827,7 +828,7 @@ def _effect_terms(rng: random.Random, shape: SystemShape) -> str:
 
 
 def _atomic_body(rng: random.Random, dim: int) -> str:
-    terms = _rand_terms(rng, dim, dim, 0, 2, normalised=False)
+    terms = _rand_terms(rng, dim, dim, 2, channel=False)
     parts = [f"atomic {src} -> {dst} tau {flip} w {number_text(Fraction(c, WEIGHT_GRID))}"
              for (src, dst, flip), c in terms.items()]
     return " + ".join(parts) if parts else "atomic 1 -> 1 tau 0 w 1"

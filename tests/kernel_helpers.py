@@ -26,22 +26,26 @@ def point_effect(dim: int, index: int) -> ClassicalMap:
     return ClassicalMap._from_nums(1, dim, {(0, index - 1): 1}, 1)
 
 
+def classical_map(out_dim: int, in_dim: int, cells: dict) -> ClassicalMap:
+    """The ``out_dim x in_dim`` classical map with the exact ``cells``
+    ``{(row, col): value}``, built through the dense constructor."""
+    return ClassicalMap([[cells.get((r, c), 0) for c in range(in_dim)]
+                         for r in range(out_dim)])
+
+
 def classical_state(weights) -> ClassicalMap:
     """The classical state with the exact ``weights`` as its column."""
-    column = list(weights)
-    return ClassicalMap._from_cells(
-        len(column), 1, {(i, 0): w for i, w in enumerate(column) if w != 0})
+    return ClassicalMap([[w] for w in weights])
 
 
 def classical_effect(weights) -> ClassicalMap:
     """The classical effect with the exact ``weights`` as its row."""
-    row = list(weights)
-    return ClassicalMap._from_cells(1, len(row), {(0, i): w for i, w in enumerate(row) if w != 0})
+    return ClassicalMap([list(weights)])
 
 
 def classical_scalar(value) -> ClassicalMap:
     """The 1x1 classical map ``value``."""
-    return ClassicalMap._from_cells(1, 1, {(0, 0): value} if value != 0 else {})
+    return ClassicalMap([[value]])
 
 
 def classical_uniform_state(dim: int) -> ClassicalMap:

@@ -192,7 +192,7 @@ def test_channel_preserves_normalisation():
     rng = random.Random(3)
     ch = _rand_tensor(rng, S3, S2, channel=True)
     rho = State(S3, _dist(rng, 3))
-    assert apply(ch, rho).total == rho.total
+    assert sum(apply(ch, rho).weights) == sum(rho.weights)
 
 
 def test_causality_pull_discard():
@@ -615,7 +615,7 @@ def test_boxed_discard_is_a_channel():
     boxed = boxed_effect_left(deterministic_effect(S3), S2)
     assert boxed.is_channel()
     rho = par_states(State(S3, _dist(random.Random(47), 3)), pure_state(S2, 2))
-    assert apply(boxed, rho).total == rho.total
+    assert sum(apply(boxed, rho).weights) == sum(rho.weights)
 
 
 # -- law-style property tests -------------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: exit codes, JSON output, reproducibility."""
 
 import argparse
+import ast
+import codecs
 import contextlib
 import hashlib
 import io
@@ -11,6 +13,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -811,14 +814,81 @@ def test_dsl_file_that_is_not_utf8_exits_one(tmp_path, args):
     _assert_clean_rejection(proc, f"cannot read {path}: 'utf-8' codec can't decode")
 
 
+_C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+# The package's own folder, so that a CLI run in another directory imports it.
+_SRC_PATH = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 def test_dsl_file_is_read_as_utf8_whatever_the_locale(tmp_path):
     path = tmp_path / "utf8.bct"
     path.write_text(PRODUCT_CIRCUIT + "# caf\u00e9\n", encoding="utf-8")
-    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     proc = subprocess.run([sys.executable, "-m", "bctk", "eval", str(path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env={**os.environ, **_C_LOCALE})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["bct"] == [1, 2]
+
+
+@pytest.mark.parametrize("args", [("eval",), ("embed", "--gate", "shift")])
+def test_dsl_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, args):
+    outputs = []
+    for name, bom in (("plain.bct", b""), ("bom.bct", codecs.BOM_UTF8)):
+        path = tmp_path / name
+        path.write_bytes(bom + PRODUCT_CIRCUIT.encode("utf-8"))
+        assert cli.main([args[0], str(path), *args[1:]]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
+
+
+_CANDIDATE = {"L1": 2, "L2": 2, "xi_beta": [[1, 4]] * 4, "xi_b": [[1, 1]] * 4}
+
+
+def test_candidate_json_is_read_as_utf8_whatever_the_locale(tmp_path):
+    outputs = []
+    for name, data in (("plain", _CANDIDATE), ("accented", {**_CANDIDATE, "note": "caf\u00e9"})):
+        # One relative spec in two folders, so the two outputs can be equal.
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "cand.json").write_text(json.dumps(data, ensure_ascii=False),
+                                                   encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "bctk", "lct", "refute", "--model",
+                               "cand.json"], capture_output=True, text=True,
+                              cwd=tmp_path / name, env={**os.environ, **_C_LOCALE, **_SRC_PATH})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+def test_candidate_json_with_a_byte_order_mark_reads_as_without(tmp_path, monkeypatch,
+                                                                capsys, encoding):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for codec in ("utf-8", encoding):
+        Path("cand.json").write_text(json.dumps(_CANDIDATE), encoding=codec)
+        assert cli.main(["lct", "refute", "--model", "cand.json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
+
+
+def test_every_text_file_call_names_its_encoding():
+    """``read_text``, ``write_text`` and the builtin ``open`` in ``bctk`` name
+    an encoding or work on bytes, so no output or diagnostic depends on the
+    locale."""
+    unnamed = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            text = isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text")
+            if isinstance(func, ast.Name) and func.id == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                text = not (isinstance(mode, ast.Constant) and "b" in str(mode.value))
+            if text and not any(k.arg == "encoding" for k in node.keywords):
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert unnamed == []
 
 
 def test_negative_seeds_are_valid(capsys):
