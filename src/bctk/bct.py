@@ -29,14 +29,17 @@ through ``Transformation._from_nums`` and ``_Vector._from_nums``, which
 check nothing: each such result is valid by construction, for the reason
 given at its call site.  ``Transformation.scale`` and ``_Vector.scale``
 convert the scalar once through :func:`~bctk.scalars.lattice`: by ``1``
-they return the object itself, by ``0`` the empty map or the zero vector
-over ``den == 1``, by a weight strictly between build their result the
-same unchecked way, and by any other scalar pass it through the check.
+they return the object itself, by ``0`` the empty map or the shared zero
+vector, by a weight strictly between build their result the same unchecked
+way, and by any other scalar pass it through the check.  ``_Vector.scale``
+answers an ``int`` 0 or 1 before the lattice read.
 
-The per-shape constants ``identity``, ``swap`` and the pure states and
-effects are built once and cached, keyed by the interned shape (one
-:class:`~bctk.systems.SystemShape` object per shape, so a lookup is an
-identity check).  They are shared, so a cached
+The per-shape constants ``identity``, ``swap``, the pure states and
+effects and the zero state and effect are built once and cached, keyed by
+the interned shape (one :class:`~bctk.systems.SystemShape` object per
+shape, so a lookup is an identity check).  The zero vector, all weights 0
+over ``den == 1``, is what ``_Vector.scale`` by 0 and an ``apply`` that
+lands no term return.  They are shared, so a cached
 transformation's ``nums`` is a read-only ``MappingProxyType``.  ``t.coeffs``,
 ``v.weights``, ``pair`` and ``to_json`` read values back out,
 as an ``int`` when integral and a ``Fraction`` otherwise, and no kernel
@@ -125,12 +128,20 @@ class _Vector:
         return self.nums if den == 1 else tuple(exact(n, den) for n in self.nums)
 
     def scale(self, p):
+        """``self`` times the exact scalar ``p``: an ``int`` 0 gives the shared
+        zero vector and an ``int`` 1 ``self``, without a lattice read; every
+        other scalar is read once by :func:`~bctk.scalars.lattice`, which
+        refuses one that is not exact."""
+        if type(p) is int:
+            if p == 0:
+                return _zero_vector(type(self), self.shape)
+            if p == 1:
+                return self
         (pn,), pd = lattice((p,))
         if pn == pd:
             return self
         if pn == 0:
-            # The zero vector is a substate and an effect in [0, 1].
-            return type(self)._from_nums(self.shape, (0,) * len(self.nums), 1)
+            return _zero_vector(type(self), self.shape)
         if 0 < pn < pd:
             return _scaled(self, pn, pd)
         return type(self)(self.shape, [pn * n for n in self.nums], den=self.den * pd)
@@ -177,6 +188,12 @@ def _pure_vector(cls, shape: SystemShape, q: int):
     out[q - 1] = 1
     # One weight 1, the rest 0: a deterministic state and an effect in [0, 1].
     return cls._from_nums(shape, tuple(out), 1)
+
+
+@lru_cache(maxsize=None)
+def _zero_vector(cls, shape: SystemShape):
+    # All weights 0: a substate and an effect in [0, 1], over den 1.
+    return cls._from_nums(shape, (0,) * shape.global_dim, 1)
 
 
 def pure_state(shape: SystemShape, label) -> State:
@@ -487,14 +504,20 @@ def compose_par(t1: Transformation, t2: Transformation) -> Transformation:
 
 
 def apply(t: Transformation, rho: State) -> State:
+    """``t`` applied to ``rho``; the shared zero vector when no term of ``t``
+    meets a nonzero weight of ``rho``."""
     if t.in_shape != rho.shape:
         raise ValueError(f"transformation expects {t.in_shape}, state is on {rho.shape}")
     out = [0] * t.out_shape.global_dim
     weights = rho.nums
+    landed = False
     for (src, dst, _), n in t.nums.items():
         v = weights[src - 1]
         if v != 0:
             out[dst - 1] += n * v
+            landed = True
+    if not landed:
+        return _zero_vector(State, t.out_shape)
     # A substochastic map on a substate: nonnegative, total <= rho's total <= 1.
     return State._from_nums(t.out_shape, *reduce_tuple(tuple(out), t.den * rho.den))
 

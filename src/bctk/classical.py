@@ -221,9 +221,10 @@ def compose_seq(f: ClassicalMap, g: ClassicalMap) -> ClassicalMap:
     for (k, j), fv in f.nums.items():
         for r, gv in g_by_col.get(k, ()):
             out[r, j] = out.get((r, j), 0) + gv * fv
-    return ClassicalMap._from_nums(
-        g.out_dim, f.in_dim, *reduce_dict({rc: v for rc, v in out.items() if v != 0},
-                                          f.den * g.den))
+    if 0 in out.values():
+        # Only signed entries, which ClassicalMap(rows) accepts, can cancel.
+        out = {rc: v for rc, v in out.items() if v != 0}
+    return ClassicalMap._from_nums(g.out_dim, f.in_dim, *reduce_dict(out, f.den * g.den))
 
 
 def compose_par(f: ClassicalMap, g: ClassicalMap) -> ClassicalMap:

@@ -29,7 +29,9 @@ A :class:`PureLabel` is a named tuple ``(indices, sections)`` whose
 constructor checks both fields.  Its ``hash`` and ``==`` are the tuple's,
 computed in C, so a label is a cheap key for the cache behind
 :func:`flatten_label`, which takes a label that is already a
-:class:`PureLabel` as it is.
+:class:`PureLabel` as it is, and for the cache of :func:`label_text`.  That
+cache is typed: it keys on the label's type too, so a plain tuple equal to
+a label never reads the label's text.
 """
 
 from __future__ import annotations
@@ -196,8 +198,10 @@ def as_label(label) -> PureLabel:
     return PureLabel(tuple(label[0]), tuple(label[1]))
 
 
+@lru_cache(maxsize=None, typed=True)
 def label_text(label: PureLabel) -> str:
-    """DSL syntax of a pure label, e.g. ``((1,2);0)``."""
+    """DSL syntax of a pure label, e.g. ``((1,2);0)``.  Cached by label and
+    type, so a plain tuple equal to a label does not read its entry."""
     core = str(label.indices[0])
     for idx, bit in zip(label.indices[1:], label.sections):
         core = f"({core},{idx});{bit}"

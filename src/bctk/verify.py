@@ -141,7 +141,8 @@ def rand_shape(rng: random.Random, max_dim: int, max_factors: int = 2,
                max_ontic: int = 64) -> SystemShape:
     while True:
         p = randint(rng, 1, max_factors)
-        shape = SystemShape(tuple(randints(rng, 2, max_dim, p)))
+        # Dimensions in 2..max_dim are valid and none is stripped.
+        shape = SystemShape._intern(tuple(randints(rng, 2, max_dim, p)))
         if shape.ontic_dim <= max_ontic:
             return shape
 

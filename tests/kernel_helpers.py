@@ -143,6 +143,21 @@ def lattice_oracle(values, den: int = 1) -> tuple[list, int]:
     return [v.numerator * (scale // v.denominator) for v in values], den * scale
 
 
+def scale_oracle(v, p):
+    """``_Vector.scale`` without its exits: ``p`` read by ``scalars.lattice``
+    and the result built through the checked constructor."""
+    (pn,), pd = lattice((p,))
+    return type(v)(v.shape, [pn * n for n in v.nums], den=v.den * pd)
+
+
+def label_text_oracle(label: PureLabel) -> str:
+    """``systems.label_text`` without its cache."""
+    core = str(label.indices[0])
+    for idx, bit in zip(label.indices[1:], label.sections):
+        core = f"({core},{idx});{bit}"
+    return f"({core})"
+
+
 def rank_oracle(rows) -> int:
     """``scalars.rank`` as ``verify`` took it before, over the rationals: each
     nonzero row, taken in turn, clears its leading column from the rows still

@@ -422,6 +422,16 @@ def test_cancelling_add_stores_no_zero():
         m.add(ClassicalMap.identity(3))
 
 
+def test_cancelling_product_stores_no_zero_and_is_the_dense_product():
+    f = np.array([[1, Fraction(1, 2)], [1, Fraction(1, 2)], [2, 0]], dtype=object)
+    g = np.array([[1, -1, 0], [Fraction(1, 3), 1, Fraction(-1, 3)]], dtype=object)
+    for f_rows, g_rows in ((f, g), (f[:2], g[:, :2])):
+        product = compose_seq(ClassicalMap(f_rows.tolist()), ClassicalMap(g_rows.tolist()))
+        assert 0 not in product.nums.values()
+        assert product == ClassicalMap(g_rows.dot(f_rows).tolist())
+    assert compose_seq(ClassicalMap(f[:2].tolist()), ClassicalMap([[1, -1]])).nums == {}
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: ClassicalMap.identity(2).scalar_value(), ValueError,
      "map of shape (2, 2) is not a scalar"),

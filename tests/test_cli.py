@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from bctk import bct, cli, dsl, lct, ontic, verify
+from bctk import bct, cli, dsl, lct, ontic, systems, verify
 from bctk.classical import ClassicalMap
 from bctk.systems import PureLabel, SystemShape, unflatten_label
 
@@ -383,6 +383,26 @@ def test_verify_report_bytes_are_pinned():
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest == "5091044035997dad0eccc5a375fb28b044627d59eb54365f38c5f8c9992c4fe7"
+
+
+def test_verify_report_does_not_depend_on_cache_warmth(capsys):
+    # The kernel's per-shape and per-label caches only skip rebuilding
+    # values: a cold process, a warm one and a cleared one print the same.
+    args = ("verify", "--suite", "all", "--trials", "20", "--max-dim", "3",
+            "--seed", "20260809")
+    fresh = run_cli(*args)
+    assert fresh.returncode == 0, fresh.stderr
+    outputs = []
+    for clear in (False, False, True):
+        if clear:
+            for cached in (bct._zero_vector, bct._pure_vector, systems.label_text,
+                           bct.identity, bct.swap):
+                cached.cache_clear()
+        assert cli.main(list(args)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == [fresh.stdout] * 3
+    assert (hashlib.sha256(fresh.stdout.encode()).hexdigest()
+            == "5091044035997dad0eccc5a375fb28b044627d59eb54365f38c5f8c9992c4fe7")
 
 
 def test_outputs_do_not_depend_on_the_hash_seed():

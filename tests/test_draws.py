@@ -129,6 +129,15 @@ def test_generators_draw_what_their_randint_oracles_draw():
         assert mine.getstate() == ref.getstate(), s
 
 
+def test_rand_shape_returns_the_interned_shape_the_validating_path_returns():
+    for s in range(1000):
+        max_dim = 2 + s % 3
+        mine, ref = _twins(verify.derive_seed(s, "shapes", 0))
+        # The oracle returns SystemShape(tuple(dims)) of the same draws.
+        assert verify.rand_shape(mine, max_dim) is kh.rand_shape_oracle(ref, max_dim), s
+        assert mine.getstate() == ref.getstate(), s
+
+
 def test_circuit_corpus_and_candidates_match_their_oracles_alone():
     # Each on a fresh generator, so a draw that one of them leaves over is not
     # hidden by the draws of the generators called after it.

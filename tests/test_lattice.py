@@ -28,7 +28,8 @@ from bctk.lct import CandidateModel, ViolationCertificate
 from bctk.scalars import lattice, rank, reduce_dict, sparse_add, sparse_differences
 from bctk.systems import SystemShape, all_labels, pair_label
 
-from kernel_helpers import classical_map, column_sums, lattice_oracle, rank_oracle, transpose
+from kernel_helpers import (classical_map, column_sums, lattice_oracle, rank_oracle,
+                            scale_oracle, transpose)
 
 SHAPES = [SystemShape(e) for e in ((2,), (3,), (4,), (2, 2), (2, 3), (3, 2))]
 
@@ -433,6 +434,54 @@ def test_scale_by_zero_is_the_zero_vector_over_one():
             assert type(scaled) is type(v) and scaled.den == 1
             assert scaled.nums == (0, 0, 0)
             assert scaled == zero and hash(scaled) == hash(zero)
+
+
+def _outcome(build):
+    """``build()``, or the type and text of the exception it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_scale_fast_exits_keep_every_value_and_refusal():
+    s3 = SystemShape((3,))
+    vectors = (State(s3, (1, 1, 0), den=4), State(s3, (1, 2, 1), den=4),
+               Effect(s3, (1, 0, 1), den=2), Effect(s3, (1, 2, 3), den=3),
+               State(s3, (0, 0, 0)), Effect(s3, (0, 0, 0)))
+    scalars = (0, 1, 2, -1, 1.0, True, Fraction(0), Fraction(1), Fraction(1, 2))
+    for v, p in product(vectors, scalars):
+        got, want = _outcome(lambda: v.scale(p)), _outcome(lambda: scale_oracle(v, p))
+        assert got == want, (v, p)
+        if isinstance(got, State | Effect):
+            assert type(got) is type(v) and got.den == want.den
+    for v in vectors:
+        zero = bct._zero_vector(type(v), s3)
+        assert v.scale(0) is zero and v.scale(Fraction(0)) is zero
+        assert v.scale(1) is v and v.scale(True) is v and v.scale(Fraction(1)) is v
+
+
+def _drawable_shapes(max_dim: int) -> list:
+    """Every shape ``verify.rand_shape`` can draw at ``max_dim``."""
+    return [shape for p in (1, 2) for dims in product(range(2, max_dim + 1), repeat=p)
+            if (shape := SystemShape(dims)).ontic_dim <= 64]
+
+
+def test_an_apply_that_lands_nothing_is_the_zero_state_over_one():
+    shapes = _drawable_shapes(4)
+    assert len(shapes) == 12
+    for shape, out in product(shapes, shapes[:4]):
+        n = shape.global_dim
+        want = State(shape, [0] * n)
+        assert want.den == 1
+        # A lone term on label 1 against a state with no weight there, the
+        # zero map, and the identity on a zero state given over den 5.
+        lone = bct.atomic(out, shape, 1, n, 1, Fraction(1, 3))
+        missed = State(out, [0] + [1] * (out.global_dim - 1), den=3 * out.global_dim)
+        for got in (bct.apply(lone, missed), bct.apply(bct.zero(out, shape), missed),
+                    bct.apply(bct.identity(shape), State(shape, [0] * n, den=5))):
+            assert got == want and got.den == 1
+            assert got is bct._zero_vector(State, shape)
 
 
 def test_coprime_chain_grows_only_with_its_true_value():

@@ -24,6 +24,7 @@ from bctk.systems import (
     bct_dim,
     flatten_label,
     flatten_right_nested,
+    label_text,
     pair_label,
     pair_offsets,
     pair_points,
@@ -35,7 +36,7 @@ from bctk.systems import (
     unflatten_label,
 )
 
-from kernel_helpers import DataclassPureLabel, pair_label_fold
+from kernel_helpers import DataclassPureLabel, label_text_oracle, pair_label_fold
 
 
 def test_dimension_rule_examples():
@@ -302,6 +303,24 @@ def test_pure_label_is_an_immutable_named_tuple():
     assert lab == PureLabel((1, 2), (0,))
     assert pickle.loads(pickle.dumps(lab)) == lab and copy.deepcopy(lab) == lab
     assert type(pickle.loads(pickle.dumps(lab))) is PureLabel
+
+
+def test_label_text_matches_the_uncached_oracle_cold_and_warm():
+    label_text.cache_clear()
+    shapes = [SystemShape(dims) for p in (1, 2, 3) for dims in product((2, 3), repeat=p)]
+    for _ in range(2):
+        for shape in shapes:
+            for lab in all_labels(shape):
+                assert label_text(lab) == label_text_oracle(lab), lab
+    assert label_text(PureLabel((1, 2, 3), (0, 1))) == "(((1,2);0,3);1)"
+
+
+def test_a_plain_tuple_never_reads_a_labels_cached_text():
+    lab = PureLabel((1, 2), (1,))
+    assert label_text(lab) == "((1,2);1)"
+    assert lab == ((1, 2), (1,))
+    with pytest.raises(AttributeError, match="indices"):
+        label_text(((1, 2), (1,)))
 
 
 def test_pair_label_on_elementary_factors_is_q():
