@@ -337,6 +337,10 @@ class Transformation:
     def __hash__(self):
         return hash((self.in_shape, self.out_shape, self.den, frozenset(self.nums.items())))
 
+    def __reduce__(self):
+        # A cached constant's ``nums`` is a read-only proxy, which pickle refuses.
+        return self._from_nums, (self.in_shape, self.out_shape, dict(self.nums), self.den)
+
     def __repr__(self) -> str:
         return (
             f"Transformation({self.in_shape} -> {self.out_shape}, "

@@ -134,6 +134,10 @@ class ClassicalMap:
     def __hash__(self):
         return hash((self.shape, self.den, frozenset(self.nums.items())))
 
+    def __reduce__(self):
+        # A cached constant's ``nums`` is a read-only proxy, which pickle refuses.
+        return self._from_nums, (self.out_dim, self.in_dim, dict(self.nums), self.den)
+
     def __repr__(self) -> str:
         cells = self.cells
         rows = [[cells.get((r, c), 0) for c in range(self.in_dim)]

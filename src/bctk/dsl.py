@@ -85,7 +85,7 @@ from typing import NamedTuple
 
 from . import bct, classical, ontic
 from .bct import Effect, State, Transformation
-from .scalars import lattice, number_json, number_text, parse_number, reduce_tuple
+from .scalars import lattice, number_json, number_text, parse_number
 from .systems import TRIVIAL, PureLabel, SystemShape, flatten_label, label_text
 
 # Largest ontic dimension of a declared system or of a circuit wire.  Images
@@ -778,13 +778,9 @@ def parse(text: str) -> CircuitAst:
             nums, den = _vector_weights(shape, decl, diags)
             vector = State if decl.kind == "state" else Effect
             try:
-                # One integer numerator per label of the system: only the
-                # weights are left to check.
-                vector._check(nums, den)
+                ast.boxes[decl.name] = vector(shape, nums, den)
             except ValueError as exc:
                 diags.append(Diagnostic(decl.span, f"{decl.kind} {decl.name!r}: {exc}"))
-                continue
-            ast.boxes[decl.name] = vector._from_nums(shape, *reduce_tuple(tuple(nums), den))
         elif isinstance(decl, GateDecl):
             if unknown := _unknown_system(ast.shapes, decl.in_system, decl.out_system):
                 diags.append(Diagnostic(decl.span, unknown))

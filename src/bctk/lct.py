@@ -38,9 +38,8 @@ so :attr:`LctInstance.theory_pairing` computes it once per instance, through
 the module-level :func:`pairing_value`; :func:`falsify` converts and reads it
 only for a candidate whose jellyfish map is null.
 
-:func:`random_candidate` draws every integer from one local
-``rng.getrandbits``, written out as ``randint`` draws it, so a candidate is
-drawn in one frame on the stdlib's stream.
+:func:`random_candidate` draws through ``scalars.randint``, ``randints`` and
+``cut_counts``, so a candidate comes from the stdlib's ``randint`` stream.
 """
 
 from __future__ import annotations
@@ -49,15 +48,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul, sub
+from operator import mul
 
 from .classical import ClassicalMap
 from .scalars import (
+    cut_counts,
     exact,
     frozen_record,
     lattice,
     number_from_json,
     number_json,
+    randint,
+    randints,
     ratio_json,
     reduce_dict,
     reduce_ratio,
@@ -442,6 +444,10 @@ class ViolationCertificate:
     def fatal(self) -> bool:
         return self.violation is None
 
+    def __hash__(self):
+        # Not over the witness: a ``jellyfish-nullity`` witness is a list.
+        return hash((self.violation, self.lhs_ratio, self.rhs_ratio, self.trace_ratio))
+
     def to_json(self) -> dict:
         return {
             "violation": self.violation,
@@ -547,31 +553,13 @@ def random_candidate(rng: random.Random, inst: LctInstance) -> CandidateModel:
     """A seeded random candidate: ``L1, L2`` in 2..6, weights multiples of 1/16.
 
     The draws are, in order, ``L1`` and ``L2``, each ``randint(2, 6)``, the
-    ``dim - 1`` cut points of :func:`~bctk.scalars.cut_counts` and the ``dim``
-    effect counts, each ``randint(0, 16)``.  Every one is drawn here as
-    ``randint`` draws it: ``getrandbits`` of the range's bit width until the
-    value is below the range's size.
+    state's counts from :func:`~bctk.scalars.cut_counts` and the ``dim``
+    effect counts, each ``randint(0, 16)``.
     """
-    getrandbits = rng.getrandbits
-    # randint(2, 6) has 5 values, 3 bits wide; randint(0, 16) 17 values, 5 bits.
-    L1 = getrandbits(3)
-    while L1 >= 5:
-        L1 = getrandbits(3)
-    L2 = getrandbits(3)
-    while L2 >= 5:
-        L2 = getrandbits(3)
-    L1 += 2
-    L2 += 2
+    L1, L2 = randint(rng, 2, 6), randint(rng, 2, 6)
     dim = L1 * L2
-    draws = []
-    for _ in range(2 * dim - 1):
-        r = getrandbits(5)
-        while r >= 17:
-            r = getrandbits(5)
-        draws.append(r)
-    cuts = draws[:dim - 1]
-    cuts.sort()
-    counts = tuple(map(sub, cuts + [16], [0] + cuts))
+    beta_counts = tuple(cut_counts(rng, dim, 16))
+    b_counts = tuple(randints(rng, 0, 16, dim))
     # Counts over 16: nonnegative and summing to 16, and each in [0, 16].
-    return CandidateModel._from_nums(L1, L2, reduce_tuple(counts, 16),
-                                     reduce_tuple(tuple(draws[dim - 1:]), 16))
+    return CandidateModel._from_nums(L1, L2, reduce_tuple(beta_counts, 16),
+                                     reduce_tuple(b_counts, 16))

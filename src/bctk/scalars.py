@@ -25,10 +25,9 @@ values refuse every write with ``FrozenInstanceError``.
 Seeded integer draws go through :func:`randint`, :func:`randints` and
 :func:`cut_counts`: they return what ``random.Random.randint`` returns, from
 the same ``getrandbits`` calls in the same order, so a seed gives the same
-values and leaves the generator in the same state.  Two hot generators write
-that rejection rule out in their own loop instead, so that a whole object is
-drawn in one frame: ``verify._rand_terms`` and ``lct.random_candidate``.
-``tests/test_draws.py`` and ``tests/test_lct.py`` hold them to these draws.
+values and leaves the generator in the same state.  They are the one place
+that reads ``getrandbits``: the generators of ``verify`` and ``lct`` draw
+through them, and ``tests/test_draws.py`` holds both to the stdlib stream.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ import math
 import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from operator import sub
 
 # No exponent form: ``1e999999999`` would be an unbounded allocation.  Only
 # ASCII digits: ``\d`` and ``int`` would also read ``"\u0661/\u0663"`` as 1/3.
@@ -269,4 +269,4 @@ def cut_counts(rng, n: int, total: int) -> list[int]:
     ``n - 1`` sorted cut points, each ``randint(rng, 0, total)``."""
     cuts = randints(rng, 0, total, n - 1)
     cuts.sort()
-    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return list(map(sub, cuts + [total], [0] + cuts))

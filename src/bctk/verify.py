@@ -5,11 +5,9 @@ hashing ``(seed, suite, index)``, so identical configurations produce
 identical reports byte for byte, independent of execution order.  Integer
 draws go through ``scalars.randint``/``randints``/``cut_counts``, which read
 ``getrandbits`` as ``random.Random.randint`` does, so the stream is the
-stdlib's without its Python frames.  The one exception is ``_rand_terms``,
-which writes that rejection rule out in its own loop so that a whole
-transformation is drawn in one frame; ``tests/test_draws.py`` holds it to
-the stdlib stream.  ``choice``, ``shuffle`` and ``random`` stay on the
-stdlib.
+stdlib's without its Python frames; ``tests/test_draws.py`` holds every
+generator to that stream.  ``choice``, ``shuffle`` and ``random`` stay on
+the stdlib.
 
 Every check goes through one call, :meth:`Report.check`: it counts one trial
 and, on a mismatch, records a flat witness that ends at the first differing
@@ -165,50 +163,20 @@ def _rand_terms(rng: random.Random, n_in: int, n_out: int, k_max: int, channel: 
     ``channel`` ``k`` is in ``1..k_max`` and the counts total WEIGHT_GRID;
     otherwise ``k`` is in ``0..k_max`` and the total is drawn.
 
-    Every integer is drawn here as ``randint`` draws it: ``getrandbits`` of the
-    range's bit width until the value is below the range's size.  The draws
-    are, in order, ``k``, each target's ``dst`` then ``flip``, the grid total
-    unless ``channel``, and the ``k - 1`` cut points.
+    The draws are, in order, ``k``, each target's ``dst`` then ``flip``, the
+    grid total unless ``channel``, and the ``k - 1`` cut points.
     """
-    getrandbits = rng.getrandbits
     k_min = 1 if channel else 0
-    n_k = k_max - k_min + 1
-    w_k, w_dst = n_k.bit_length(), n_out.bit_length()
-    n_grid = WEIGHT_GRID + 1
-    w_grid = n_grid.bit_length()
     terms = {}
     for src in range(1, n_in + 1):
-        r = getrandbits(w_k)
-        while r >= n_k:
-            r = getrandbits(w_k)
-        k = k_min + r
+        k = randint(rng, k_min, k_max)
         if k == 0:
             continue
         targets = set()
         while len(targets) < k:
-            dst = getrandbits(w_dst)
-            while dst >= n_out:
-                dst = getrandbits(w_dst)
-            flip = getrandbits(2)
-            while flip >= 2:
-                flip = getrandbits(2)
-            targets.add((dst + 1, flip))
-        if channel:
-            total = WEIGHT_GRID
-        else:
-            total = getrandbits(w_grid)
-            while total >= n_grid:
-                total = getrandbits(w_grid)
-        n_cut = total + 1
-        w_cut = n_cut.bit_length()
-        cuts = []
-        for _ in range(k - 1):
-            r = getrandbits(w_cut)
-            while r >= n_cut:
-                r = getrandbits(w_cut)
-            cuts.append(r)
-        cuts.sort()
-        cuts.append(total)
+            targets.add((randint(rng, 1, n_out), randint(rng, 0, 1)))
+        total = WEIGHT_GRID if channel else randint(rng, 0, WEIGHT_GRID)
+        cuts = sorted(randints(rng, 0, total, k - 1)) + [total]
         prev = 0
         for (dst, flip), cut in zip(sorted(targets), cuts):
             if cut != prev:

@@ -1,11 +1,14 @@
 """The seeded draws of ``scalars`` against ``random.Random.randint``, and the
 generators of ``verify`` and ``lct`` against their randint-based oracles."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import bctk
 from bctk import bct, lct, verify
 from bctk.scalars import cut_counts, randint, randints
 from bctk.verify import RunConfig
@@ -192,3 +195,18 @@ def test_generators_build_valid_lowest_terms_objects_without_the_checks(monkeypa
             kinds.add(type(value).__name__)
             assert _rebuilt(value) == value
     assert {"Transformation", "State", "Effect", "Instrument"} <= kinds
+
+
+def test_only_scalars_reads_getrandbits_and_the_generators_draw_through_it():
+    for path in sorted(Path(bctk.__file__).parent.glob("*.py")):
+        if path.stem == "scalars":
+            continue
+        named = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert "getrandbits" not in named, path.name
+    for module, start, draws in ((verify, "_rand_terms", {"randint", "randints"}),
+                                 (lct, "random_candidate",
+                                  {"randint", "randints", "cut_counts"})):
+        _, names = kh.reached_names(module, start)
+        assert draws <= names, (start, draws - names)

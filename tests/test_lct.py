@@ -745,3 +745,29 @@ def test_random_candidate_draws_the_scalars_stream():
         rejected += rng.calls > 2 * L1 * L2 + 1
         six_by_six += L1 == L2 == 6
     assert rejected > 500 and six_by_six > 10
+
+
+def test_certificates_of_every_verdict_hash_and_agree_with_eq():
+    inst = make_instance()
+    candidates = {
+        "jellyfish-nullity": lambda: bct_style_candidate(inst),
+        "probability-preservation": lambda: CandidateModel(
+            L1=2, L2=2, xi_beta=(HALF, HALF, 0, 0), xi_b=(0, 0, 1, 1)),
+        "product-annihilation": lambda: CandidateModel(
+            L1=2, L2=2, xi_beta=(HALF, HALF, 0, 0), xi_b=(1, 1, 1, 1),
+            xi_sigma=(HALF, HALF), xi_tau=(HALF, HALF)),
+        None: lambda: CandidateModel(L1=2, L2=2, xi_beta=(HALF, HALF, 0, 0),
+                                     xi_b=(0, 0, 1, 1), theory_pairing=0),
+    }
+    certs = {}
+    for violation, make in candidates.items():
+        cert, twin = falsify(make(), inst), falsify(make(), inst)
+        assert cert.violation == violation
+        assert cert == twin and cert is not twin and hash(cert) == hash(twin)
+        certs[violation] = cert
+    assert type(certs["jellyfish-nullity"].witness) is list
+    assert len(set(certs.values())) == 4
+    rebuilt = ViolationCertificate("jellyfish-nullity", [0, 0], certs["jellyfish-nullity"].lhs,
+                                   0, certs["jellyfish-nullity"].trace_identity)
+    assert rebuilt == certs["jellyfish-nullity"]
+    assert hash(rebuilt) == hash(certs["jellyfish-nullity"])

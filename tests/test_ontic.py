@@ -1,8 +1,11 @@
 """The ontological model: images, functoriality, determinacy, faithfulness."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 
@@ -436,3 +439,24 @@ def _rand_tensor(rng, in_shape, out_shape, channel=False):
             if w:
                 coeffs[(src, dst, flip)] = w
     return bct.Transformation(in_shape, out_shape, coeffs)
+
+
+def test_cached_constants_and_kernel_results_pickle_and_deep_copy():
+    a, b = SystemShape((2,)), SystemShape((3,))
+    constants = {
+        "identity": lambda: identity(SystemShape((2, 3))),
+        "swap": lambda: swap(a, b),
+        "merge_perm": lambda: merge_perm(2, 3),
+        "merge_chain": lambda: merge_chain(SystemShape((2, 3, 2))),
+    }
+    for name, make in constants.items():
+        original = make()
+        for copied in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert copied == original and copied is not original, name
+            assert type(copied.nums) is dict, name
+        # The cache still hands out the same read-only original.
+        assert make() is original and type(original.nums) is MappingProxyType, name
+        with pytest.raises(TypeError):
+            original.nums[next(iter(original.nums))] = 2
+    result = ontic_map(compose_par(atomic(a, b, 1, 2, 1), identity(b)))
+    assert pickle.loads(pickle.dumps(result)) == result == copy.deepcopy(result)
